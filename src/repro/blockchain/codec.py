@@ -30,7 +30,7 @@ falling back to pickle.
 from __future__ import annotations
 
 import struct
-from typing import Any, Callable, Dict, List
+from typing import Any, Callable, Dict, List, Tuple
 
 from .block import Block, BlockHeader
 from .identity import Certificate
@@ -363,6 +363,19 @@ def _decode_deliver_block(r: _Reader) -> DeliverBlock:
     return DeliverBlock(block=_decode_block(r))
 
 
+def _attestation_flags(msg) -> int:
+    """The anti-entropy markers of a vote / sync hash as one flag byte
+    (bit 0 ``is_reply``, bit 1 ``is_retry``)."""
+    return (1 if msg.is_reply else 0) | (2 if msg.is_retry else 0)
+
+
+def _read_attestation_flags(r: _Reader) -> Tuple[bool, bool]:
+    flags = r.byte()
+    if flags > 3:
+        raise CodecError(f"unknown attestation flags {flags:#x}")
+    return bool(flags & 1), bool(flags & 2)
+
+
 def _encode_vote(out: bytearray, msg: VoteMsg) -> None:
     out.append(_T_VOTE)
     _write_zigzag(out, msg.block_number)
@@ -381,7 +394,7 @@ def _encode_vote(out: bytearray, msg: VoteMsg) -> None:
         packed.append(bits)
     out += packed
     _write_zigzag(out, msg.signature)
-    out.append(1 if msg.is_reply else 0)
+    out.append(_attestation_flags(msg))
 
 
 def _decode_vote(r: _Reader) -> VoteMsg:
@@ -391,10 +404,10 @@ def _decode_vote(r: _Reader) -> VoteMsg:
     packed = r.take((n_votes + 7) // 8)
     votes = tuple(bool(packed[i >> 3] & (1 << (i & 7))) for i in range(n_votes))
     signature = r.zigzag()
-    is_reply = bool(r.byte())
+    is_reply, is_retry = _read_attestation_flags(r)
     return VoteMsg(
         block_number=block_number, voter=voter, votes=votes,
-        signature=signature, is_reply=is_reply,
+        signature=signature, is_reply=is_reply, is_retry=is_retry,
     )
 
 
@@ -403,13 +416,17 @@ def _encode_sync_hash(out: bytearray, msg: SyncHashMsg) -> None:
     _write_zigzag(out, msg.block_number)
     _write_str(out, msg.sender)
     _write_str(out, msg.state_hash)
-    out.append(1 if msg.is_reply else 0)
+    out.append(_attestation_flags(msg))
 
 
 def _decode_sync_hash(r: _Reader) -> SyncHashMsg:
+    block_number = r.zigzag()
+    sender = r.string()
+    state_hash = r.string()
+    is_reply, is_retry = _read_attestation_flags(r)
     return SyncHashMsg(
-        block_number=r.zigzag(), sender=r.string(),
-        state_hash=r.string(), is_reply=bool(r.byte()),
+        block_number=block_number, sender=sender, state_hash=state_hash,
+        is_reply=is_reply, is_retry=is_retry,
     )
 
 

@@ -52,6 +52,10 @@ class VoteMsg:
     #: True on the anti-entropy *answer* to a re-broadcast vote; a reply
     #: must never be answered in turn or two peers ping-pong forever.
     is_reply: bool = False
+    #: True on an anti-entropy *re-broadcast* (``Peer._anti_entropy``).
+    #: Only a retry solicits a reply: a first broadcast that merely
+    #: arrives after the receiver's quorum was late, not lost.
+    is_retry: bool = False
 
 
 @dataclass(frozen=True)
@@ -63,6 +67,8 @@ class SyncHashMsg:
     state_hash: str
     #: see :attr:`VoteMsg.is_reply`
     is_reply: bool = False
+    #: see :attr:`VoteMsg.is_retry`
+    is_retry: bool = False
 
 
 @dataclass(frozen=True)

@@ -111,10 +111,10 @@ class Peer(Host):
         # local (deterministic) execution without a fresh vote round.
         self._catch_up_below = 0
         self._backfill_requested_to = 0
-        # Own per-block attestations, kept after commit so stale vote /
-        # sync-hash messages from a lagging peer can be answered (the
-        # return half of anti-entropy: re-broadcasting alone cannot
-        # rebuild a quorum whose other attestations were dropped).
+        # Own per-block attestations, kept after commit so a lagging
+        # peer's vote / sync-hash retries can be answered (the return
+        # half of anti-entropy: re-broadcasting alone cannot rebuild a
+        # quorum whose other attestations were dropped).
         self._vote_history: Dict[int, Tuple[bool, ...]] = {}
         self._state_hash_history: Dict[int, str] = {}
 
@@ -280,6 +280,12 @@ class Peer(Host):
         # _detect_gap may have just raised _catch_up_below past it, turning
         # a vote quorum that will never arrive into a catch-up commit.
         self._try_commit(self._committed_height + 1)
+        # Likewise the *sync* of an older committed block: once it lies
+        # below _catch_up_below its hash quorum is no longer needed.
+        # Trying here means every state change that can finish a sync
+        # (own announce, a recorded hash, this one) tries it at once,
+        # rather than leaving it to whichever hash happens to arrive next.
+        self._try_sync(self._synced_height + 1)
         self._ensure_anti_entropy()
 
     def _detect_gap(self, delivered: int) -> None:
@@ -393,11 +399,16 @@ class Peer(Host):
 
     def _on_vote(self, src: Host, msg: VoteMsg) -> None:
         if msg.block_number <= self._committed_height:
-            # The sender is behind: it re-broadcast its vote because the
-            # quorum it is waiting for was lost in transit.  Answer with
-            # our recorded vote for that block so the quorum can re-form.
+            # A retry means the sender is behind: it re-broadcast its
+            # vote because the quorum it is waiting for was lost in
+            # transit.  Answer with our recorded vote for that block so
+            # the quorum can re-form.  A first broadcast that arrives
+            # after our quorum was merely late and solicits nothing.
             own = self._vote_history.get(msg.block_number)
-            if own is not None and not msg.is_reply and msg.voter != self.name:
+            if (
+                own is not None and msg.is_retry and not msg.is_reply
+                and msg.voter != self.name
+            ):
                 self.send(
                     src,
                     VoteMsg(
@@ -554,10 +565,13 @@ class Peer(Host):
 
     def _on_sync_hash(self, src: Host, msg: SyncHashMsg) -> None:
         if msg.block_number <= self._synced_height:
-            # Same return half as for votes: a lagging sender needs our
-            # attestation for a height we already left behind.
+            # Same return half as for votes: a sender that had to retry
+            # needs our attestation for a height we already left behind.
             own = self._state_hash_history.get(msg.block_number)
-            if own is not None and not msg.is_reply and msg.sender != self.name:
+            if (
+                own is not None and msg.is_retry and not msg.is_reply
+                and msg.sender != self.name
+            ):
                 self.send(
                     src,
                     SyncHashMsg(
@@ -667,13 +681,15 @@ class Peer(Host):
         nxt = self._committed_height + 1
         own_votes = self._votes.get(nxt, {}).get(self.name)
         if own_votes is not None:
-            msg = VoteMsg(block_number=nxt, voter=self.name, votes=own_votes)
+            msg = VoteMsg(
+                block_number=nxt, voter=self.name, votes=own_votes, is_retry=True
+            )
             self.send_many(self._peers, msg, size_bytes=self.config.vote_msg_bytes)
         to_sync = self._synced_height + 1
         if to_sync <= self._committed_height and to_sync in self._own_hash:
             msg = SyncHashMsg(
                 block_number=to_sync, sender=self.name,
-                state_hash=self._own_hash[to_sync],
+                state_hash=self._own_hash[to_sync], is_retry=True,
             )
             self.send_many(self._peers, msg, size_bytes=self.config.sync_msg_bytes)
         missing = [

@@ -264,23 +264,41 @@ def test_deliver_block_roundtrip():
     st.lists(st.booleans(), max_size=40).map(tuple),
     st.integers(min_value=0, max_value=2**512),
     st.booleans(),
+    st.booleans(),
 )
 @settings(max_examples=200)
-def test_vote_msg_bitpacking_roundtrip(number, voter, votes, sig, is_reply):
+def test_vote_msg_bitpacking_roundtrip(number, voter, votes, sig, is_reply, is_retry):
     msg = VoteMsg(
         block_number=number, voter=voter, votes=votes,
-        signature=sig, is_reply=is_reply,
+        signature=sig, is_reply=is_reply, is_retry=is_retry,
     )
     assert roundtrip(msg) == msg
 
 
-@given(st.integers(min_value=0, max_value=10**6), short_text, short_text, st.booleans())
-def test_sync_hash_roundtrip(number, sender, state_hash, is_reply):
+@given(
+    st.integers(min_value=0, max_value=10**6), short_text, short_text,
+    st.booleans(), st.booleans(),
+)
+def test_sync_hash_roundtrip(number, sender, state_hash, is_reply, is_retry):
     msg = SyncHashMsg(
         block_number=number, sender=sender,
-        state_hash=state_hash, is_reply=is_reply,
+        state_hash=state_hash, is_reply=is_reply, is_retry=is_retry,
     )
     assert roundtrip(msg) == msg
+
+
+@pytest.mark.parametrize("msg", [
+    VoteMsg(block_number=1, voter="p", votes=(True,), is_retry=True),
+    SyncHashMsg(block_number=1, sender="p", state_hash="h", is_reply=True),
+])
+def test_attestation_flag_byte_rejects_unknown_bits(msg):
+    """``is_reply`` / ``is_retry`` share the frame's last byte; a set
+    bit beyond them is a corrupt frame, not a truthy flag."""
+    frame = bytearray(encode(msg))
+    assert frame[-1] in (1, 2)
+    frame[-1] |= 4
+    with pytest.raises(CodecError):
+        decode(bytes(frame))
 
 
 @given(st.integers(min_value=0, max_value=10**6), st.integers(min_value=0, max_value=10**6))

@@ -159,3 +159,80 @@ class TestStaleGossip:
         )
         chain.run_until_idle()
         assert chain.net.stats.messages_sent == sent_before
+
+    def test_only_a_retry_solicits_a_reply(self):
+        """Solicited-reply rule, both planes: a first broadcast that is
+        merely late gets no answer, an anti-entropy retry gets exactly
+        one (marked ``is_reply``), and a reply gets none."""
+        from repro.blockchain.messages import SyncHashMsg, VoteMsg
+
+        chain = make_chain()
+        client = chain.create_client("c0")
+        submit_and_wait(chain, client, "init", ("main",))
+        a, b = chain.peers[0], chain.peers[1]
+        state_hash = a._state_hash_history[1]
+        replies = []
+        chain.net.fault_injector = lambda msg, at: (
+            replies.append(msg) or [at]
+        )
+
+        def attest(**flags):
+            return (
+                VoteMsg(block_number=1, voter=b.name, votes=(True,), **flags),
+                SyncHashMsg(
+                    block_number=1, sender=b.name, state_hash=state_hash, **flags
+                ),
+            )
+
+        for flags, n_expected in (
+            ({}, 0),                                     # late first broadcast
+            ({"is_retry": True}, 1),                     # re-broadcast
+            ({"is_reply": True}, 0),                     # an answer
+            ({"is_retry": True, "is_reply": True}, 0),   # malformed: reply wins
+        ):
+            for msg in attest(**flags):
+                del replies[:]
+                a.handle_message(b, msg)
+                chain.run_until_idle()
+                assert len(replies) == n_expected, (msg, replies)
+                if n_expected:
+                    (reply,) = replies
+                    assert (reply.src, reply.dst) == (a.name, b.name)
+                    assert type(reply.payload) is type(msg)
+                    assert reply.payload.is_reply and not reply.payload.is_retry
+                    assert reply.payload.block_number == 1
+
+    def test_anti_entropy_marks_its_rebroadcasts(self):
+        """What ``_anti_entropy`` re-sends carries ``is_retry``; the
+        first broadcast of the same attestation does not."""
+        from repro.blockchain.messages import SyncHashMsg, VoteMsg
+
+        chain = make_chain()
+        client = chain.create_client("c0")
+        submit_and_wait(chain, client, "init", ("main",))
+        starved = chain.peers[3]
+        sent = []
+
+        def starve(msg, at):
+            kind = type(msg.payload)
+            if kind is VoteMsg or kind is SyncHashMsg:
+                sent.append(msg)
+                if msg.dst == starved.name and not (
+                    msg.payload.is_retry or msg.payload.is_reply
+                ):
+                    return []  # every first-broadcast copy to it is lost
+            return [at]
+
+        chain.net.fault_injector = starve
+        res = submit_and_wait(chain, client, "add", ("main", 5))
+        assert res.code == TxValidationCode.VALID
+        assert starved.synced_height == chain.peers[0].synced_height == 2
+
+        retries = [m for m in sent if m.payload.is_retry]
+        assert retries and {m.src for m in retries} == {starved.name}
+        assert {type(m.payload) for m in retries} == {VoteMsg, SyncHashMsg}
+        replies = [m for m in sent if m.payload.is_reply]
+        assert replies and {m.dst for m in replies} == {starved.name}
+        # Nobody else had to retry, and nobody answered a first broadcast.
+        assert len(replies) <= len(retries)
+

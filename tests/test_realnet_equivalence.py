@@ -13,6 +13,7 @@ from __future__ import annotations
 import pytest
 
 from repro.blockchain.config import FabricConfig
+from repro.blockchain.messages import SyncHashMsg, VoteMsg
 from repro.blockchain.network import BlockchainNetwork
 from repro.chaos.workload import ChaosCounterContract
 
@@ -42,11 +43,39 @@ def _drain(chain):
         chain.net.run_until_idle()
 
 
-def _run_session(backend: str):
+def _starve(chain, counts):
+    """Lose every first-broadcast vote / sync hash addressed to the last
+    peer, so it finishes a block only through anti-entropy: its own
+    ``is_retry`` re-broadcast, answered by ``is_reply`` attestations.
+    On realnet both flags cross the codec, and a retry decoded without
+    its flag would solicit nothing — the peer would never converge."""
+    starved = chain.peers[-1].name
+
+    def injector(msg, at):
+        payload = msg.payload
+        if type(payload) in (VoteMsg, SyncHashMsg):
+            if payload.is_retry:
+                counts["retries"] += 1
+            elif payload.is_reply:
+                counts["replies"] += 1
+            elif msg.dst == starved:
+                return []
+        return [at]
+
+    chain.net.fault_injector = injector
+
+
+def _run_session(backend: str, starve: bool = False):
     config = FabricConfig(max_block_txs=1, backend=backend)
+    if starve:
+        # Two retry rounds per block (vote, then hash) on a wall clock.
+        config = config.with_options(anti_entropy_ms=60.0)
     chain = BlockchainNetwork(PEERS, config=config, seed=11)
     if backend == "realnet":
         chain.net.start()
+    gossip = {"retries": 0, "replies": 0}
+    if starve:
+        _starve(chain, gossip)
     chain.install_contract(ChaosCounterContract)
     client = chain.create_client("scripted")
 
@@ -85,6 +114,7 @@ def _run_session(backend: str):
         "state_hashes": state_hashes,
         "chains_valid": chains_valid,
         "synced": len({p.synced_height for p in chain.peers}) == 1,
+        "gossip": gossip,
     }
 
 
@@ -122,3 +152,25 @@ def test_committed_heights_identical(results):
     # max_block_txs=1: every VALID or rejected-but-ordered tx is its own
     # block, so both backends commit the same number of blocks.
     assert results["simnet"]["heights"] == results["realnet"]["heights"]
+
+
+@pytest.fixture(scope="module")
+def starved_results():
+    return {b: _run_session(b, starve=True) for b in ("simnet", "realnet")}
+
+
+def test_starved_peer_converges_through_retries_on_both_backends(
+    results, starved_results
+):
+    for backend, r in starved_results.items():
+        assert len(r["heights"]) == 1, backend
+        assert len(r["state_hashes"]) == 1, backend
+        assert r["chains_valid"] and r["synced"], backend
+        # Every block cost the starved peer at least one retry round,
+        # and each retry it sent was answered.
+        assert r["gossip"]["retries"] >= (PEERS - 1) * 2, backend
+        assert r["gossip"]["replies"] >= r["gossip"]["retries"] // 2, backend
+        # Losing one peer's gossip changes no outcome.
+        for key in ("codes", "counters", "heights"):
+            assert r[key] == results[backend][key], (backend, key)
+
