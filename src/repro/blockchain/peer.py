@@ -21,12 +21,18 @@ execution, vote and sync-hash processing) on a single simulated core.
 Because every peer must process one vote and one sync hash from every
 other peer per block, per-block CPU grows linearly with the peer count
 — the mechanistic root of the paper's latency growth in Fig. 3c.
+
+That CPU time is charged for every attestation on arrival, but only an
+attestation that can *decide* something gets a scheduler event of its
+own; the rest wait in a per-peer inbox and are absorbed by the next
+reader of the tallies (DESIGN.md §16 states the invariants).
 """
 
 from __future__ import annotations
 
+from collections import deque
 from heapq import heappush
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Deque, Dict, FrozenSet, List, Optional, Set, Tuple, Union
 
 from ..simnet.topology import Host
 from .block import Block
@@ -48,6 +54,8 @@ from .state import WorldStateOverlay
 from .transaction import Transaction, TxValidationCode
 
 __all__ = ["Peer"]
+
+Attestation = Union[VoteMsg, SyncHashMsg]
 
 
 class Peer(Host):
@@ -74,8 +82,8 @@ class Peer(Host):
         #: by ``FabricConfig``; see :mod:`repro.blockchain.execution`.
         self.executor = make_executor(self.config)
 
-        self._electorate: List[str] = [name]
         self._peers: List[Host] = []
+        self._set_electorate([name])
         self.orderer: Optional[Host] = None  # for gap-recovery requests
 
         self._pending_blocks: Dict[int, Block] = {}
@@ -90,6 +98,17 @@ class Peer(Host):
         #: mirroring _sync_hashes for O(1) quorum checks in _try_sync.
         self._sync_match: Dict[int, Dict[str, int]] = {}
         self._own_hash: Dict[int, str] = {}
+        #: Attestation inbox: votes and sync hashes whose CPU time is
+        #: charged but which the tallies above have not absorbed yet, as
+        #: ``(done, src, msg)`` in arrival order (``done`` never falls:
+        #: the CPU is serial).  See handle_message and _drain_inbox.
+        self._inbox: Deque[Tuple[float, Host, Attestation]] = deque()
+        #: Attestations received per undecided block, the arming
+        #: predicates' upper bound on what the tallies can hold.
+        self._votes_seen: Dict[int, int] = {}
+        self._hashes_seen: Dict[int, int] = {}
+        #: Attestations that got a scheduler event of their own.
+        self.attestations_armed = 0
 
         self._executed_height = 0
         self._committed_height = 0
@@ -137,8 +156,26 @@ class Peer(Host):
 
     def connect_peers(self, peers: List["Peer"]) -> None:
         """Declare the full electorate.  ``peers`` includes this peer."""
-        self._electorate = [p.name for p in peers]
+        self._set_electorate([p.name for p in peers])
         self._peers = [p for p in peers if p.name != self.name]
+
+    def _set_electorate(self, names: List[str]) -> None:
+        self._electorate: List[str] = names
+        self._electors: FrozenSet[str] = frozenset(names)
+        # The fewest attestations from *other* peers for one block, the
+        # arriving one included, at which that one could decide it; the
+        # own attestation counts as present (it will be by the time the
+        # CPU is done with this one).  A rejection is decided at
+        # cast*2 >= total, one vote before an acceptance, a sync quorum
+        # at matching*2 > total.  Where counting does not bound the
+        # decision — a policy other than plain majority — or where a
+        # free verification would leave no CPU order to rely on, the
+        # threshold is 0: every attestation arms.
+        total = len(names)
+        config = self.config
+        counts_decide = self.policy.is_simple_majority and config.vote_verify_ms > 0
+        self._vote_arm_at = (total + 1) // 2 - 1 if counts_decide else 0
+        self._hash_arm_at = total // 2 if config.sync_verify_ms > 0 else 0
 
     @property
     def electorate_size(self) -> int:
@@ -168,6 +205,9 @@ class Peer(Host):
         self._sync_hashes.clear()
         self._sync_match.clear()
         self._own_hash.clear()
+        self._inbox.clear()
+        self._votes_seen.clear()
+        self._hashes_seen.clear()
         self._commit_scheduled.clear()
         self._executing = False
         self._cpu_free_at = 0.0
@@ -235,34 +275,93 @@ class Peer(Host):
         # O(N) — the two hot arms go first.
         kind = type(payload)
         if kind is VoteMsg or kind is SyncHashMsg:
-            # _compute + Scheduler.call_at_anon, inlined: this pair of
-            # arms fires O(N²) times per block and the two saved Python
-            # calls per message are measurable at 32 peers.
+            # Every attestation pays its verification on the serial CPU
+            # and joins the inbox; only one that is a retry or could
+            # complete a quorum also gets an event at ``done``.  The
+            # others change nothing anyone can see before the next
+            # reader of the tallies drains them.
             if kind is VoteMsg:
                 cost = self.config.vote_verify_ms
                 fn = self._on_vote
+                armed = self._vote_arms(payload)
             else:
                 cost = self.config.sync_verify_ms
                 fn = self._on_sync_hash
-            sched = self.network.scheduler
-            start = sched._now
-            if self._cpu_free_at > start:
-                start = self._cpu_free_at
-            done = start + cost
-            self._cpu_free_at = done
-            seq = sched._seq
-            sched._seq = seq + 1
-            heappush(
-                sched._queue,
-                (done, seq, self._run_if_alive, (self._generation, fn, src, payload)),
-            )
-            sched._live += 1
+                armed = self._sync_hash_arms(payload)
+            if armed:
+                self.attestations_armed += 1
+                self._compute(cost, fn, src, payload)
+                done = self._cpu_free_at
+            else:
+                # _compute's CPU arithmetic without its event.
+                done = self.network.scheduler._now
+                if self._cpu_free_at > done:
+                    done = self._cpu_free_at
+                done += cost
+                self._cpu_free_at = done
+            self._inbox.append((done, src, payload))
         elif kind is DeliverBlock:
             self._on_block(payload.block)
         elif kind is QueryTxStatus:
             self._on_query(src, payload)
         else:
             raise TypeError(f"peer cannot handle {type(payload).__name__}")
+
+    # ------------------------------------------------------------------
+    # attestation inbox
+
+    def _vote_arms(self, msg: VoteMsg) -> bool:
+        """Whether ``msg`` needs a scheduler event of its own: it is a
+        retry (the reply is due exactly when the CPU is done with it), or
+        recording it could decide its block.  Conservative: it may say
+        yes for a vote that decides nothing, never no for one that does.
+        """
+        number = msg.block_number
+        if number <= self._committed_height or number in self._commit_scheduled:
+            return msg.is_retry  # decided: nothing is left for a vote to do
+        seen = self._votes_seen.get(number, 0) + 1
+        self._votes_seen[number] = seen
+        return seen >= self._vote_arm_at or msg.is_retry
+
+    def _sync_hash_arms(self, msg: SyncHashMsg) -> bool:
+        """:meth:`_vote_arms` for the ledger-synchronisation stage."""
+        number = msg.block_number
+        if number <= self._synced_height:
+            return msg.is_retry
+        seen = self._hashes_seen.get(number, 0) + 1
+        self._hashes_seen[number] = seen
+        return seen >= self._hash_arm_at or msg.is_retry
+
+    def _drain_inbox(self, through: Optional[Attestation] = None) -> None:
+        """Absorb every queued attestation the CPU finished before now.
+
+        Each reader of the tallies calls this first, so it sees what the
+        one-event-per-attestation schedule would have recorded by now.
+        An attestation finished *at* this instant belongs to an event
+        that may be ordered after the caller's, so it stays queued —
+        except in the armed event of ``through``, which drains up to and
+        including its own message.
+        """
+        inbox = self._inbox
+        now = self.network.scheduler._now
+        while inbox:
+            done = inbox[0][0]
+            if done > now or (done == now and through is None):
+                return
+            _, src, msg = inbox.popleft()
+            if msg is through:
+                through = None
+            # A stale attestation is recorded nowhere; if it is a retry
+            # its sender is waiting for our half of the exchange.
+            if type(msg) is VoteMsg:
+                if msg.block_number > self._committed_height:
+                    self._record_vote(msg)
+                elif msg.is_retry:
+                    self._answer_vote_retry(src, msg)
+            elif msg.block_number > self._synced_height:
+                self._record_sync_hash(msg)
+            elif msg.is_retry:
+                self._answer_sync_retry(src, msg)
 
     # ------------------------------------------------------------------
     # stage 1: execute + vote
@@ -350,10 +449,8 @@ class Peer(Host):
 
         votes = tuple(e.code == TxValidationCode.VALID for e in executions)
         self._vote_history[block.number] = votes
-        self._record_vote(
-            VoteMsg(block_number=block.number, voter=self.name, votes=votes)
-        )
         msg = VoteMsg(block_number=block.number, voter=self.name, votes=votes)
+        self._record_vote(msg)
         self.send_many(self._peers, msg, size_bytes=self.config.vote_msg_bytes)
         self._try_commit(block.number)
         self._ensure_anti_entropy()
@@ -398,31 +495,30 @@ class Peer(Host):
     # stage 1b: vote collection + commit
 
     def _on_vote(self, src: Host, msg: VoteMsg) -> None:
-        if msg.block_number <= self._committed_height:
-            # A retry means the sender is behind: it re-broadcast its
-            # vote because the quorum it is waiting for was lost in
-            # transit.  Answer with our recorded vote for that block so
-            # the quorum can re-form.  A first broadcast that arrives
-            # after our quorum was merely late and solicits nothing.
-            own = self._vote_history.get(msg.block_number)
-            if (
-                own is not None and msg.is_retry and not msg.is_reply
-                and msg.voter != self.name
-            ):
-                self.send(
-                    src,
-                    VoteMsg(
-                        block_number=msg.block_number, voter=self.name,
-                        votes=own, is_reply=True,
-                    ),
-                    size_bytes=self.config.vote_msg_bytes,
-                )
-            return
-        self._record_vote(msg)
+        """The event of an armed vote, at the instant the CPU is done
+        with it."""
+        self._drain_inbox(through=msg)
         self._try_commit(msg.block_number)
 
+    def _answer_vote_retry(self, src: Host, msg: VoteMsg) -> None:
+        """A retry for a block we have committed: the sender is behind,
+        it re-broadcast its vote because the quorum it is waiting for was
+        lost in transit.  Answer with our recorded vote for that block so
+        the quorum can re-form.  (A first broadcast that arrives after
+        our quorum was merely late and solicits nothing.)"""
+        own = self._vote_history.get(msg.block_number)
+        if own is not None and not msg.is_reply and msg.voter != self.name:
+            self.send(
+                src,
+                VoteMsg(
+                    block_number=msg.block_number, voter=self.name,
+                    votes=own, is_reply=True,
+                ),
+                size_bytes=self.config.vote_msg_bytes,
+            )
+
     def _record_vote(self, msg: VoteMsg) -> None:
-        if msg.voter not in self._electorate:
+        if msg.voter not in self._electors:
             return  # not part of this game session
         if msg.block_number <= self._committed_height:
             return  # already committed; late vote
@@ -454,6 +550,8 @@ class Peer(Host):
                 pair[0] += 1
 
     def _try_commit(self, block_number: int) -> None:
+        if self._inbox:
+            self._drain_inbox()
         nxt = self._committed_height + 1
         if block_number != nxt or self._executed_height < nxt:
             return
@@ -524,6 +622,7 @@ class Peer(Host):
         self._pending_blocks.pop(block.number, None)
         self._votes.pop(block.number, None)
         self._vote_tally.pop(block.number, None)
+        self._votes_seen.pop(block.number, None)
         self._commit_scheduled.discard(block.number)
 
         # stage 2: ledger synchronisation.  State transfer runs on the
@@ -564,28 +663,27 @@ class Peer(Host):
     # stage 2: ledger synchronisation
 
     def _on_sync_hash(self, src: Host, msg: SyncHashMsg) -> None:
-        if msg.block_number <= self._synced_height:
-            # Same return half as for votes: a sender that had to retry
-            # needs our attestation for a height we already left behind.
-            own = self._state_hash_history.get(msg.block_number)
-            if (
-                own is not None and msg.is_retry and not msg.is_reply
-                and msg.sender != self.name
-            ):
-                self.send(
-                    src,
-                    SyncHashMsg(
-                        block_number=msg.block_number, sender=self.name,
-                        state_hash=own, is_reply=True,
-                    ),
-                    size_bytes=self.config.sync_msg_bytes,
-                )
-            return
-        self._record_sync_hash(msg)
-        self._try_sync(msg.block_number)
+        """The event of an armed sync hash."""
+        self._drain_inbox(through=msg)
+        if msg.block_number > self._synced_height:
+            self._try_sync(msg.block_number)
+
+    def _answer_sync_retry(self, src: Host, msg: SyncHashMsg) -> None:
+        """Same return half as for votes: a sender that had to retry
+        needs our attestation for a height we already left behind."""
+        own = self._state_hash_history.get(msg.block_number)
+        if own is not None and not msg.is_reply and msg.sender != self.name:
+            self.send(
+                src,
+                SyncHashMsg(
+                    block_number=msg.block_number, sender=self.name,
+                    state_hash=own, is_reply=True,
+                ),
+                size_bytes=self.config.sync_msg_bytes,
+            )
 
     def _record_sync_hash(self, msg: SyncHashMsg) -> None:
-        if msg.sender not in self._electorate:
+        if msg.sender not in self._electors:
             return
         if msg.block_number <= self._synced_height:
             return  # already synchronised; late hash
@@ -606,6 +704,8 @@ class Peer(Host):
         counts[msg.state_hash] = counts.get(msg.state_hash, 0) + 1
 
     def _try_sync(self, block_number: int) -> None:
+        if self._inbox:
+            self._drain_inbox()
         nxt = self._synced_height + 1
         while True:
             if nxt > self._committed_height or nxt not in self._own_hash:
@@ -622,6 +722,7 @@ class Peer(Host):
                 self.telemetry.block_synced(self.name, nxt)
             self._sync_hashes.pop(nxt, None)
             self._sync_match.pop(nxt, None)
+            self._hashes_seen.pop(nxt, None)
             self._own_hash.pop(nxt, None)
             synced_block = self.ledger.block(nxt)
             if self.on_block_synced is not None:

@@ -49,6 +49,8 @@ class Telemetry:
         self.registry = MetricsRegistry()
         self.witness = witness
         self._sched = None
+        #: Every instrumented peer, for the collect-time peer gauges.
+        self._peers: list = []
 
         reg = self.registry
         self._c_submitted = reg.counter(
@@ -108,8 +110,7 @@ class Telemetry:
             self.witness = chain.peers[0].name
         chain.telemetry = self  # future create_client() calls inherit it
         chain.orderer.telemetry = self
-        for peer in chain.peers:
-            peer.telemetry = self
+        self._watch_peers(chain.peers)
         for client in getattr(chain, "_clients", {}).values():
             client.telemetry = self
         self.bind_network(chain.net)
@@ -132,8 +133,7 @@ class Telemetry:
         for shard in deployment.shards:
             shard.telemetry = self
             shard.orderer.telemetry = self
-            for peer in shard.peers:
-                peer.telemetry = self
+            self._watch_peers(shard.peers)
             for client in getattr(shard, "_clients", {}).values():
                 client.telemetry = self
         for index, shard in enumerate(deployment.shards):
@@ -159,6 +159,19 @@ class Telemetry:
             )
         self.bind_network(deployment.net)
         return self
+
+    def _watch_peers(self, peers) -> None:
+        """Hook the peers and absorb their own counters as collect-time
+        callback gauges (nothing added to a peer's message path)."""
+        for peer in peers:
+            peer.telemetry = self
+        self._peers.extend(peers)
+        self.registry.gauge(
+            "peer_attestations_armed",
+            "votes and sync hashes that got a scheduler event of their own "
+            "(all peers); the rest were absorbed from the inbox",
+            fn=lambda: sum(peer.attestations_armed for peer in self._peers),
+        )
 
     def instrument_session(self, session) -> "Telemetry":
         """Attach to a :class:`~repro.core.session.GameSession` (chain plus

@@ -92,6 +92,20 @@ def test_witness_outcomes_match_ledger(traced_8p):
     assert result.workload_summary.get("VALID", 0) <= len(committed)
 
 
+def test_armed_attestations_gauge_explains_the_event_count(traced_8p):
+    """``peer_attestations_armed`` reads the peers' own counters at
+    collect time; next to the delivery count it says how much of the
+    gossip got a scheduler event of its own (DESIGN.md §16).  On a
+    fault-free 8-peer run that is well under half of it: at most the
+    two or three attestations around each quorum, of seven per stage."""
+    telemetry, _result = traced_8p
+    metrics = telemetry.registry.as_dict()
+    armed = metrics["peer_attestations_armed"]
+    assert armed == sum(p.attestations_armed for p in telemetry._peers) > 0
+    assert len(telemetry._peers) == 8
+    assert armed * 2 < metrics["net_messages_delivered"]
+
+
 def test_trace_jsonl_round_trips(traced_8p, tmp_path):
     telemetry, _ = traced_8p
     path = tmp_path / "trace.jsonl"
