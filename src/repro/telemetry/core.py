@@ -49,10 +49,16 @@ class Telemetry:
         self.registry = MetricsRegistry()
         self.witness = witness
         self._sched = None
-        #: Every instrumented peer, for the collect-time peer gauges.
+        #: Every instrumented peer, read by the collect-time peer gauge.
         self._peers: list = []
 
         reg = self.registry
+        reg.gauge(
+            "peer_attestations_armed",
+            "votes and sync hashes that got a scheduler event of their own "
+            "(all peers); the rest were absorbed from the inbox",
+            fn=lambda: sum(peer.attestations_armed for peer in self._peers),
+        )
         self._c_submitted = reg.counter(
             "client_txs_submitted", "transactions submitted by clients/shims"
         )
@@ -161,17 +167,11 @@ class Telemetry:
         return self
 
     def _watch_peers(self, peers) -> None:
-        """Hook the peers and absorb their own counters as collect-time
-        callback gauges (nothing added to a peer's message path)."""
+        """Hook the peers; their own counters are read at collect time
+        (nothing added to a peer's message path)."""
         for peer in peers:
             peer.telemetry = self
         self._peers.extend(peers)
-        self.registry.gauge(
-            "peer_attestations_armed",
-            "votes and sync hashes that got a scheduler event of their own "
-            "(all peers); the rest were absorbed from the inbox",
-            fn=lambda: sum(peer.attestations_armed for peer in self._peers),
-        )
 
     def instrument_session(self, session) -> "Telemetry":
         """Attach to a :class:`~repro.core.session.GameSession` (chain plus
