@@ -10,18 +10,26 @@ wire format:
 
 * **values** — ``None``/bool/int/float/str/bytes and (nested)
   list/tuple/dict trees, msgpack-style: one tag byte, varint lengths,
-  zigzag-varint integers of arbitrary precision (RSA signatures are
-  512-bit ints), IEEE-754 doubles so simulated timestamps round-trip
-  bit-exactly;
+  integers of arbitrary precision as a zigzag-folded, length-prefixed
+  little-endian byte string (RSA signatures are 512-bit ints: one
+  ``to_bytes`` / ``from_bytes`` each, not 74 varint steps), IEEE-754
+  doubles so simulated timestamps round-trip bit-exactly;
 * **protocol objects** — :class:`Proposal`, :class:`Certificate`,
   :class:`Transaction`, :class:`BlockHeader`, :class:`Block`,
   :class:`TxResult` and every wire message in
-  :mod:`repro.blockchain.messages`, each as a fixed field sequence.
+  :mod:`repro.blockchain.messages`, each as a fixed field sequence
+  (a certificate's fields sit inside a length-prefixed blob).
+
+Containers are written as tag, length, then the items back to back, so
+``encode((a, b, c)) == encode((a, b, None))[:-1] + encode(c)`` — the
+realnet transport builds its frames on that.
 
 Decoding reconstructs plain fresh objects: digest memos are *not*
 transported, so a decoded transaction re-derives its digest from its
 fields — ``decode(encode(tx)).digest() == tx.digest()`` is the
-digest-preservation property the codec round-trip tests pin.
+digest-preservation property the codec round-trip tests pin.  The one
+shared object is the immutable :class:`Certificate`: equal certificate
+bytes decode to one object per process (DESIGN.md §17).
 
 Anything outside the closed set raises :class:`CodecError` instead of
 falling back to pickle.
@@ -34,7 +42,7 @@ from typing import Any, Callable, Dict, List, Tuple
 
 from .block import Block, BlockHeader
 from .identity import Certificate
-from .crypto import PublicKey
+from .crypto import PublicKey, cached_certificate
 from .messages import (
     DeliverBlock,
     QueryTxStatus,
@@ -91,7 +99,10 @@ _unpack_double = struct.Struct(">d").unpack_from
 # primitives
 
 def _write_varint(out: bytearray, value: int) -> None:
-    """LEB128 unsigned varint (arbitrary precision)."""
+    """LEB128 unsigned varint: lengths and counts, nearly always one byte."""
+    if value < 0x80:
+        out.append(value)
+        return
     while True:
         byte = value & 0x7F
         value >>= 7
@@ -103,7 +114,12 @@ def _write_varint(out: bytearray, value: int) -> None:
 
 
 def _write_zigzag(out: bytearray, value: int) -> None:
-    _write_varint(out, (value << 1) ^ (value >> (value.bit_length() + 1)) if value < 0 else value << 1)
+    """Signed integer of any width: zigzag-folded to unsigned, then its
+    byte count as a varint and its minimal little-endian bytes."""
+    folded = value << 1 if value >= 0 else (~value << 1) | 1
+    n_bytes = (folded.bit_length() + 7) >> 3
+    _write_varint(out, n_bytes)
+    out += folded.to_bytes(n_bytes, "little")
 
 
 def _write_str(out: bytearray, value: str) -> None:
@@ -136,8 +152,11 @@ class _Reader:
         return chunk
 
     def varint(self) -> int:
-        shift = 0
-        value = 0
+        value = self.byte()
+        if value < 0x80:
+            return value
+        value &= 0x7F
+        shift = 7
         while True:
             byte = self.byte()
             value |= (byte & 0x7F) << shift
@@ -146,11 +165,17 @@ class _Reader:
             shift += 7
 
     def zigzag(self) -> int:
-        raw = self.varint()
-        return (raw >> 1) ^ -(raw & 1)
+        raw = self.take(self.varint())
+        if raw and not raw[-1]:
+            raise CodecError("integer is not minimally encoded")
+        folded = int.from_bytes(raw, "little")
+        return (folded >> 1) ^ -(folded & 1)
 
     def string(self) -> str:
-        return self.take(self.varint()).decode("utf-8")
+        try:
+            return self.take(self.varint()).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CodecError(f"string is not UTF-8: {exc}") from None
 
 
 # ---------------------------------------------------------------------
@@ -234,25 +259,38 @@ def _decode_proposal(r: _Reader) -> Proposal:
 
 def _encode_certificate(out: bytearray, c: Certificate) -> None:
     out.append(_T_CERTIFICATE)
-    _write_str(out, c.subject)
-    _write_zigzag(out, c.public_key.n)
-    _write_zigzag(out, c.public_key.e)
-    _write_str(out, c.issuer)
-    _write_zigzag(out, c.serial)
-    _write_zigzag(out, c.signature)
+    blob = bytearray()
+    _write_str(blob, c.subject)
+    _write_zigzag(blob, c.public_key.n)
+    _write_zigzag(blob, c.public_key.e)
+    _write_str(blob, c.issuer)
+    _write_zigzag(blob, c.serial)
+    _write_zigzag(blob, c.signature)
+    _write_varint(out, len(blob))
+    out += blob
 
 
-def _decode_certificate(r: _Reader) -> Certificate:
+def _certificate_from_blob(blob: bytes) -> Certificate:
+    r = _Reader(blob)
     subject = r.string()
     n = r.zigzag()
     e = r.zigzag()
     issuer = r.string()
     serial = r.zigzag()
     signature = r.zigzag()
+    if r.pos != len(blob):
+        raise CodecError(f"{len(blob) - r.pos} trailing bytes in certificate")
     return Certificate(
         subject=subject, public_key=PublicKey(n=n, e=e),
         issuer=issuer, serial=serial, signature=signature,
     )
+
+
+def _decode_certificate(r: _Reader) -> Certificate:
+    # Every transaction of a player carries the same certificate, and
+    # every peer of a process decodes every transaction: equal bytes are
+    # parsed once and the frozen object is shared.
+    return cached_certificate(r.take(r.varint()), _certificate_from_blob)
 
 
 def _encode_transaction(out: bytearray, tx: Transaction) -> None:

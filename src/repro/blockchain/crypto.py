@@ -20,7 +20,7 @@ import hashlib
 import json
 import random
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 __all__ = [
     "sha256_hex",
@@ -31,6 +31,7 @@ __all__ = [
     "KeyPair",
     "generate_keypair",
     "verify_batch",
+    "cached_certificate",
     "reset_crypto_caches",
     "crypto_cache_sizes",
 ]
@@ -271,18 +272,50 @@ def generate_keypair(seed, bits: int = _DEFAULT_KEY_BITS) -> KeyPair:
         return pair
 
 
+#: Decoded certificates by their exact wire bytes.  A realnet process
+#: hosts every peer of the deployment and each of them decodes every
+#: transaction, so without this memo each transaction in each ledger
+#: holds a private copy of its creator's certificate (three 512-bit
+#: integers, a ``PublicKey``, a to-be-signed digest memo).  Sharing is
+#: sound because the key is the whole encoding — equal bytes decode to
+#: equal fields, one differing byte is a different entry — and the
+#: object is a frozen dataclass nobody can alter for the other holders.
+#: It decides no verdict: a shared certificate is verified like a
+#: private one.
+_CERTIFICATE_CACHE: Dict[bytes, Any] = {}
+_CERTIFICATE_CACHE_MAX = 1024
+
+
+def cached_certificate(blob: bytes, build: Callable[[bytes], Any]) -> Any:
+    """The certificate ``build(blob)`` made earlier in this process for
+    these exact bytes, else a new one, remembered.  ``build`` raises on
+    malformed bytes, which are then not remembered."""
+    cert = _CERTIFICATE_CACHE.get(blob)
+    if cert is None:
+        cert = build(blob)
+        if len(_CERTIFICATE_CACHE) >= _CERTIFICATE_CACHE_MAX:
+            _CERTIFICATE_CACHE.clear()
+        _CERTIFICATE_CACHE[blob] = cert
+    return cert
+
+
 def crypto_cache_sizes() -> Dict[str, int]:
     """Current entry counts of the process-global memo caches."""
-    return {"verify": len(_VERIFY_CACHE), "keypair": len(_KEYPAIR_CACHE)}
+    return {
+        "verify": len(_VERIFY_CACHE),
+        "keypair": len(_KEYPAIR_CACHE),
+        "certificate": len(_CERTIFICATE_CACHE),
+    }
 
 
 def reset_crypto_caches() -> Dict[str, int]:
     """Drop every process-global crypto memo; returns the prior sizes.
 
-    The verify/keypair caches are pure memos — they can never change a
-    verdict or a key — but they *do* change wall-clock timings and, in a
-    forked worker, would start pre-warmed with whatever the parent had
-    verified.  Worker processes of the process-parallel shard engine
+    The verify/keypair/certificate caches are pure memos — they can
+    never change a verdict, a key or a decoded field — but they *do*
+    change wall-clock timings and memory and, in a forked worker, would
+    start pre-warmed with whatever the parent had verified or decoded.
+    Worker processes of the process-parallel shard engine
     call this at bootstrap so every worker starts cold deterministically
     regardless of start method (fork inherits the parent's caches; spawn
     starts empty; after the reset both look identical).
@@ -290,6 +323,7 @@ def reset_crypto_caches() -> Dict[str, int]:
     sizes = crypto_cache_sizes()
     _VERIFY_CACHE.clear()
     _KEYPAIR_CACHE.clear()
+    _CERTIFICATE_CACHE.clear()
     return sizes
 
 

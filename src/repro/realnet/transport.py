@@ -6,9 +6,19 @@ Wire format
     over TCP).  Each frame is a 4-byte big-endian length prefix followed
     by ``repro.blockchain.codec.encode((src_name, dst_name, payload))``
     — the closed-set binary codec from PR 9, so only protocol messages
-    can cross the wire.  Oversized, truncated or undecodable frames
-    close the connection and are counted; a reader can error, never
-    hang.
+    can cross the wire.  The codec writes a tuple as its items back to
+    back, so the sender builds those bytes as the channel's constant
+    address prefix plus ``encode(payload)``, and a broadcast encodes its
+    payload once for all destinations.  Oversized or undecodable frames
+    close the connection and are counted; a frame cut short by EOF is
+    discarded with its connection.
+
+Sending
+    A frame goes to the socket in one write.  On a connected channel
+    with nothing queued and a write buffer below asyncio's high-water
+    mark that write happens inside ``send``; everything else — connect,
+    backoff, back-pressure, resend — belongs to the channel's drain
+    task, which exists only while the channel's queue is non-empty.
 
 Connection management
     Channels connect lazily on first send and reconnect with exponential
@@ -20,11 +30,13 @@ Connection management
 
 Peer-crash semantics
     ``condition(name).down = True`` (what ``Peer.crash()`` and the chaos
-    injector set) closes the host's listening socket and resets every
-    connection touching it; ``down = False`` re-listens on a fresh port
-    and the address book is updated, so reconnecting channels find the
-    revived peer.  :class:`RealHostCondition` carries that side effect
-    on the ``down`` setter, keeping the callers untouched.
+    injector set) closes the host's listening socket and aborts every
+    connection touching it — bytes still in a write buffer die with the
+    host instead of being flushed after its crash; ``down = False``
+    re-listens on a fresh port and the address book is updated, so
+    reconnecting channels find the revived peer.
+    :class:`RealHostCondition` carries that side effect on the ``down``
+    setter, keeping the callers untouched.
 
 Fault injection (netem-style shim)
     The ``fault_injector`` hook has the exact simnet contract — called
@@ -101,23 +113,128 @@ class _Endpoint:
         self.host = host
         self.server: Optional[asyncio.AbstractServer] = None
         self.port: Optional[int] = None
-        #: Writers of accepted inbound connections (closed on crash).
-        self.inbound: Set[asyncio.StreamWriter] = set()
+        #: Transports of accepted inbound connections (aborted on crash).
+        self.inbound: Set[asyncio.BaseTransport] = set()
+
+
+class _FrameSplitter(asyncio.BufferedProtocol):
+    """Receiving side of one accepted connection: slices every complete
+    frame out of what each socket read added to its buffer.
+
+    The socket reads straight into that buffer (``recv_into``), which
+    starts at :attr:`RealNetwork.recv_buffer_bytes` and grows only when
+    a frame announces more than it holds.  Every exit is an explicit
+    error or EOF — a malformed frame (bad length, bad codec, bad shape)
+    closes the connection rather than leaving it parked mid-frame.
+    """
+
+    def __init__(self, net: "RealNetwork", ep: _Endpoint):
+        self._net = net
+        self._ep = ep
+        self._transport: Optional[asyncio.BaseTransport] = None
+        self._view = memoryview(bytearray(net.recv_buffer_bytes))
+        #: Bytes of an incomplete frame held at the front of the buffer.
+        self._have = 0
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self._transport = transport
+        self._ep.inbound.add(transport)
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self._ep.inbound.discard(self._transport)
+
+    def get_buffer(self, sizehint: int) -> memoryview:
+        return self._view[self._have:] if self._have else self._view
+
+    def buffer_updated(self, nbytes: int) -> None:
+        net = self._net
+        view = self._view
+        end = self._have + nbytes
+        pos = 0
+        need = 0
+        try:
+            while end - pos >= _LEN.size:
+                (length,) = _LEN.unpack_from(view, pos)
+                if length > net.max_frame_bytes:
+                    raise FrameError(f"frame length {length} exceeds cap")
+                body = pos + _LEN.size
+                if body + length > end:
+                    need = _LEN.size + length
+                    break
+                pos = body + length
+                net._on_frame(bytes(view[body:pos]))
+        except (FrameError, CodecError):
+            net.frame_errors += 1
+            self._transport.close()
+            pos = end
+        except Exception as exc:
+            # An application handler raised.  On simnet that exception
+            # propagates out of ``run()``; re-raise it from the clock
+            # queue so realnet keeps the same contract instead of the
+            # error dying inside an asyncio callback.
+            net._raise_in_run(exc)
+            self._transport.close()
+            pos = end
+        rest = end - pos
+        if need > len(view):
+            grown = memoryview(bytearray(need))
+            grown[:rest] = view[pos:end]
+            self._view = grown
+        elif rest and pos:
+            view[:rest] = bytes(view[pos:end])
+        self._have = rest
+        net.scheduler.kick()
+
+
+class _ChannelProtocol(asyncio.Protocol):
+    """Sending side of one channel connection: back-pressure and loss.
+
+    Nothing is ever sent back on a channel's connection, so inbound
+    bytes are ignored; the peer closing its end closes ours, which is
+    how the channel learns it must reconnect.
+    """
+
+    def __init__(self, loop: asyncio.AbstractEventLoop):
+        self._loop = loop
+        #: Pending while the transport's write buffer is above its
+        #: high-water mark; resolved when it drains or the connection
+        #: is lost.  ``None`` while writes may proceed.
+        self.paused: Optional[asyncio.Future] = None
+
+    def pause_writing(self) -> None:
+        self.paused = self._loop.create_future()
+
+    def resume_writing(self) -> None:
+        paused, self.paused = self.paused, None
+        if paused is not None and not paused.done():
+            paused.set_result(None)
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self.resume_writing()
+
+    def eof_received(self) -> bool:
+        return False
 
 
 class _Channel:
     """One ordered (src, dst) frame channel: queue + connection."""
 
     __slots__ = (
-        "src", "dst", "queue", "writer", "task",
+        "src", "dst", "prefix", "queue", "transport", "protocol", "task",
         "connect_attempts", "last_backoff_ms",
     )
 
     def __init__(self, src: str, dst: str):
         self.src = src
         self.dst = dst
+        #: ``encode((src, dst, payload)) == prefix + encode(payload)``:
+        #: the codec writes a tuple's items back to back, and ``None``
+        #: is one byte.
+        self.prefix = encode((src, dst, None))[:-1]
+        #: Whole frames waiting for the drain task, oldest first.
         self.queue: deque = deque()
-        self.writer: Optional[asyncio.StreamWriter] = None
+        self.transport: Optional[asyncio.WriteTransport] = None
+        self.protocol: Optional[_ChannelProtocol] = None
         self.task: Optional[asyncio.Task] = None
         #: Failed connect attempts over the channel's lifetime (tests and
         #: the soak record read this to see backoff at work).
@@ -137,6 +254,11 @@ class RealNetwork:
 
     #: Frames above this are protocol errors, not allocations (16 MiB).
     max_frame_bytes = 16 * 1024 * 1024
+    #: What an inbound connection's read buffer starts at.  A vote frame
+    #: is ~100 bytes and a one-transaction block ~700, so one read holds
+    #: a burst of them; a larger frame grows its connection's buffer.
+    #: Kept small because a deployment has one per (src, dst) pair.
+    recv_buffer_bytes = 4 * 1024
     retry_base_ms = 15.0
     retry_max_ms = 250.0
     max_connect_attempts = 8
@@ -170,6 +292,14 @@ class RealNetwork:
         self._inflight = 0
         self.frame_errors = 0
         self.connects = 0
+        #: Frames built for a channel, the ``transport.write`` calls made
+        #: for them (one per frame; fewer when queued frames are dropped,
+        #: more when a head frame is resent) and the bytes those carried
+        #: (``stats.bytes_sent`` is the model's ``size_bytes``; this is
+        #: what the sockets were given).
+        self.frames_sent = 0
+        self.socket_writes = 0
+        self.wire_bytes_sent = 0
         self._started = False
         self._closed = False
         self.on_stats_event: Optional[Callable[[str, Dict[str, Any]], None]] = None
@@ -199,18 +329,19 @@ class RealNetwork:
     async def _shutdown(self) -> None:
         for channel in self._channels.values():
             self._reset_channel(channel, drop_queue=True)
-            if channel.task is not None:
-                channel.task.cancel()
         for name in list(self._endpoints):
             await self._close_endpoint(name)
-        # Reap the reader tasks of connections we just closed so the
-        # loop shuts down without pending-task warnings.
+        # Reap the drain tasks (and whatever else still runs on the
+        # loop) so it shuts down without pending-task warnings.
         current = asyncio.current_task()
         pending = [t for t in asyncio.all_tasks() if t is not current]
         for task in pending:
             task.cancel()
         if pending:
             await asyncio.gather(*pending, return_exceptions=True)
+        # One more pass: the aborted transports close their sockets in
+        # a callback.
+        await asyncio.sleep(0)
 
     def _call_async(self, coro) -> None:
         """Run ``coro`` now (loop idle) or hand it to the running loop."""
@@ -255,6 +386,17 @@ class RealNetwork:
     ) -> None:
         self._fault_injector = fn
 
+    def transport_counters(self) -> Dict[str, int]:
+        """The socket-level counters (each also an attribute of that
+        name), beside the model-level ``stats``."""
+        return {
+            "connects": self.connects,
+            "frame_errors": self.frame_errors,
+            "frames_sent": self.frames_sent,
+            "socket_writes": self.socket_writes,
+            "wire_bytes_sent": self.wire_bytes_sent,
+        }
+
     def port_of(self, name: str) -> Optional[int]:
         """The host's current listening port (None while down/unbound)."""
         addr = self._addresses.get(name)
@@ -267,9 +409,8 @@ class RealNetwork:
         ep = self._endpoints.get(name)
         if ep is None or ep.server is not None or self._conditions[name]._down:
             return
-        server = await asyncio.start_server(
-            lambda r, w: self._serve_conn(name, r, w),
-            host=self._bind_host, port=port,
+        server = await self.scheduler.loop.create_server(
+            lambda: _FrameSplitter(self, ep), host=self._bind_host, port=port,
         )
         ep.server = server
         ep.port = server.sockets[0].getsockname()[1]
@@ -284,8 +425,8 @@ class RealNetwork:
         if ep.server is not None:
             ep.server.close()
             ep.server = None
-        for writer in list(ep.inbound):
-            writer.close()
+        for transport in list(ep.inbound):
+            transport.abort()
         ep.inbound.clear()
 
     def _on_down_changed(self, name: str, down: bool) -> None:
@@ -320,13 +461,22 @@ class RealNetwork:
     # ------------------------------------------------------------------
     # sending
 
-    def send(self, src: Host, dst: Host, payload: Any, size_bytes: int = 256) -> None:
+    def send(
+        self,
+        src: Host,
+        dst: Host,
+        payload: Any,
+        size_bytes: int = 256,
+        body: Optional[bytes] = None,
+    ) -> None:
         """Frame ``payload`` and hand it to the (src, dst) channel.
 
         The pre-wire checks mirror simnet ``Network.send`` exactly:
         down hosts and partitions drop at the sender, then the fault
         injector (if any) decides drop/duplicate/delay — all before the
-        codec and the socket, netem-style.
+        codec and the socket, netem-style.  ``body`` is
+        ``encode(payload)`` when the caller already holds it
+        (:meth:`send_many` does).
         """
         stats = self.stats
         src_name = src.name
@@ -357,38 +507,68 @@ class RealNetwork:
                 stats.messages_duplicated += len(times) - 1
             if max(times) > now:
                 stats.messages_delayed_fault += 1
+            if body is None or msg.payload is not payload:
+                body = encode(msg.payload)
             for when in times:
                 if when <= now:
-                    self._transmit(src_name, dst_name, msg.payload)
+                    self._transmit(src_name, dst_name, body)
                 else:
                     self.scheduler.call_at_anon(
-                        when, self._transmit, src_name, dst_name, msg.payload
+                        when, self._transmit, src_name, dst_name, body
                     )
             return
-        self._transmit(src_name, dst_name, payload)
+        self._transmit(src_name, dst_name, encode(payload) if body is None else body)
 
     def send_many(
         self, src: Host, dsts: Sequence[Host], payload: Any, size_bytes: int = 256
     ) -> None:
-        """Broadcast = per-destination sends; TCP does the fan-out."""
+        """Broadcast = per-destination sends of one encoding; TCP does
+        the fan-out."""
+        body = encode(payload)
         for dst in dsts:
-            self.send(src, dst, payload, size_bytes=size_bytes)
+            self.send(src, dst, payload, size_bytes, body)
 
-    def _transmit(self, src_name: str, dst_name: str, payload: Any) -> None:
-        data = encode((src_name, dst_name, payload))
+    def _transmit(self, src_name: str, dst_name: str, body: bytes) -> None:
+        """Put one frame on the (src, dst) channel: straight onto the
+        socket when the channel can take it now, else behind its queue."""
         channel = self._channels.get((src_name, dst_name))
         if channel is None:
             channel = _Channel(src_name, dst_name)
             self._channels[(src_name, dst_name)] = channel
-        channel.queue.append(data)
+        prefix = channel.prefix
+        frame = _LEN.pack(len(prefix) + len(body)) + prefix + body
+        self.frames_sent += 1
+        transport = channel.transport
+        if (
+            transport is not None
+            and not channel.queue
+            and channel.protocol.paused is None
+            and not transport.is_closing()
+        ):
+            self._write(transport, frame)
+            return
+        channel.queue.append(frame)
         self._inflight += 1
         if channel.task is None or channel.task.done():
             loop = self.scheduler.loop
             if not loop.is_closed():
                 channel.task = loop.create_task(self._drain_channel(channel))
 
+    def _write(self, transport: asyncio.WriteTransport, frame: bytes) -> None:
+        transport.write(frame)
+        self.socket_writes += 1
+        self.wire_bytes_sent += len(frame)
+
     async def _drain_channel(self, channel: _Channel) -> None:
-        """Write the channel's queue out in order, reconnecting as needed."""
+        """Write the channel's queue out in order.
+
+        The only owner of what a channel cannot do inside ``send``:
+        connecting, backing off, waiting out back-pressure and resending
+        after a lost connection.  A frame leaves the queue once its
+        write took; one written to a connection that was lost before
+        the write buffer drained is written again on the next connection
+        (at-least-once for the head frame, never a reordering).
+        """
         write_failures = 0
         while channel.queue:
             src_cond = self._conditions.get(channel.src)
@@ -396,20 +576,23 @@ class RealNetwork:
             if (src_cond is not None and src_cond._down) or (
                 dst_cond is not None and dst_cond._down
             ):
-                self._drop_channel_queue(channel)
+                # Also the connection, if a connect outlived the crash.
+                self._reset_channel(channel, drop_queue=True)
                 return
-            if channel.writer is None:
+            transport = channel.transport
+            if transport is None:
                 if not await self._connect_channel(channel):
                     self._drop_channel_queue(channel)
                     return
-            data = channel.queue[0]
-            try:
-                writer = channel.writer
-                writer.write(_LEN.pack(len(data)))
-                writer.write(data)
-                await writer.drain()
-            except (ConnectionError, OSError):
-                self._reset_channel(channel, drop_queue=False)
+                continue
+            if not transport.is_closing():
+                self._write(transport, channel.queue[0])
+                paused = channel.protocol.paused
+                if paused is not None:
+                    await paused
+            if transport.is_closing():
+                if channel.transport is transport:
+                    self._reset_channel(channel, drop_queue=False)
                 write_failures += 1
                 if write_failures > self.max_connect_attempts:
                     self._drop_channel_queue(channel)
@@ -420,6 +603,7 @@ class RealNetwork:
 
     async def _connect_channel(self, channel: _Channel) -> bool:
         """Exponential-backoff connect; False once retries are exhausted."""
+        loop = self.scheduler.loop
         backoff = self.retry_base_ms
         for _attempt in range(self.max_connect_attempts):
             dst_cond = self._conditions.get(channel.dst)
@@ -428,8 +612,9 @@ class RealNetwork:
             addr = self._addresses.get(channel.dst)
             if addr is not None:
                 try:
-                    _reader, writer = await asyncio.open_connection(addr[0], addr[1])
-                    channel.writer = writer
+                    channel.transport, channel.protocol = await loop.create_connection(
+                        lambda: _ChannelProtocol(loop), addr[0], addr[1]
+                    )
                     self.connects += 1
                     return True
                 except (ConnectionError, OSError):
@@ -441,9 +626,13 @@ class RealNetwork:
         return False
 
     def _reset_channel(self, channel: _Channel, drop_queue: bool) -> None:
-        if channel.writer is not None:
-            channel.writer.close()
-            channel.writer = None
+        """Forget the channel's connection.  ``abort``, not ``close``:
+        whatever asyncio still buffers for it must not be flushed on
+        behalf of a host that has crashed or a connection that failed."""
+        if channel.transport is not None:
+            channel.transport.abort()
+            channel.transport = None
+            channel.protocol = None
         if drop_queue:
             self._drop_channel_queue(channel)
 
@@ -467,44 +656,6 @@ class RealNetwork:
 
     # ------------------------------------------------------------------
     # receiving
-
-    async def _serve_conn(
-        self, listener: str, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        """Per-inbound-connection read loop.
-
-        Every exit path is an explicit error or EOF — a malformed frame
-        (bad length, bad codec, bad shape) closes the connection rather
-        than leaving the reader blocked mid-frame.
-        """
-        ep = self._endpoints.get(listener)
-        if ep is not None:
-            ep.inbound.add(writer)
-        try:
-            while True:
-                header = await reader.readexactly(_LEN.size)
-                (length,) = _LEN.unpack(header)
-                if length > self.max_frame_bytes:
-                    raise FrameError(f"frame length {length} exceeds cap")
-                data = await reader.readexactly(length)
-                self._on_frame(data)
-                self.scheduler.kick()
-        except (asyncio.IncompleteReadError, ConnectionError, OSError):
-            pass  # EOF or peer reset: normal connection teardown
-        except asyncio.CancelledError:
-            pass  # network shutdown reaps readers; exit is the response
-        except (FrameError, CodecError):
-            self.frame_errors += 1
-        except Exception as exc:
-            # An application handler raised.  On simnet that exception
-            # propagates out of ``run()``; re-raise it from the clock
-            # queue so realnet keeps the same contract instead of the
-            # error dying inside an asyncio reader task.
-            self._raise_in_run(exc)
-        finally:
-            if ep is not None:
-                ep.inbound.discard(writer)
-            writer.close()
 
     def _on_frame(self, data: bytes) -> None:
         try:

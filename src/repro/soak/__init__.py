@@ -357,10 +357,7 @@ def run_soak(
         "fig2": fig2_latency_bins(sessions[0].telemetry),
     })
     if backend == "realnet":
-        record["transport"] = {
-            "connects": net.connects,
-            "frame_errors": net.frame_errors,
-        }
+        record["transport"] = net.transport_counters()
 
     if metrics_snapshot_path is not None:
         if backend == "realnet" and scrape_holder.get("body"):

@@ -182,14 +182,24 @@ class Telemetry:
         return self
 
     def bind_network(self, net) -> None:
-        """Absorb the transport's :class:`NetworkStats` into the registry
-        (collect-time callback gauges — nothing added to the per-message
-        path) and forward fabric events into the trace."""
+        """Absorb the transport's :class:`NetworkStats` — and, on realnet,
+        its socket-level counters — into the registry (collect-time
+        callback gauges — nothing added to the per-message path) and
+        forward fabric events into the trace."""
         stats = net.stats
         for fname in stats.as_dict():
             def _read(s=stats, k=fname) -> float:
                 return getattr(s, k)
             self.registry.gauge(f"net_{fname}", f"transport {fname}", fn=_read)
+        # Only the realnet transport has sockets to count on.
+        socket_counters = getattr(net, "transport_counters", None)
+        if socket_counters is not None:
+            for cname in socket_counters():
+                def _read_socket(n=net, k=cname) -> float:
+                    return getattr(n, k)
+                self.registry.gauge(
+                    f"realnet_{cname}", f"socket-level {cname}", fn=_read_socket
+                )
         previous = net.on_stats_event
 
         def _forward(event: str, detail: Dict[str, Any]) -> None:

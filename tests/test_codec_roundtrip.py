@@ -6,15 +6,18 @@ and every protocol object cross the worker pipe through it.  Its
 contract, pinned here over Hypothesis-generated inputs:
 
 * ``decode(encode(x)) == x`` for the whole closed value set (including
-  arbitrary-precision ints, exact IEEE-754 doubles, nested containers
-  with list/tuple distinction preserved);
+  arbitrary-precision ints — written as length-prefixed byte strings,
+  minimal and unique — exact IEEE-754 doubles, nested containers with
+  list/tuple distinction preserved);
 * digest preservation — a decoded :class:`Proposal` / :class:`Transaction`
   / :class:`Block` re-derives exactly the digest of the original, so
   signatures made on one side of the pipe verify on the other;
 * every wire message round-trips, including the bit-packed
   :class:`VoteMsg` and the swap 2PC command frames the bridge ships;
 * anything outside the closed set, and any malformed frame, raises
-  :class:`CodecError` rather than falling back to pickle.
+  :class:`CodecError` rather than falling back to pickle;
+* equal certificate bytes decode to one shared object per process, from
+  a bounded memo that ``reset_crypto_caches()`` empties.
 """
 
 from __future__ import annotations
@@ -26,8 +29,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.blockchain.block import Block, BlockHeader, make_block, make_genesis_block
-from repro.blockchain.codec import CodecError, decode, encode
-from repro.blockchain.crypto import PublicKey
+from repro.blockchain import crypto
+from repro.blockchain.codec import CodecError, _write_varint, decode, encode
+from repro.blockchain.crypto import PublicKey, crypto_cache_sizes, reset_crypto_caches
 from repro.blockchain.identity import Certificate, CertificateAuthority
 from repro.blockchain.messages import (
     DeliverBlock,
@@ -160,6 +164,38 @@ def test_float_roundtrip_is_bit_exact(x):
 @given(big_ints)
 def test_int_roundtrip_arbitrary_precision(n):
     assert roundtrip(n) == n
+
+
+#: Where a byte-string integer changes length or sign handling:
+#: 0, ±1, ±(2^k − 1) and ±2^k, up to eight times an RSA-512 operand.
+edge_ints = st.builds(
+    lambda k, offset, sign: sign * ((1 << k) - offset),
+    st.integers(min_value=0, max_value=4096),
+    st.sampled_from([0, 1]),
+    st.sampled_from([1, -1]),
+)
+
+
+@given(edge_ints)
+@settings(max_examples=500)
+def test_int_roundtrip_at_byte_and_power_of_two_edges(n):
+    data = encode(n)
+    out = decode(data)
+    assert out == n and type(out) is int
+    # tag, byte count, then exactly the bytes of the zigzag-folded value
+    folded = n << 1 if n >= 0 else (-n << 1) - 1
+    n_bytes = (folded.bit_length() + 7) // 8
+    count = bytearray()
+    _write_varint(count, n_bytes)
+    assert data == b"\x03" + bytes(count) + folded.to_bytes(n_bytes, "little")
+
+
+def test_int_with_a_padding_byte_is_rejected():
+    assert decode(b"\x03\x01\x02") == 1
+    with pytest.raises(CodecError):
+        decode(b"\x03\x02\x02\x00")
+    with pytest.raises(CodecError):
+        decode(b"\x03\x01\x00")  # zero is the empty byte string
 
 
 @given(st.lists(scalars, max_size=4))
@@ -361,3 +397,80 @@ def test_truncated_frame_rejected():
 def test_unknown_tag_rejected():
     with pytest.raises(CodecError):
         decode(b"\x7f")
+
+
+def test_string_that_is_not_utf8_rejected():
+    with pytest.raises(CodecError):
+        decode(b"\x05\x02\xff\xfe")
+
+
+# ---------------------------------------------------------------------
+# the decoded-certificate memo
+
+def _issued_certificate():
+    ca = CertificateAuthority(seed=11)
+    return ca, ca.enroll("memo-player").certificate
+
+
+def test_equal_certificate_bytes_decode_to_one_object():
+    reset_crypto_caches()
+    _ca, cert = _issued_certificate()
+    data = encode(cert)
+    first = decode(data)
+    assert first == cert and first is not cert
+    assert decode(data) is first
+    assert decode(bytes(bytearray(data))) is first  # equal bytes, not the same buffer
+    # ... also from inside a transaction, a block or a frame
+    tx = Transaction(proposal=Proposal(
+        tx_id="t", contract="c", function="f", args=(), nonce="n",
+        creator="memo-player", timestamp=0.0, touched_keys=(),
+    ), certificate=cert, signature=5)
+    assert decode(encode(("src", "dst", SubmitTx(tx=tx))))[2].tx.certificate is first
+    assert crypto_cache_sizes()["certificate"] == 1
+
+
+def test_one_flipped_certificate_byte_is_another_object_that_fails_verification():
+    reset_crypto_caches()
+    ca, cert = _issued_certificate()
+    data = bytearray(encode(cert))
+    genuine = decode(bytes(data))
+    assert ca.verify(genuine)
+    data[-2] ^= 0xFF  # inside the signature, the certificate's last field
+    forged = decode(bytes(data))
+    assert forged is not genuine and forged != genuine
+    assert forged.signature != cert.signature
+    assert not ca.verify(forged)
+    assert decode(encode(cert)) is genuine  # the forgery displaced nothing
+    assert crypto_cache_sizes()["certificate"] == 2
+
+
+def test_trailing_bytes_inside_the_certificate_blob_are_rejected():
+    reset_crypto_caches()
+    _ca, cert = _issued_certificate()
+    data = encode(cert)
+    blob_len = len(data) - 3  # tag + a two-byte varint for a ~200-byte blob
+    header = bytearray(data[:1])
+    _write_varint(header, blob_len)
+    assert bytes(header) == data[:3]
+    padded = bytearray(data[:1])
+    _write_varint(padded, blob_len + 1)
+    with pytest.raises(CodecError):
+        decode(bytes(padded) + data[3:] + b"\x00")
+    assert crypto_cache_sizes()["certificate"] == 0  # malformed bytes are not remembered
+    # a blob cut short is as malformed as a padded one
+    short = bytearray(data[:1])
+    _write_varint(short, blob_len - 1)
+    with pytest.raises(CodecError):
+        decode(bytes(short) + data[3:-1])
+
+
+def test_certificate_memo_is_bounded_and_reset_empties_it():
+    reset_crypto_caches()
+    limit = crypto._CERTIFICATE_CACHE_MAX
+    key = PublicKey(n=2**511 + 1, e=65537)
+    for serial in range(limit + 50):
+        decode(encode(Certificate(f"s{serial}", key, "ca", serial, serial + 1)))
+        assert crypto_cache_sizes()["certificate"] <= limit
+    assert crypto_cache_sizes()["certificate"] >= 1
+    assert reset_crypto_caches()["certificate"] >= 1
+    assert crypto_cache_sizes()["certificate"] == 0

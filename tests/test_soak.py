@@ -77,10 +77,17 @@ def test_realnet_soak_tiny(tmp_path):
     assert record["backend"] == "realnet"
     assert record["transport"]["connects"] > 0
     assert record["transport"]["frame_errors"] == 0
+    # No fault ran: every frame built was written, once.
+    assert record["transport"]["frames_sent"] > 0
+    assert record["transport"]["socket_writes"] == record["transport"]["frames_sent"]
+    assert record["transport"]["wire_bytes_sent"] > record["transport"]["frames_sent"]
     assert record["metrics_url"].startswith("http://127.0.0.1:")
     # The snapshot was scraped live over HTTP mid-run.
     assert record["metrics_snapshot"] == "live-scrape"
-    assert "client_txs_submitted" in (tmp_path / "m.prom").read_text()
+    snapshot = (tmp_path / "m.prom").read_text()
+    assert "client_txs_submitted" in snapshot
+    for counter in record["transport"]:
+        assert f"realnet_{counter} " in snapshot
 
 
 def test_record_roundtrips_as_json(tmp_path):
