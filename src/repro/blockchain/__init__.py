@@ -29,12 +29,9 @@ from .crypto import (
     verify_batch,
 )
 from .execution import (
-    ParallelValidationExecutor,
-    SerialValidationExecutor,
     ValidationExecutor,
     clear_execution_cache,
     execution_stats,
-    make_executor,
     reset_execution_stats,
 )
 from .identity import (
@@ -100,9 +97,6 @@ __all__ = [
     "Identity",
     "MembershipProvider",
     "ValidationExecutor",
-    "SerialValidationExecutor",
-    "ParallelValidationExecutor",
-    "make_executor",
     "execution_stats",
     "reset_execution_stats",
     "clear_execution_cache",

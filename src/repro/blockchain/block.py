@@ -53,11 +53,6 @@ class Block:
     validation_codes: List[str] = field(default_factory=list)
     #: Genesis configuration payload (None for ordinary blocks).
     config: Optional[Dict] = None
-    #: Static conflict plan recorded by the ordering service when the
-    #: ``conflict_planner`` flag is on (see ``staticcheck.plan``).  Commit
-    #: metadata like ``validation_codes``: not covered by the block hash,
-    #: purely advisory for validators.
-    plan: Optional[Dict] = None
 
     @property
     def number(self) -> int:

@@ -338,7 +338,6 @@ def _encode_block(out: bytearray, b: Block) -> None:
         _encode_transaction(out, tx)
     _encode_value(out, list(b.validation_codes))
     _encode_value(out, b.config)
-    _encode_value(out, b.plan)
 
 
 def _decode_block(r: _Reader) -> Block:
@@ -353,10 +352,9 @@ def _decode_block(r: _Reader) -> Block:
         txs.append(_decode_transaction(r))
     validation_codes = _decode_value(r)
     config = _decode_value(r)
-    plan = _decode_value(r)
     return Block(
         header=header, transactions=txs,
-        validation_codes=validation_codes, config=config, plan=plan,
+        validation_codes=validation_codes, config=config,
     )
 
 

@@ -86,39 +86,6 @@ class FabricConfig:
     anti_entropy_ms: float = 400.0
     anti_entropy_max_retries: int = 3
 
-    #: Static-analysis-guided ordering (ROADMAP item 3): when enabled, the
-    #: ordering service runs the staticcheck ConflictPlanner over every cut
-    #: block and records the resulting lane partition in non-hashed block
-    #: metadata.  Strictly advisory — transaction order, block contents and
-    #: commit outcomes are bit-identical with the flag on or off (pinned by
-    #: the golden chaos record); the plan tells validators which
-    #: transactions are provably independent.
-    conflict_planner: bool = False
-
-    #: Lane-parallel block validation (consumes the planner's lanes): when
-    #: enabled, peers validate a block's provably-independent transaction
-    #: lanes through the parallel :class:`~repro.blockchain.execution.
-    #: ValidationExecutor` instead of the serial one, and the ordering
-    #: service is armed with the ConflictPlanner automatically.  Simulated
-    #: results — digests, ledgers, votes, telemetry spans, golden records
-    #: — are bit-identical either way (pinned by the differential suite in
-    #: ``tests/test_validation_parallel_diff.py``); the executor only
-    #: changes how the *host* computes them.
-    parallel_validation: bool = False
-    #: Worker threads for the parallel executor; 0 means auto (one worker
-    #: per available core, capped at 4).  With one worker the executor
-    #: still partitions by lane and merges deterministically, but runs the
-    #: lanes inline instead of paying thread-pool overhead.
-    validation_workers: int = 0
-    #: Cross-peer block-execution memoisation: peers executing the *same*
-    #: block object on the *same* basis state (same genesis, contracts and
-    #: pre-block state hash) reuse the first peer's execution results
-    #: instead of re-running contracts and signature checks.  Execution is
-    #: deterministic, so the shared results are exactly what each peer
-    #: would have computed; peers with instance-patched execution paths
-    #: (chaos buggy fixtures) bypass the cache automatically.
-    shared_execution_cache: bool = True
-
     #: Cross-shard swap protocol (``repro.blockchain.swaps``): a swap
     #: still undecided (prepare phase) after ``swap_timeout_ms`` of
     #: simulated time is aborted by its coordinator, releasing the locks
@@ -152,8 +119,6 @@ class FabricConfig:
             raise ValueError("max_block_txs must be >= 1")
         if self.batch_timeout_ms <= 0:
             raise ValueError("batch_timeout_ms must be positive")
-        if self.validation_workers < 0:
-            raise ValueError("validation_workers must be >= 0 (0 = auto)")
         if self.swap_timeout_ms <= 0:
             raise ValueError("swap_timeout_ms must be positive")
         if self.swap_poll_interval_ms <= 0:

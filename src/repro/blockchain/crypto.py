@@ -330,76 +330,19 @@ def reset_crypto_caches() -> Dict[str, int]:
 # ----------------------------------------------------------------------
 # batch verification
 
-#: Bit width of the per-item randomizers in the product batch check.  An
-#: adversary who cannot predict them forges a passing batch containing an
-#: invalid signature with probability ~2^-64.
-_BATCH_RAND_BITS = 64
-
-#: Auto-gate for the randomized-product path: a direct verification costs
-#: ~e.bit_length() modular multiplications while the product check costs
-#: ~2*_BATCH_RAND_BITS per item, so with the fleet-wide e = 65537 (17
-#: bits) the "mathematical" batching is a *pessimisation* and the
-#: amortised single-pass cache sweep is the whole win.  The product path
-#: turns on automatically only for keys with large public exponents.
-_PRODUCT_MIN_E_BITS = 2 * _BATCH_RAND_BITS
-
-
-def _batch_randomizers(
-    n: int, e: int, group: List[Tuple[int, int, int]]
-) -> List[int]:
-    """Deterministic (Fiat–Shamir style) non-zero randomizers bound to the
-    exact batch content, so no RNG state is consumed and replays of the
-    same batch draw the same exponents."""
-    seed = hashlib.sha256(
-        ("batch:%x:%x:" % (n, e)).encode("ascii")
-        + b"|".join(b"%x:%x" % (h, sig) for _, h, sig in group)
-    ).digest()
-    mask = (1 << _BATCH_RAND_BITS) - 1
-    out: List[int] = []
-    for i in range(len(group)):
-        r = (
-            int.from_bytes(
-                hashlib.sha256(seed + i.to_bytes(4, "big")).digest()[:16], "big"
-            )
-            & mask
-        )
-        out.append(r | 1)  # never zero
-    return out
-
-
-def _product_check(n: int, e: int, group: List[Tuple[int, int, int]]) -> bool:
-    """Bellare–Garay–Rabin small-exponents test for one ``(n, e)`` group:
-    accepts iff ``(Π σ_i^{r_i})^e == Π h_i^{r_i} (mod n)`` — true whenever
-    every signature is valid, false except with negligible probability
-    when any is not."""
-    randomizers = _batch_randomizers(n, e, group)
-    lhs = 1
-    rhs = 1
-    for (_, h, sig), r in zip(group, randomizers):
-        lhs = lhs * pow(sig, r, n) % n
-        rhs = rhs * pow(h, r, n) % n
-    return pow(lhs, e, n) == rhs
-
-
 def verify_batch(
     items: Sequence[Tuple["PublicKey", Any, int]],
     fresh: bool = False,
-    force_product: Optional[bool] = None,
 ) -> List[bool]:
     """Verify many ``(public_key, message, signature)`` triples in one
     amortised pass; returns one verdict per item, in order, identical to
     calling :meth:`PublicKey.verify` in a loop.
 
     The amortisation is structural, not mathematical: one sweep resolves
-    every item against the process-wide verdict cache, only the misses
-    pay a modexp, and all fresh verdicts are written back in one go.  For
-    keys with large public exponents (``e.bit_length() >=``
-    :data:`_PRODUCT_MIN_E_BITS`) same-key groups additionally use the
-    randomized-product check, attributing the exact bad signatures by
-    per-item fallback when the product test fails.  ``force_product``
-    overrides the auto-gate in either direction (used by the property
-    tests; with the fleet-wide e = 65537 the product path costs more
-    modular multiplications than it saves).
+    every item against the process-wide verdict cache, and only the
+    misses pay a modexp and a write-back.  (A randomized-product test
+    costs ~128 modular multiplications per item against the ~17 of a
+    direct check at the fleet-wide e = 65537, so there is none.)
 
     ``fresh=True`` is the audit bypass: every item is re-verified with
     :meth:`PublicKey.verify_uncached`, no cache reads or writes.
@@ -424,38 +367,13 @@ def verify_batch(
         else:
             misses.append(i)
 
-    # Pass 2: group cache misses by key material.
-    groups: dict = {}
-    for i in misses:
-        key, message, sig = items[i]
-        h = int(sha256_hex(message), 16) % key.n
-        groups.setdefault((key.n, key.e), []).append((i, h, sig))
-
-    fills: List[Tuple[int, bool]] = []
-    for (n, e), group in groups.items():
-        use_product = (
-            force_product
-            if force_product is not None
-            else e.bit_length() >= _PRODUCT_MIN_E_BITS
-        )
-        if use_product and len(group) >= 2 and _product_check(n, e, group):
-            for i, _, _ in group:
-                results[i] = True
-                fills.append((i, True))
-            continue
-        # Product test failed (or was not profitable): per-item verify
-        # attributes the exact bad signature(s).
-        for i, h, sig in group:
-            ok = pow(sig, e, n) == h
-            results[i] = ok
-            fills.append((i, ok))
-
-    # Pass 3: one write-back sweep for all freshly computed verdicts.
-    if fills:
-        if len(_VERIFY_CACHE) + len(fills) > _VERIFY_CACHE_MAX:
+    # Pass 2: one modexp per cache miss, written back as it is computed.
+    if misses:
+        if len(_VERIFY_CACHE) + len(misses) > _VERIFY_CACHE_MAX:
             _VERIFY_CACHE.clear()
-        for i, ok in fills:
+        for i in misses:
             key, message, sig = items[i]
+            ok = results[i] = key.verify_uncached(message, sig)
             _VERIFY_CACHE[(key.n, key.e, message, sig)] = ok
 
     return [bool(r) for r in results]

@@ -1,64 +1,46 @@
-"""Block-validation executors: serial, lane-parallel, and result-shared.
+"""Block validation: one in-order loop, batched signatures, shared results.
 
-PR 6's :class:`~repro.staticcheck.plan.ConflictPlanner` ships every cut
-block with an advisory lane partition — groups of transactions the
-static conflict matrix proves touch disjoint keys.  This module makes
-validation *act* on those lanes behind a :class:`ValidationExecutor`
-interface selected via :class:`~repro.blockchain.config.FabricConfig`:
-
-* :class:`SerialValidationExecutor` — the classic in-order loop;
-* :class:`ParallelValidationExecutor` — executes each lane against its
-  own speculative overlay (earlier in-lane writes visible, cross-lane
-  writes not), optionally on a worker pool, then merges executions back
-  into block order.
-
-**Determinism argument.**  Lane-local execution equals serial execution
-whenever the lanes' *realized* footprints are pairwise non-interfering:
-if no key written by a valid transaction of one lane is read or written
-by any transaction of another, then every transaction observes exactly
-the overlay contents it would have observed in the serial loop (its own
-lane's earlier writes — cross-lane writes cannot reach its reads), and
-the block-level conflict check (``touched & written``) decides
-identically because the only ``written`` entries it misses are keys the
-transaction provably never touches.  The planner's lanes are built from
-a sound over-approximation of those footprints (checked continuously by
-the fuzz-differential harness), but the executor does not *trust* it:
-after the lanes run, a cross-lane audit compares realized written/touched
-key sets — including the ``~nonce/...`` replay markers, which the RWSets
-record — and any overlap triggers a full serial re-execution.  Malformed
-or missing plans degrade to the serial loop the same way, so the merged
-result is bit-identical to serial mode even under an unsound plan.  The
-differential suite (``tests/test_validation_parallel_diff.py``) and the
-golden chaos record pin this end to end.
+Every peer validates a delivered block the same way — there is no
+strategy to select and no flag to set:
 
 **Batch signature checking.**  Before execution, the block's certificate
 and endorsement signatures are resolved in one amortised
 :func:`~repro.blockchain.crypto.verify_batch` pass (one cache sweep, one
 write-back) instead of N interleaved probes; per-transaction failure
 codes (BAD_CERTIFICATE / BAD_SIGNATURE) are attributed exactly as the
-serial checks would.
+per-transaction checks would.
 
-**Cross-peer result sharing.**  Execution is a pure function of (block,
-basis state, contracts, MSP roots, ``verify_signatures``) — the
-determinism the whole consensus scheme rests on.  In the simulator every
-peer receives the *same* gossiped block object and honest peers evolve
-identical states, so N peers re-deriving identical executions is pure
-host-side waste.  A bounded process-wide cache keyed by block identity
-plus the basis ``state_hash()`` lets the first executing peer share its
-results; every other peer gets fresh per-peer :class:`TxExecution`
-wrappers (codes are mutated downstream by consensus downgrades) over the
-shared immutable RWSets.  Peers whose execution path is instance-patched
-(chaos buggy fixtures) are detected and bypass the cache in both
-directions.  Simulated costs are charged by ``Peer._compute`` regardless,
-so sharing changes wall-clock only, never a simulated result.
+**One loop.**  The transactions then run in block order over one
+speculative overlay: a valid transaction's writes become visible to the
+ones after it, and a transaction touching a key an earlier valid one
+wrote is voted a conflict (the ledger re-checks at commit).
+
+**Cross-peer result sharing.**  Execution is a pure function of (block
+content, basis state, contracts, MSP roots, ``verify_signatures``) — the
+determinism the whole consensus scheme rests on — so N honest peers
+re-deriving identical executions is pure host-side waste.  A bounded
+process-wide cache lets the first executing peer share its results; every
+other peer gets fresh per-peer :class:`TxExecution` wrappers (codes are
+mutated downstream by consensus downgrades) over the shared immutable
+RWSets.  The key is *content*: the block's header digest, the Merkle
+root over the transactions the block actually carries, and the basis
+``state_hash()``.  Both digests are ones ``Ledger.append`` needs at commit
+anyway and are memoised on the block, so a copy decoded from a socket
+hits like the shared object of the simulator does, while a copy with an
+honest header and other transactions hashes to another key and executes
+its own transactions (and is then refused by the ledger's data-hash
+check).  Peers whose execution path is instance-patched (chaos buggy
+fixtures, and the uncached reference the differential tests compare
+against) bypass the cache in both directions.  Simulated costs are
+charged by ``Peer._compute`` regardless, so sharing changes wall-clock
+only, never a simulated result.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set
 
+from . import crypto
 from .ledger import TxExecution
 from .transaction import RWSet, Transaction, TxValidationCode
 
@@ -68,9 +50,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 __all__ = [
     "ValidationExecutor",
-    "SerialValidationExecutor",
-    "ParallelValidationExecutor",
-    "make_executor",
     "execution_stats",
     "reset_execution_stats",
     "clear_execution_cache",
@@ -88,10 +67,6 @@ def reset_execution_stats() -> None:
         cache_hits=0,
         cache_misses=0,
         cache_bypasses=0,
-        lane_blocks=0,
-        lane_fallbacks=0,
-        degraded_plans=0,
-        serial_blocks=0,
         batched_signatures=0,
     )
 
@@ -107,10 +82,10 @@ def execution_stats() -> Dict[str, int]:
 # ----------------------------------------------------------------------
 # cross-peer block-execution cache
 
-#: key ``(id(block), id(msp), basis_state_hash, verify_signatures)`` →
-#: ``(block, msp, contract names, contract classes, [(rwset, code)...])``.
-#: The entry retains the block/MSP/class objects both to pin their ids
-#: against reuse and to re-check identity on every hit.
+#: key ``(block digest, data digest, basis state hash, verify_signatures)``
+#: → ``(msp, contract names, contract classes, [(rwset, code)...])``.
+#: The MSP and the contract classes are not content-addressable, so the
+#: entry retains them and every hit re-checks their identity.
 _EXEC_CACHE: Dict[tuple, tuple] = {}
 _EXEC_CACHE_MAX = 4096
 
@@ -124,16 +99,13 @@ def _is_patched(peer: "Peer") -> bool:
     """True when the peer's execution path was instance- or subclass-
     patched (chaos buggy fixtures): its results may differ from the pure
     function of (block, state), so it must neither read nor populate the
-    shared cache, and the batched signature pre-pass must stand aside."""
+    shared cache."""
     if "_execute_one" in peer.__dict__:
         return True
     cls = type(peer)
     baseline = getattr(cls, "_baseline_execute_one", None)
     return baseline is None or cls._execute_one is not baseline
 
-
-# ----------------------------------------------------------------------
-# shared execution steps
 
 def _signature_precheck(
     peer: "Peer", transactions: Sequence[Transaction]
@@ -143,8 +115,8 @@ def _signature_precheck(
 
     Returns one entry per transaction: a failure code
     (``BAD_CERTIFICATE`` / ``BAD_SIGNATURE``) or None when the signature
-    checks pass — exactly the codes the serial per-transaction checks
-    would produce, in the same precedence order.  ``None`` (no list) when
+    checks pass — exactly the codes the per-transaction checks would
+    produce, in the same precedence order.  ``None`` (no list) when
     signature verification is disabled.
     """
     if not peer.config.verify_signatures:
@@ -164,10 +136,9 @@ def _signature_precheck(
                 (tx.certificate.public_key, tx.proposal.digest(), tx.signature)
             )
     if triples:
-        from .crypto import verify_batch
-
         _STATS["batched_signatures"] += len(triples)
-        for i, ok in zip(pending, verify_batch(triples)):
+        # Looked up on the module at call time: tracers wrap the attribute.
+        for i, ok in zip(pending, crypto.verify_batch(triples)):
             sig_ok[i] = ok
             transactions[i]._sig_memo = ok
     codes: List[Optional[str]] = []
@@ -181,156 +152,39 @@ def _signature_precheck(
     return codes
 
 
-def _run_serial(
-    peer: "Peer",
-    transactions: Sequence[Transaction],
-    precheck: Optional[List[Optional[str]]],
-) -> List[TxExecution]:
-    """The classic in-order loop over one speculative overlay."""
-    overlay = peer.ledger.state.overlay()
-    written: Set[str] = set()
-    executions: List[TxExecution] = []
-    for i, tx in enumerate(transactions):
-        code = precheck[i] if precheck is not None else None
-        if code is not None:
-            execution = TxExecution(rwset=RWSet(), code=code)
-        else:
-            execution = peer._execute_one(tx, overlay, written, True)
-        executions.append(execution)
-        if execution.code == TxValidationCode.VALID:
-            for key, value in execution.rwset.writes:
-                overlay.put_speculative(key, value)
-                written.add(key)
-    return executions
-
-
-def _run_patched(
-    peer: "Peer", transactions: Sequence[Transaction]
-) -> List[TxExecution]:
-    """Legacy per-transaction loop for instance-patched peers: the patch
-    expects the historical 3-argument ``_execute_one`` call (its own
-    signature checks included) and must see every transaction."""
-    overlay = peer.ledger.state.overlay()
-    written: Set[str] = set()
-    executions: List[TxExecution] = []
-    for tx in transactions:
-        execution = peer._execute_one(tx, overlay, written)
-        executions.append(execution)
-        if execution.code == TxValidationCode.VALID:
-            for key, value in execution.rwset.writes:
-                overlay.put_speculative(key, value)
-                written.add(key)
-    return executions
-
-
-def _run_lane(
-    peer: "Peer",
-    lane: Sequence[int],
-    transactions: Sequence[Transaction],
-    precheck: Optional[List[Optional[str]]],
-) -> Tuple[List[Tuple[int, TxExecution]], Set[str], Set[str]]:
-    """Execute one lane against a lane-local overlay.
-
-    Returns ``(indexed executions, realized touched keys, keys written by
-    valid transactions)`` — the audit inputs for the determinism check.
-    """
-    overlay = peer.ledger.state.overlay()
-    written: Set[str] = set()
-    touched: Set[str] = set()
-    out: List[Tuple[int, TxExecution]] = []
-    for i in lane:
-        tx = transactions[i]
-        code = precheck[i] if precheck is not None else None
-        if code is not None:
-            execution = TxExecution(rwset=RWSet(), code=code)
-        else:
-            execution = peer._execute_one(tx, overlay, written, True)
-            touched.update(execution.rwset.read_keys())
-            touched.update(execution.rwset.write_keys())
-        out.append((i, execution))
-        if execution.code == TxValidationCode.VALID:
-            for key, value in execution.rwset.writes:
-                overlay.put_speculative(key, value)
-                written.add(key)
-    return out, touched, written
-
-
-def _valid_lanes(plan: Any, n_txs: int) -> Optional[List[List[int]]]:
-    """Validate advisory plan metadata into a usable lane partition.
-
-    Returns None unless ``plan["lanes"]`` is a list of lists of ints that
-    partitions ``range(n_txs)`` exactly, with each lane in strictly
-    increasing (block) order — anything else degrades to serial.
-    """
-    if not isinstance(plan, dict):
-        return None
-    lanes = plan.get("lanes")
-    if not isinstance(lanes, list):
-        return None
-    seen: Set[int] = set()
-    out: List[List[int]] = []
-    for lane in lanes:
-        if not isinstance(lane, list) or not lane:
-            return None
-        previous = -1
-        for index in lane:
-            if not isinstance(index, int) or isinstance(index, bool):
-                return None
-            if index <= previous or index < 0 or index >= n_txs or index in seen:
-                return None
-            seen.add(index)
-            previous = index
-        out.append(list(lane))
-    if len(seen) != n_txs:
-        return None
-    return out
-
-
-# ----------------------------------------------------------------------
-# executors
-
 class ValidationExecutor:
-    """Strategy interface for executing one block's transactions.
+    """Executes one block's transactions for a peer.
 
-    ``execute_block`` owns the cross-peer result cache and the patched-
-    peer detection; subclasses implement :meth:`_execute` with the actual
-    execution strategy.  Whatever the strategy, the returned executions
-    are bit-identical to the serial in-order loop.
+    :meth:`execute_block` owns the cross-peer result cache and the
+    patched-peer detection; :meth:`_execute` is the one loop.
     """
-
-    mode = "abstract"
 
     def execute_block(self, peer: "Peer", block: "Block") -> List[TxExecution]:
-        patched = _is_patched(peer)
-        if patched or not peer.config.shared_execution_cache:
-            if patched:
-                _STATS["cache_bypasses"] += 1
-                return _run_patched(peer, block.transactions)
-            return self._execute(peer, block)
+        if _is_patched(peer):
+            _STATS["cache_bypasses"] += 1
+            return self._execute(peer, block.transactions)
         names = tuple(sorted(peer.contracts))
         classes = tuple(type(peer.contracts[name]) for name in names)
         key = (
-            id(block),
-            id(peer.msp),
+            block.digest(),
+            block.data_digest(),
             peer.ledger.state_hash(),
             peer.config.verify_signatures,
         )
         entry = _EXEC_CACHE.get(key)
         if (
             entry is not None
-            and entry[0] is block
-            and entry[1] is peer.msp
-            and entry[2] == names
-            and entry[3] == classes
+            and entry[0] is peer.msp
+            and entry[1] == names
+            and entry[2] == classes
         ):
             _STATS["cache_hits"] += 1
-            return [TxExecution(rwset=rwset, code=code) for rwset, code in entry[4]]
+            return [TxExecution(rwset=rwset, code=code) for rwset, code in entry[3]]
         _STATS["cache_misses"] += 1
-        executions = self._execute(peer, block)
+        executions = self._execute(peer, block.transactions)
         if len(_EXEC_CACHE) >= _EXEC_CACHE_MAX:
             _EXEC_CACHE.clear()
         _EXEC_CACHE[key] = (
-            block,
             peer.msp,
             names,
             classes,
@@ -338,91 +192,24 @@ class ValidationExecutor:
         )
         return executions
 
-    def _execute(self, peer: "Peer", block: "Block") -> List[TxExecution]:
-        raise NotImplementedError
-
-
-class SerialValidationExecutor(ValidationExecutor):
-    """The classic strategy: all transactions in block order, one overlay."""
-
-    mode = "serial"
-
-    def _execute(self, peer: "Peer", block: "Block") -> List[TxExecution]:
-        _STATS["serial_blocks"] += 1
-        transactions = block.transactions
-        return _run_serial(peer, transactions, _signature_precheck(peer, transactions))
-
-
-class ParallelValidationExecutor(ValidationExecutor):
-    """Lane-parallel strategy consuming the planner's ``Block.plan``.
-
-    Lanes run concurrently on a shared worker pool (sized by
-    ``FabricConfig.validation_workers``; 0 = one worker per core, capped
-    at 4) when more than one worker is available, inline otherwise — the
-    merge, audit and results are identical either way.
-    """
-
-    mode = "parallel"
-
-    def __init__(self, workers: int = 0):
-        if workers <= 0:
-            workers = min(4, os.cpu_count() or 1)
-        self.workers = workers
-        self._pool: Optional[ThreadPoolExecutor] = None
-
-    def _get_pool(self) -> ThreadPoolExecutor:
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(
-                max_workers=self.workers, thread_name_prefix="repro-validate"
-            )
-        return self._pool
-
-    def _execute(self, peer: "Peer", block: "Block") -> List[TxExecution]:
-        transactions = block.transactions
-        lanes = _valid_lanes(getattr(block, "plan", None), len(transactions))
+    def _execute(
+        self, peer: "Peer", transactions: Sequence[Transaction]
+    ) -> List[TxExecution]:
+        """Batched signature pre-check, then every transaction in block
+        order over one speculative overlay."""
         precheck = _signature_precheck(peer, transactions)
-        if lanes is None:
-            _STATS["degraded_plans"] += 1
-            return _run_serial(peer, transactions, precheck)
-        if len(lanes) <= 1:
-            _STATS["serial_blocks"] += 1
-            return _run_serial(peer, transactions, precheck)
-
-        _STATS["lane_blocks"] += 1
-        if self.workers > 1:
-            pool = self._get_pool()
-            lane_results = list(
-                pool.map(
-                    lambda lane: _run_lane(peer, lane, transactions, precheck), lanes
-                )
-            )
-        else:
-            lane_results = [
-                _run_lane(peer, lane, transactions, precheck) for lane in lanes
-            ]
-
-        # Determinism audit over realized footprints: a key written by a
-        # valid transaction in one lane must not be touched by any other
-        # lane, otherwise serial order could have produced different
-        # reads or conflict verdicts — re-execute serially.
-        for i, (_, _, written_i) in enumerate(lane_results):
-            if not written_i:
-                continue
-            for j, (_, touched_j, _) in enumerate(lane_results):
-                if i != j and written_i & touched_j:
-                    _STATS["lane_fallbacks"] += 1
-                    return _run_serial(peer, transactions, precheck)
-
-        merged: List[Optional[TxExecution]] = [None] * len(transactions)
-        for indexed, _, _ in lane_results:
-            for index, execution in indexed:
-                merged[index] = execution
-        # _valid_lanes guaranteed a partition, so every slot is filled.
-        return [e for e in merged if e is not None]
-
-
-def make_executor(config) -> ValidationExecutor:
-    """The executor selected by ``FabricConfig``."""
-    if config.parallel_validation:
-        return ParallelValidationExecutor(workers=config.validation_workers)
-    return SerialValidationExecutor()
+        overlay = peer.ledger.state.overlay()
+        written: Set[str] = set()
+        executions: List[TxExecution] = []
+        for i, tx in enumerate(transactions):
+            code = precheck[i] if precheck is not None else None
+            if code is not None:
+                execution = TxExecution(rwset=RWSet(), code=code)
+            else:
+                execution = peer._execute_one(tx, overlay, written, True)
+            executions.append(execution)
+            if execution.code == TxValidationCode.VALID:
+                for key, value in execution.rwset.writes:
+                    overlay.put_speculative(key, value)
+                    written.add(key)
+        return executions

@@ -131,23 +131,9 @@ class BlockchainNetwork:
         The platform "ensures that the same contract is deployed on every
         peer" (§4.2.2); each peer gets its own instance because contract
         objects may cache state.
-
-        With ``config.conflict_planner`` on, installation also arms the
-        orderer with a :class:`repro.staticcheck.plan.ConflictPlanner`
-        built from the contract's static footprints, so every cut block
-        records its provably-independent validation lanes.
-        ``config.parallel_validation`` arms the planner too: the parallel
-        executor consumes the lanes, so blocks must carry them.
         """
-        instances = [factory() for _ in self.peers]
-        for peer, instance in zip(self.peers, instances):
-            peer.install_contract(instance)
-        if (self.config.conflict_planner or self.config.parallel_validation) and instances:
-            from ..staticcheck.plan import ConflictPlanner
-
-            self.orderer.planner = ConflictPlanner.for_contract(
-                type(instances[0])
-            )
+        for peer in self.peers:
+            peer.install_contract(factory())
 
     def create_client(
         self,

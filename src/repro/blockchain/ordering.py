@@ -57,11 +57,6 @@ class OrderingService(Host):
         #: Optional :class:`repro.telemetry.Telemetry` (None = disabled).
         #: Typed ``Any`` — the telemetry package must stay optional here.
         self.telemetry: Any = None
-        #: Optional :class:`repro.staticcheck.plan.ConflictPlanner`; when
-        #: set, every cut block gets a lane plan in its (non-hashed)
-        #: metadata.  Advisory only: never reorders or drops transactions.
-        #: Typed ``Any`` to avoid a blockchain → staticcheck import cycle.
-        self.planner: Any = None
 
     def set_genesis(self, genesis: Block) -> None:
         """Anchor the chain this orderer extends (before any block is cut)."""
@@ -173,8 +168,6 @@ class OrderingService(Host):
             transactions=chosen,
             timestamp=self.network.scheduler.now,
         )
-        if self.planner is not None:
-            block.plan = self.planner.plan_block(chosen).to_json()
         self._next_number += 1
         self._previous_hash = block.digest()
         self._cut_blocks.append(block)

@@ -38,7 +38,7 @@ from ..simnet.topology import Host
 from .block import Block
 from .config import FabricConfig
 from .contracts import Contract, execute_transaction
-from .execution import make_executor
+from .execution import ValidationExecutor
 from .identity import Identity, MembershipProvider
 from .ledger import Ledger, TxExecution
 from .messages import (
@@ -78,9 +78,8 @@ class Peer(Host):
         self.config = config if config is not None else FabricConfig()
         self.ledger = Ledger(genesis)
         self.contracts: Dict[str, Contract] = {}
-        #: Block-validation strategy (serial or lane-parallel), selected
-        #: by ``FabricConfig``; see :mod:`repro.blockchain.execution`.
-        self.executor = make_executor(self.config)
+        #: Block validation; see :mod:`repro.blockchain.execution`.
+        self.executor = ValidationExecutor()
 
         self._peers: List[Host] = []
         self._set_electorate([name])
@@ -430,11 +429,9 @@ class Peer(Host):
         self._compute(cost, self._finish_execute, block)
 
     def _finish_execute(self, block: Block) -> None:
-        # Strategy-pluggable execution (serial loop or planner-guided
-        # lanes, possibly sharing results across peers); whichever
-        # strategy runs, the executions are bit-identical to the in-order
-        # loop over one speculative overlay — see
-        # :mod:`repro.blockchain.execution` for the determinism argument.
+        # The in-order loop over one speculative overlay, or another
+        # peer's identical results for the same block on the same basis
+        # state — see :mod:`repro.blockchain.execution`.
         executions = self.executor.execute_block(self, block)
         self._executions[block.number] = executions
         self._executed_height = block.number
@@ -464,8 +461,7 @@ class Peer(Host):
     ) -> TxExecution:
         # ``sig_checked=True`` means the executor already resolved the
         # certificate and endorsement signatures for the whole block in
-        # one batched pass; instance-patched peers (chaos fixtures) keep
-        # the historical 3-argument call and check inline here.
+        # one batched pass.
         if self.config.verify_signatures and not sig_checked:
             if not self.msp.validate(tx.certificate):
                 return TxExecution(rwset=_empty_rwset(), code=TxValidationCode.BAD_CERTIFICATE)

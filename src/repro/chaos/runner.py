@@ -167,8 +167,7 @@ def run_scenario(
             and whatever was recorded so far; convergence/liveness are
             not judged on a partial run.
         config: override the :class:`FabricConfig` (the scenario's
-            ``max_block_txs`` is applied on top).  Used e.g. to pin that
-            the advisory ``conflict_planner`` flag cannot change results.
+            ``max_block_txs`` is applied on top).
     """
     if isinstance(scenario, str):
         scenario = get_scenario(scenario)

@@ -54,12 +54,6 @@ def main(argv=None) -> int:
         help="output JSON path (default: %(default)s)",
     )
     parser.add_argument(
-        "--executor", choices=("serial", "parallel"), default=None,
-        help="block-validation executor for the replay workloads; the two "
-        "modes are bit-identical, so either can be --check'ed against the "
-        "same baseline (default: the workloads' own default, serial)",
-    )
-    parser.add_argument(
         "--procs", type=int, default=None, metavar="N",
         help="run the sharded replays' shard pipelines across N worker "
         "processes (bridged engine; bit-identical to in-process, so any "
@@ -141,7 +135,7 @@ def main(argv=None) -> int:
 
     record = run_suite(
         quick=args.quick, profile=args.profile, only=only,
-        trace_dir=args.trace, executor=args.executor,
+        trace_dir=args.trace,
         procs=args.procs, profile_dir=args.profile_dir,
     )
     print(f"[perf] host: {run_context(record)}", file=sys.stderr)

@@ -84,8 +84,6 @@ def run_context(record: Dict[str, Any]) -> str:
         bits.append(f"cpus={host['cpu_count']}")
     if host.get("loadavg_1m") is not None:
         bits.append(f"load1m={host['loadavg_1m']}")
-    if record.get("executor") is not None:
-        bits.append(f"executor={record['executor']}")
     if record.get("procs") is not None:
         bits.append(f"procs={record['procs']}")
     if record.get("backend") is not None:
@@ -99,7 +97,6 @@ def run_suite(
     only: Optional[List[str]] = None,
     verbose: bool = True,
     trace_dir: Optional[str] = None,
-    executor: Optional[str] = None,
     procs: Optional[int] = None,
     profile_dir: Optional[str] = None,
 ) -> Dict[str, Any]:
@@ -114,15 +111,9 @@ def run_suite(
     but ``wall_s`` includes the recording overhead, so traced runs
     should not be gated against an untraced baseline.
 
-    ``executor`` ("serial" / "parallel") selects the block-validation
-    executor for the workloads that take one (the full-stack replays).
-    The modes are bit-identical by contract, so a parallel run gates
-    cleanly against a serial baseline — the sim-metric comparison then
-    doubles as a differential check.
-
     ``procs`` places the sharded replays' shard pipelines across that
     many worker processes (the bridged engine; 1 keeps them in-process).
-    Placements are bit-identical by contract too, so any ``procs`` run
+    Placements are bit-identical by contract, so any ``procs`` run
     gates against the same baseline.  ``profile_dir`` additionally asks
     each worker process to dump a cProfile (``shardworker_*.pstats``)
     there on shutdown.
@@ -150,8 +141,6 @@ def run_suite(
         "host": host_metadata(),
         "workloads": {},
     }
-    if executor is not None:
-        record["executor"] = executor
     if procs is not None:
         record["procs"] = procs
     t0 = time.perf_counter()
@@ -164,7 +153,7 @@ def run_suite(
 
             telemetry = Telemetry()
         result = workload.run(
-            quick=quick, telemetry=telemetry, executor=executor,
+            quick=quick, telemetry=telemetry,
             procs=procs, profile_dir=profile_dir,
         )
         entry = result.as_record()
@@ -336,14 +325,13 @@ def check_against_baseline(
     # comparison still runs (normalized figures absorb most of it), but
     # the mismatch is surfaced rather than discovered inside a cryptic
     # regression message.
-    for field in ("executor", "procs"):
-        if current.get(field) != baseline.get(field):
-            skipped.append(
-                f"host-context: {field} differs between run and baseline "
-                f"(current={current.get(field)!r}, baseline="
-                f"{baseline.get(field)!r}) — timings compared across "
-                "different execution placements"
-            )
+    if current.get("procs") != baseline.get("procs"):
+        skipped.append(
+            "host-context: procs differs between run and baseline "
+            f"(current={current.get('procs')!r}, baseline="
+            f"{baseline.get('procs')!r}) — timings compared across "
+            "different execution placements"
+        )
     cur_workloads = current.get("workloads", {})
     for name in sorted(cur_workloads):
         if name not in base_workloads:

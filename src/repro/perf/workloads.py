@@ -54,13 +54,8 @@ class WorkloadResult:
     params: Dict[str, Any] = field(default_factory=dict)
     #: Simulated outcome — must not change across engine optimisations.
     sim_metrics: Dict[str, Any] = field(default_factory=dict)
-    #: Validation-executor mode the run used ("serial" / "parallel"),
-    #: for workloads that support both.  Deliberately *not* part of
-    #: ``params``: the two modes are bit-identical by contract, so a
-    #: parallel run may be gated against a serial baseline.
-    executor: Optional[str] = None
     #: Worker-process count the run used, for workloads that can place
-    #: shards in worker processes.  Like ``executor``, *not* part of
+    #: shards in worker processes.  Deliberately *not* part of
     #: ``params``: every ``procs`` placement is bit-identical by
     #: contract, so a ``--procs 8`` run gates against the same baseline.
     procs: Optional[int] = None
@@ -72,8 +67,6 @@ class WorkloadResult:
             "params": self.params,
             "sim_metrics": self.sim_metrics,
         }
-        if self.executor is not None:
-            record["executor"] = self.executor
         if self.procs is not None:
             record["procs"] = self.procs
         return record
@@ -91,10 +84,6 @@ class Workload:
     #: Whether the workload accepts a ``telemetry=`` kwarg (full-stack
     #: replays do; micro-benchmarks with no pipeline to trace do not).
     traceable: bool = False
-    #: Whether the workload accepts an ``executor=`` kwarg (full-stack
-    #: replays validate blocks through a ValidationExecutor; the
-    #: micro-benchmarks have no peer pipeline to switch).
-    takes_executor: bool = False
     #: Whether the workload accepts ``procs=`` / ``profile_dir=`` kwargs
     #: (the sharded family runs on the bridged engine and can place its
     #: shard pipelines in worker processes).
@@ -104,15 +93,12 @@ class Workload:
         self,
         quick: bool = False,
         telemetry=None,
-        executor: Optional[str] = None,
         procs: Optional[int] = None,
         profile_dir: Optional[str] = None,
     ) -> WorkloadResult:
         kwargs = dict(self.quick if quick else self.full)
         if telemetry is not None and self.traceable:
             kwargs["telemetry"] = telemetry
-        if executor is not None and self.takes_executor:
-            kwargs["executor"] = executor
         if procs is not None and self.takes_procs:
             kwargs["procs"] = procs
         if profile_dir is not None and self.takes_procs:
@@ -293,7 +279,6 @@ def session_replay(
     n_events: int = 2500,
     seed: int = 7,
     telemetry=None,
-    executor: str = "serial",
 ) -> WorkloadResult:
     """Replay a prefix of session #9 (the paper's longest trace) through
     the real shim + blockchain + simnet stack.
@@ -303,33 +288,16 @@ def session_replay(
     contract the engine optimisations must preserve.  An optional
     :class:`repro.telemetry.Telemetry` traces the run; being host-side
     only, it never changes the simulated metrics (only ``wall_s``).
-    ``executor`` selects the block-validation executor ("serial" or
-    "parallel"); the two are bit-identical by contract (enforced by
-    ``tests/test_validation_parallel_diff.py``), so either mode may be
-    gated against the same baseline.
     """
     from ..core import GameSession
 
-    if executor not in ("serial", "parallel"):
-        raise ValueError(f"unknown executor mode {executor!r}")
     demo = _session9_prefix(n_events)
-    if executor == "parallel":
-        # The conflict planner's static analysis is a pure function of the
-        # contract class, memoised process-wide; build it here so the first
-        # parallel replay in a process doesn't pay it inside the timed
-        # region (the demo parse above is untimed setup for the same
-        # reason).
-        from ..core.doom_contract import DoomContract
-        from ..staticcheck.plan import ConflictPlanner
-
-        ConflictPlanner.for_contract(DoomContract)
     t0 = time.perf_counter()
     session = GameSession(
         n_peers=n_peers,
         fabric_config=FabricConfig(
             max_block_txs=5,
             mutually_exclusive_blocks=True,
-            parallel_validation=(executor == "parallel"),
         ),
         seed=seed,
     )
@@ -347,7 +315,6 @@ def session_replay(
         name=f"replay-{n_peers}p",
         wall_s=wall,
         params={"n_peers": n_peers, "n_events": n_events, "seed": seed},
-        executor=executor,
         sim_metrics={
             "accepted": stats.accepted_events,
             "rejected": stats.rejected_events,
@@ -376,7 +343,6 @@ def sharded_replay(
     seed: int = 11,
     lookahead_ms: Optional[float] = None,
     telemetry=None,
-    executor: str = "serial",
     procs: int = 1,
     profile_dir: Optional[str] = None,
 ) -> WorkloadResult:
@@ -395,7 +361,7 @@ def sharded_replay(
     lookahead time bridge, and ``procs`` places the shard worlds either
     in-process (``1``) or across spawned worker processes (``N``).  The
     placements are bit-identical by construction (DESIGN.md §14), so
-    ``procs`` — like ``executor`` — stays out of ``params`` and every
+    ``procs`` stays out of ``params`` and every
     placement gates against one baseline; only ``wall_s`` may differ.
 
     Throughput is *simulated-time* events per second: makespan is the
@@ -405,7 +371,6 @@ def sharded_replay(
     """
     from ..blockchain.shardworker import BridgedShardEngine, BridgeSwapPort
     from ..blockchain.swaps import (
-        ShardAssetContract,
         SwapCoordinator,
         asset_key,
         check_conservation_summaries,
@@ -413,12 +378,6 @@ def sharded_replay(
     from ..core import ShardedSessionPool
     from ..simnet.bridge import DEFAULT_LOOKAHEAD_MS
 
-    if executor not in ("serial", "parallel"):
-        raise ValueError(f"unknown executor mode {executor!r}")
-    if executor == "parallel":
-        from ..staticcheck.plan import ConflictPlanner
-
-        ConflictPlanner.for_contract(ShardAssetContract)
     if lookahead_ms is None:
         lookahead_ms = DEFAULT_LOOKAHEAD_MS
 
@@ -440,7 +399,6 @@ def sharded_replay(
             # Signature checks are host-side CPU with no simulated cost;
             # at 100k-player scale they only slow the host down.
             verify_signatures=False,
-            parallel_validation=(executor == "parallel"),
         ),
         seed=seed,
         procs=procs,
@@ -543,7 +501,6 @@ def sharded_replay(
             "seed": seed,
             "lookahead_ms": lookahead_ms,
         },
-        executor=executor,
         procs=procs,
         sim_metrics={
             "accepted": accepted,
@@ -597,7 +554,6 @@ WORKLOADS: Tuple[Workload, ...] = (
         full={"n_peers": 4, "n_events": 2500, "seed": 7},
         quick={"n_peers": 4, "n_events": 300, "seed": 7},
         traceable=True,
-        takes_executor=True,
     ),
     Workload(
         name="replay-16p",
@@ -605,7 +561,6 @@ WORKLOADS: Tuple[Workload, ...] = (
         full={"n_peers": 16, "n_events": 2500, "seed": 7},
         quick={"n_peers": 16, "n_events": 200, "seed": 7},
         traceable=True,
-        takes_executor=True,
     ),
     Workload(
         name="replay-32p",
@@ -613,12 +568,8 @@ WORKLOADS: Tuple[Workload, ...] = (
         full={"n_peers": 32, "n_events": 2500, "seed": 7},
         quick={"n_peers": 32, "n_events": 200, "seed": 7},
         traceable=True,
-        takes_executor=True,
     ),
-    # The sharded family measures shard-count scaling, so the suite
-    # always runs it serial (takes_executor=False): per-shard blocks
-    # are small enough that lane-parallel validation only adds thread
-    # overhead, and its sim_metrics are executor-independent anyway.
+    # The sharded family measures shard-count scaling.
     Workload(
         name="sharded-replay-1s",
         fn=sharded_replay,
@@ -629,7 +580,6 @@ WORKLOADS: Tuple[Workload, ...] = (
                "players_per_session": 100, "n_events": 1200,
                "swap_fraction": 0.02, "seed": 11},
         traceable=True,
-        takes_executor=False,
         takes_procs=True,
     ),
     Workload(
@@ -642,7 +592,6 @@ WORKLOADS: Tuple[Workload, ...] = (
                "players_per_session": 100, "n_events": 1200,
                "swap_fraction": 0.02, "seed": 11},
         traceable=True,
-        takes_executor=False,
         takes_procs=True,
     ),
     Workload(
@@ -655,7 +604,6 @@ WORKLOADS: Tuple[Workload, ...] = (
                "players_per_session": 100, "n_events": 1200,
                "swap_fraction": 0.02, "seed": 11},
         traceable=True,
-        takes_executor=False,
         takes_procs=True,
     ),
 )

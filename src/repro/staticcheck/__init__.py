@@ -21,7 +21,7 @@ package checks both properties before a contract ever runs:
   client-addressed keys.
 * :class:`ConflictPlanner` — lowers the conflict matrix onto concrete
   transaction batches as provably-independent validation lanes
-  (``FabricConfig.conflict_planner``).
+  (an offline analysis; the engine validates in block order).
 * :func:`analyze_contract` / :func:`analyze_source` — everything at
   once, as a :class:`ContractReport`; also behind the
   ``python -m repro.staticcheck module:Class`` CLI, which additionally

@@ -15,14 +15,14 @@ match.  The result is a dependency DAG over the block:
 * **lanes** are the connected components, each keeping its internal
   block order.  Two transactions in different lanes provably touch
   disjoint keys (the matrix over-approximates the runtime RWSets — see
-  the fuzz-differential harness), so lanes can be validated/executed in
-  parallel without changing any commit outcome.
+  the fuzz-differential harness), so no commit outcome of one lane can
+  depend on another.
 
-The planner is strictly *advisory*: :class:`~repro.blockchain.ordering.
-OrderingService` records the plan in non-hashed block metadata (like
-Fabric's validation bitmap) and never reorders, drops or regroups
-transactions — commit results are bit-identical with the flag on or off,
-which the golden chaos record and perf replay tests pin.
+The planner is an *offline* analysis: nothing in the engine calls it.
+Block validation is one in-order loop (:mod:`repro.blockchain.execution`,
+DESIGN.md §12), and the fuzz-differential harness
+(:mod:`repro.staticcheck.fuzz`) checks the lanes against the runtime
+RWSets.
 """
 
 from __future__ import annotations
@@ -34,10 +34,6 @@ from .conflicts import ConflictLevel, ConflictMatrix, predict_conflicts
 from .rwset import infer_footprints
 
 __all__ = ["ConflictPlan", "ConflictPlanner"]
-
-#: ``for_contract`` memo for class targets (see its docstring).
-_PLANNER_CACHE: Dict[type, "ConflictPlanner"] = {}
-_PLANNER_CACHE_MAX = 256
 
 
 @dataclass
@@ -90,29 +86,12 @@ class ConflictPlanner:
         target: Union[str, type],
         class_name: Optional[str] = None,
     ) -> "ConflictPlanner":
-        """Build a planner from a contract class or source text.
-
-        Class targets are memoised process-wide: the analysis is a pure
-        function of the class source, and every simulated session that
-        arms the planner (``conflict_planner`` / ``parallel_validation``)
-        would otherwise re-run the same footprint inference (~0.1 s) at
-        ``install_contract`` time.  Planner instances are stateless after
-        construction, so sharing one is safe.
-        """
-        if isinstance(target, type) and class_name is None:
-            cached = _PLANNER_CACHE.get(target)
-            if cached is not None:
-                return cached
+        """Build a planner from a contract class or source text."""
         contract = getattr(target, "name", None) if isinstance(target, type) else None
-        planner = cls(
+        return cls(
             predict_conflicts(infer_footprints(target, class_name)),
             contract=contract if isinstance(contract, str) else None,
         )
-        if isinstance(target, type) and class_name is None:
-            if len(_PLANNER_CACHE) >= _PLANNER_CACHE_MAX:
-                _PLANNER_CACHE.clear()
-            _PLANNER_CACHE[target] = planner
-        return planner
 
     # ------------------------------------------------------------------
 

@@ -64,26 +64,6 @@ def replayed() -> dict:
     return json.loads(json.dumps(_make_record(res)))
 
 
-@pytest.fixture(scope="module")
-def replayed_parallel() -> dict:
-    """Same scenario with the lane-parallel block-validation executor.
-
-    The executor is a host-side switch with a bit-identity contract, so
-    the parallel run is pinned against the *same* golden record that was
-    captured from the serial pre-optimisation engine — no second golden
-    file, no loosened asserts.
-    """
-    from repro.blockchain import FabricConfig, clear_execution_cache
-
-    clear_execution_cache()
-    res = run_scenario(
-        "churn-partition-ddos",
-        seed=7,
-        config=FabricConfig(parallel_validation=True),
-    )
-    return json.loads(json.dumps(_make_record(res)))
-
-
 def test_run_is_clean_and_makes_progress(replayed):
     assert replayed["violations"] == []
     assert replayed["submitted"] > 0
@@ -98,7 +78,3 @@ def test_timeline_matches_golden(golden, replayed):
 
 def test_full_record_matches_golden(golden, replayed):
     assert replayed == golden
-
-
-def test_parallel_validation_matches_same_golden(golden, replayed_parallel):
-    assert replayed_parallel == golden

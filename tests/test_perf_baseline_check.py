@@ -178,12 +178,9 @@ class TestHostContext:
 
         record = {
             "host": {"cpu_count": 8, "loadavg_1m": 1.25},
-            "executor": "parallel",
             "procs": 4,
         }
-        assert run_context(record) == (
-            "cpus=8, load1m=1.25, executor=parallel, procs=4"
-        )
+        assert run_context(record) == "cpus=8, load1m=1.25, procs=4"
         assert run_context({}) == "no host metadata"
 
     def test_mismatch_messages_carry_both_hosts(self):
@@ -235,16 +232,6 @@ class TestBackendAndPlacementContext:
         ok, problems, skipped = check_against_baseline(current, baseline)
         assert ok and problems == [] and skipped == []
 
-    def test_executor_difference_warns_via_skipped(self):
-        current = _record(w=_entry())
-        current["executor"] = "parallel"
-        baseline = _record(w=_entry())
-        ok, problems, skipped = check_against_baseline(current, baseline)
-        assert ok and problems == []  # identical results: not a failure
-        assert any(
-            "executor differs" in s and "'parallel'" in s for s in skipped
-        )
-
     def test_procs_difference_warns_via_skipped(self):
         current = _record(w=_entry())
         current["procs"] = 4
@@ -256,9 +243,9 @@ class TestBackendAndPlacementContext:
 
     def test_matching_placement_emits_no_warning(self):
         current = _record(w=_entry())
-        current["executor"], current["procs"] = "parallel", 4
+        current["procs"] = 4
         baseline = _record(w=_entry())
-        baseline["executor"], baseline["procs"] = "parallel", 4
+        baseline["procs"] = 4
         ok, problems, skipped = check_against_baseline(current, baseline)
         assert ok and problems == [] and skipped == []
 

@@ -4,8 +4,7 @@
 block-validation path uses; its contract is verdict-for-verdict
 equivalence with calling :meth:`PublicKey.verify` in a loop, for every
 mix of valid, corrupted and structurally-bogus signatures, with and
-without the process-wide verdict cache (``fresh=True``) and down both
-the per-item and randomized-product code paths (``force_product``).
+without the process-wide verdict cache (``fresh=True``).
 """
 
 from __future__ import annotations
@@ -87,13 +86,6 @@ class TestBatchEquivalence:
 
     @settings(max_examples=30, deadline=None)
     @given(signed_batches())
-    def test_product_path_equals_loop(self, items):
-        expected = _loop_verdicts(items)
-        assert verify_batch(items, force_product=True) == expected
-        assert verify_batch(items, force_product=False) == expected
-
-    @settings(max_examples=30, deadline=None)
-    @given(signed_batches())
     def test_cold_and_warm_cache_agree(self, items):
         # Warm run may be served entirely from the verdict cache; it must
         # still agree with a fully fresh pass.
@@ -110,8 +102,7 @@ class TestCorruptionAttribution:
     )
     def test_minority_corruption_attributed_exactly(self, n, data):
         """Corrupting a strict minority of an all-one-key batch must
-        flag exactly the corrupted indices — the product test's per-item
-        fallback may not smear blame across the batch."""
+        flag exactly the corrupted indices, cached pass or fresh."""
         pair = keypairs[0]
         msgs = [f"msg-{i}" for i in range(n)]
         items = [(pair.public, m, pair.sign(m)) for m in msgs]
@@ -124,9 +115,8 @@ class TestCorruptionAttribution:
         for i in bad:
             key, m, sig = items[i]
             items[i] = (key, m, sig ^ (1 << data.draw(st.integers(0, KEY_BITS - 2))))
-        for force in (None, True, False):
-            verdicts = verify_batch(items, fresh=True) if force is None else \
-                verify_batch(items, force_product=force)
+        for fresh in (True, False):
+            verdicts = verify_batch(items, fresh=fresh)
             flagged = [i for i, ok in enumerate(verdicts) if not ok]
             # A corrupted signature is invalid with overwhelming
             # probability; equality both ways pins exact attribution.

@@ -13,6 +13,11 @@ from __future__ import annotations
 import pytest
 
 from repro.blockchain.config import FabricConfig
+from repro.blockchain.execution import (
+    clear_execution_cache,
+    execution_stats,
+    reset_execution_stats,
+)
 from repro.blockchain.messages import SyncHashMsg, VoteMsg
 from repro.blockchain.network import BlockchainNetwork
 from repro.chaos.workload import ChaosCounterContract
@@ -66,6 +71,8 @@ def _starve(chain, counts):
 
 
 def _run_session(backend: str, starve: bool = False):
+    clear_execution_cache()
+    reset_execution_stats()
     config = FabricConfig(max_block_txs=1, backend=backend)
     if starve:
         # Two retry rounds per block (vote, then hash) on a wall clock.
@@ -115,6 +122,7 @@ def _run_session(backend: str, starve: bool = False):
         "chains_valid": chains_valid,
         "synced": len({p.synced_height for p in chain.peers}) == 1,
         "gossip": gossip,
+        "execution": execution_stats(),
     }
 
 
@@ -152,6 +160,18 @@ def test_committed_heights_identical(results):
     # max_block_txs=1: every VALID or rejected-but-ordered tx is its own
     # block, so both backends commit the same number of blocks.
     assert results["simnet"]["heights"] == results["realnet"]["heights"]
+
+
+def test_decoded_block_copies_share_execution_results(results):
+    """The execution cache is keyed by content: on real sockets every
+    peer decodes its own copy of a block, and all but the first to
+    execute it still reuse the first one's results."""
+    blocks = len(SCRIPT_INIT) + len(SCRIPT_UPDATES)
+    for backend, r in results.items():
+        stats = r["execution"]
+        assert stats["cache_misses"] == blocks, backend
+        assert stats["cache_hits"] == (PEERS - 1) * blocks, backend
+        assert stats["cache_bypasses"] == 0, backend
 
 
 @pytest.fixture(scope="module")

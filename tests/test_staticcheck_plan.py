@@ -1,6 +1,6 @@
-"""ConflictPlanner: DAG/lane unit behaviour, the advisory ordering-
-service hook, and the two bit-identity contracts (golden chaos record
-and session replay) that pin the flag as observation-only."""
+"""ConflictPlanner: DAG/lane unit behaviour and the soundness of its
+lanes against the runtime RWSets (the planner is an offline analysis;
+nothing in the engine consumes a plan)."""
 
 import json
 
@@ -8,10 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.blockchain.config import FabricConfig
 from repro.blockchain.identity import CertificateAuthority
 from repro.blockchain.transaction import Proposal, Transaction
-from repro.core import DoomContract, GameSession
+from repro.core import DoomContract
 from repro.staticcheck import ConflictPlanner
 from repro.staticcheck.fuzz import _doom_case, _monopoly_case, fuzz_case
 
@@ -138,68 +137,3 @@ def test_lane_partition_matches_runtime_rwsets_monopoly(seed):
     lanes = [v for v in outcome.violations if v.kind == "lanes"]
     assert not lanes, lanes
 
-
-# ----------------------------------------------------------------------
-# the flag is advisory: bit-identical results on or off
-
-
-class TestFlagEquivalence:
-    def test_chaos_golden_record_unchanged_with_planner_on(self):
-        import test_chaos_determinism_golden as golden_mod
-        from repro.chaos.runner import run_scenario
-
-        result = run_scenario(
-            "churn-partition-ddos",
-            seed=7,
-            config=FabricConfig(conflict_planner=True),
-        )
-        record = golden_mod._make_record(result)
-        with open(golden_mod.GOLDEN_PATH) as handle:
-            assert record == json.load(handle)
-
-    def test_session_replay_metrics_identical_and_plans_recorded(self):
-        from repro.perf.workloads import _session9_prefix
-
-        demo = _session9_prefix(250)
-
-        def run(flag):
-            session = GameSession(
-                n_peers=8,
-                fabric_config=FabricConfig(
-                    max_block_txs=5,
-                    mutually_exclusive_blocks=True,
-                    conflict_planner=flag,
-                ),
-                seed=7,
-            )
-            session.setup()
-            session.play_demo(demo)
-            session.run_until_idle()
-            stats = session.stats()
-            peers = session.chain.peers
-            metrics = {
-                "accepted": stats.accepted_events,
-                "rejected": stats.rejected_events,
-                "avg_latency_ms": round(stats.avg_latency_ms, 6),
-                "sim_now_ms": round(session.now, 6),
-                "committed_heights": sorted(
-                    {p.committed_height for p in peers}
-                ),
-                "scheduler_events": session.scheduler.events_processed,
-                "ledgers_agree": session.ledgers_agree(),
-            }
-            plans = [
-                b.plan
-                for b in session.chain.orderer._cut_blocks
-                if b.plan is not None
-            ]
-            return metrics, plans
-
-        metrics_off, plans_off = run(False)
-        metrics_on, plans_on = run(True)
-        assert metrics_off == metrics_on
-        assert plans_off == []  # flag off: no plan metadata at all
-        assert plans_on  # flag on: every cut block carries its plan
-        for plan in plans_on:
-            indices = sorted(i for lane in plan["lanes"] for i in lane)
-            assert indices == list(range(len(plan["tx_ids"])))
