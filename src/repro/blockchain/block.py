@@ -77,6 +77,21 @@ class Block:
             self._data_digest_memo = digest
         return digest
 
+    def credentials(self) -> tuple:
+        """Per transaction: the endorsement signature, and the certificate
+        as its to-be-signed digest plus the CA signature over it.
+
+        ``Transaction.digest()`` covers the proposal and the certificate's
+        *subject* only, so two blocks with equal header and data digests
+        can still differ here (a flipped signature, a swapped certificate
+        body).  Not memoised: it is a tuple of fields already in hand
+        (``tbs()`` is memoised on the frozen certificate).
+        """
+        return tuple(
+            (tx.signature, tx.certificate.tbs(), tx.certificate.signature)
+            for tx in self.transactions
+        )
+
     def size_bytes(self, tx_bytes: int, overhead_bytes: int) -> int:
         """Wire size estimate used by the simulated transport."""
         return overhead_bytes + tx_bytes * len(self.transactions)

@@ -23,17 +23,19 @@ process-wide cache lets the first executing peer share its results; every
 other peer gets fresh per-peer :class:`TxExecution` wrappers (codes are
 mutated downstream by consensus downgrades) over the shared immutable
 RWSets.  The key is *content*: the block's header digest, the Merkle
-root over the transactions the block actually carries, and the basis
-``state_hash()``.  Both digests are ones ``Ledger.append`` needs at commit
-anyway and are memoised on the block, so a copy decoded from a socket
-hits like the shared object of the simulator does, while a copy with an
-honest header and other transactions hashes to another key and executes
-its own transactions (and is then refused by the ledger's data-hash
-check).  Peers whose execution path is instance-patched (chaos buggy
-fixtures, and the uncached reference the differential tests compare
-against) bypass the cache in both directions.  Simulated costs are
-charged by ``Peer._compute`` regardless, so sharing changes wall-clock
-only, never a simulated result.
+root over the transactions it actually carries, their signatures and
+certificates (``Block.credentials()`` — no digest covers those), and the
+basis ``state_hash()``.  Both digests are ones ``Ledger.append`` needs at
+commit anyway and are memoised on the block.  A copy decoded from a socket
+hits like the simulator's shared object does; a copy with other
+transactions, a flipped signature or a swapped certificate is another key
+and gets its own verdicts (and the ledger's data-hash check still refuses
+a transaction list the header does not commit to).  Peers whose
+execution path is instance-patched (chaos buggy fixtures, and the
+uncached reference the differential tests compare against) bypass the
+cache in both directions.  Simulated costs are charged by
+``Peer._compute`` regardless, so sharing changes wall-clock only, never
+a simulated result.
 """
 
 from __future__ import annotations
@@ -82,8 +84,9 @@ def execution_stats() -> Dict[str, int]:
 # ----------------------------------------------------------------------
 # cross-peer block-execution cache
 
-#: key ``(block digest, data digest, basis state hash, verify_signatures)``
-#: → ``(msp, contract names, contract classes, [(rwset, code)...])``.
+#: key ``(block digest, data digest, credentials, basis state hash,
+#: verify_signatures)`` → ``(msp, contract names, contract classes,
+#: [(rwset, code)...])``.
 #: The MSP and the contract classes are not content-addressable, so the
 #: entry retains them and every hit re-checks their identity.
 _EXEC_CACHE: Dict[tuple, tuple] = {}
@@ -168,6 +171,7 @@ class ValidationExecutor:
         key = (
             block.digest(),
             block.data_digest(),
+            block.credentials(),
             peer.ledger.state_hash(),
             peer.config.verify_signatures,
         )

@@ -3,7 +3,8 @@
 Unit tests pin the executor mechanics on hand-crafted blocks — in-block
 conflict votes, batched signature attribution, and the cross-peer
 cache's hit / miss / bypass behaviour, including block *copies* (a
-decoded frame hits, a tampered transaction list misses).  The
+decoded frame hits; a tampered transaction list, signature or
+certificate misses).  The
 differential tests then prove whole-simulation bit-identity: a run that
 shares results through the cache equals a reference run in which every
 peer is instance-patched with its own baseline ``_execute_one`` (the
@@ -12,6 +13,8 @@ peer and ``cache_bypasses`` counts them all.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import pytest
 
@@ -186,6 +189,49 @@ class TestExecutionCache:
         assert dict(executions[0].rwset.writes)[key_a] == 40
         with pytest.raises(LedgerError, match="data hash"):
             net.peers[1].ledger.append(forged, executions)
+
+    @pytest.mark.parametrize("forged_first", [False, True])
+    @pytest.mark.parametrize(
+        "tamper, code",
+        [
+            ("signature", TxValidationCode.BAD_SIGNATURE),
+            ("certificate", TxValidationCode.BAD_CERTIFICATE),
+        ],
+    )
+    def test_forged_credentials_never_share_a_verdict(
+        self, chain, tamper, code, forged_first
+    ):
+        """No digest covers a transaction's signature or its certificate
+        body, so a decoded copy with one of them altered keeps both block
+        digests.  It must still miss: in one order it would otherwise be
+        waved through unchecked, in the other its rejection would be
+        handed to every honest peer."""
+        net, client = chain
+        honest = _craft_block(net, client, INDEPENDENT)
+        forged = codec.decode(codec.encode(honest))
+        tx = forged.transactions[1]
+        if tamper == "signature":
+            tx.signature ^= 1
+        else:
+            cert = tx.certificate
+            tx.certificate = replace(cert, signature=cert.signature ^ 1)
+        assert forged.digest() == honest.digest()
+        assert forged.data_digest(fresh=True) == honest.data_digest()
+        executor = ValidationExecutor()
+        order = [forged, honest] if forged_first else [honest, forged]
+        results = {
+            id(block): executor.execute_block(peer, block)
+            for peer, block in zip(net.peers, order)
+        }
+        stats = execution_stats()
+        assert stats["cache_hits"] == 0 and stats["cache_misses"] == 2
+        valid = TxValidationCode.VALID
+        assert [e.code for e in results[id(honest)]] == [valid, valid]
+        assert [e.code for e in results[id(forged)]] == [valid, code]
+        assert results[id(forged)][1].rwset.writes == []
+        # An honest copy still shares with the honest block.
+        executor.execute_block(net.peers[1], codec.decode(codec.encode(honest)))
+        assert execution_stats()["cache_hits"] == 1
 
     def test_patched_peer_bypasses_cache(self, chain):
         net, client = chain
