@@ -60,13 +60,18 @@ def _reject_non_native(obj: Any) -> Any:
     )
 
 
+#: ``json.dumps`` with non-default arguments builds an encoder per call;
+#: the canonical form is fixed, so one encoder serves every digest.
+_canonical_json = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":"), default=_reject_non_native
+).encode
+
+
 def canonical_digest(obj: Any) -> str:
     """Digest of a JSON-native object tree, with sorted keys so logically
     equal objects hash equally.  Raises ``TypeError`` on non-native types
     (no silent ``str()`` fallback)."""
-    return sha256_hex(
-        json.dumps(obj, sort_keys=True, separators=(",", ":"), default=_reject_non_native)
-    )
+    return sha256_hex(_canonical_json(obj))
 
 
 def merkle_root(leaves: Sequence[str]) -> str:

@@ -1,5 +1,8 @@
 """Unit tests for hashing, Merkle trees, RSA keys and certificates."""
 
+import json
+import random
+
 import pytest
 
 from repro.blockchain import (
@@ -26,6 +29,34 @@ class TestHashing:
 
     def test_canonical_digest_differs_on_value(self):
         assert canonical_digest({"a": 1}) != canonical_digest({"a": 2})
+
+    def test_canonical_digest_is_the_sorted_compact_json_form(self):
+        """The canonical form is chain format: digests must equal the
+        plain ``json.dumps`` spelling whatever builds the string."""
+        tree = {
+            "player/ζ": {"ammo": 49, "pos": [1.5, -0.25, 1e-9], "name": "Zoë ✓"},
+            "game": {"started": True, "roster": ["p0", "p1"], "winner": None},
+            "big": 2**70, "ratio": 0.1 + 0.2, "nested": [{"b": [], "a": {}}],
+        }
+
+        def shuffled(obj, rng):
+            if isinstance(obj, dict):
+                items = [(k, shuffled(v, rng)) for k, v in obj.items()]
+                rng.shuffle(items)
+                return dict(items)
+            if isinstance(obj, list):
+                return [shuffled(v, rng) for v in obj]
+            return obj
+
+        want = sha256_hex(json.dumps(tree, sort_keys=True, separators=(",", ":")))
+        assert want == (
+            "ad071ca234609e003d0a23febb8931cfac38028fb9347171ddca64d8b6027a1f"
+        )
+        for seed in range(5):
+            assert canonical_digest(shuffled(tree, random.Random(seed))) == want
+        for leaf in (object(), {1, 2}, b"raw", 1j):
+            with pytest.raises(TypeError, match="not JSON-native"):
+                canonical_digest({"ok": [1, {"deep": leaf}]})
 
     def test_merkle_root_empty(self):
         assert merkle_root([]) == sha256_hex(b"")

@@ -5,7 +5,7 @@ import pytest
 from repro.blockchain import FabricConfig, TxValidationCode
 from repro.core import GameSession, SessionError, ShimConfig
 from repro.game import AssetId, EventType, GameEvent, asset_key
-from repro.simnet import LAN_1GBPS
+from repro.simnet import LAN_1GBPS, TakedownAttack
 
 
 def make_session(**kwargs):
@@ -105,8 +105,6 @@ class TestTimeoutPath:
     def test_dead_orderer_times_out_cleanly(self):
         """If the ordering service disappears, pending events resolve as
         TIMEOUT rather than hanging the session."""
-        from repro.simnet import TakedownAttack
-
         session = make_session()
         shim = session.shims[0]
         shim.poll_timeout_ms = 2_000.0
@@ -117,3 +115,26 @@ class TestTimeoutPath:
         session.run_until_idle()
         assert acks == [TxValidationCode.TIMEOUT]
         assert shim.stats.rejections_by_code[TxValidationCode.TIMEOUT] == 1
+
+    def test_timeout_with_a_batch_queued_behind_it(self):
+        """The timeout's callback dispatches the queued batch, which
+        submits from inside the poll tick; that batch then times out in
+        turn, and polling stops once nothing is open."""
+        session = make_session()
+        shim = session.shims[0]
+        shim.poll_timeout_ms = 2_000.0
+        TakedownAttack([session.chain.orderer.name]).apply(session.chain.net)
+        acks = []
+        shim.on_ack = lambda e, ok, code, lat: acks.append((e.seq, code))
+        start = session.now
+        for seq in (1, 2, 3):
+            shim.on_game_event(shoot(session, seq))
+        assert shim.pending_count() == 1 and shim.pending_events() == 3
+        session.run_until_idle()
+        assert acks == [(seq, TxValidationCode.TIMEOUT) for seq in (1, 2, 3)]
+        assert shim.stats.txs_dispatched == 2
+        assert shim.completed_count == shim.submitted_count
+        assert shim.pending_count() == 0 and shim.pending_events() == 0
+        assert shim._poll_timer is None
+        # Two timeouts back to back, then one idle tick at most.
+        assert 4_000.0 < session.now - start < 4_000.0 + 3 * shim.poll_interval_ms
