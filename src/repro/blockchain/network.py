@@ -13,7 +13,8 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 from ..simnet.latency import INTERNET_US, LatencyProfile, Region
 from ..simnet.topology import place_random
-from ..simnet.transport import Network
+from ..simnet.clock import ClockCore
+from ..simnet.transport import Network, NetworkCore
 from .block import Block, make_genesis_block
 from .client import BlockchainClient
 from .config import FabricConfig
@@ -48,7 +49,7 @@ class BlockchainNetwork:
         policy: str = MAJORITY,
         regions: Optional[Sequence[str]] = None,
         seed: int = 0,
-        net: Optional[Network] = None,
+        net: Optional[NetworkCore] = None,
         ca: Optional[CertificateAuthority] = None,
         name_prefix: str = "",
     ):
@@ -59,6 +60,7 @@ class BlockchainNetwork:
             raise ValueError("need at least one peer")
         self.config = config if config is not None else FabricConfig()
         self.policy = ConsensusPolicy(policy)
+        self.net: NetworkCore
         if net is not None:
             self.net = net
         elif self.config.backend == "simnet":
@@ -165,7 +167,7 @@ class BlockchainNetwork:
     # convenience
 
     @property
-    def scheduler(self):
+    def scheduler(self) -> ClockCore:
         return self.net.scheduler
 
     @property

@@ -31,7 +31,6 @@ reader of the tallies (DESIGN.md §16 states the invariants).
 from __future__ import annotations
 
 from collections import deque
-from heapq import heappush
 from typing import Callable, Deque, Dict, FrozenSet, List, Optional, Set, Tuple, Union
 
 from ..simnet.topology import Host
@@ -245,19 +244,12 @@ class Peer(Host):
     def _compute(self, cost_ms: float, fn: Callable, *args) -> None:
         """Run ``fn`` after ``cost_ms`` of serialised CPU time."""
         sched = self.network.scheduler
-        start = sched._now
+        start = sched.now
         if self._cpu_free_at > start:
             start = self._cpu_free_at
         done = start + cost_ms
         self._cpu_free_at = done
-        # Inlined Scheduler.call_at_anon (same seq counter, one fewer
-        # Python call on the busiest peer path; done >= now always).
-        seq = sched._seq
-        sched._seq = seq + 1
-        heappush(
-            sched._queue, (done, seq, self._run_if_alive, (self._generation, fn) + args)
-        )
-        sched._live += 1
+        sched.call_at_anon(done, self._run_if_alive, self._generation, fn, *args)
 
     def _run_if_alive(self, generation: int, fn: Callable, *args) -> None:
         """Drop callbacks scheduled before a crash: that work died with
@@ -293,7 +285,7 @@ class Peer(Host):
                 done = self._cpu_free_at
             else:
                 # _compute's CPU arithmetic without its event.
-                done = self.network.scheduler._now
+                done = self.network.scheduler.now
                 if self._cpu_free_at > done:
                     done = self._cpu_free_at
                 done += cost
@@ -342,7 +334,7 @@ class Peer(Host):
         including its own message.
         """
         inbox = self._inbox
-        now = self.network.scheduler._now
+        now = self.network.scheduler.now
         while inbox:
             done = inbox[0][0]
             if done > now or (done == now and through is None):

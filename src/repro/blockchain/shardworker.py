@@ -224,7 +224,7 @@ class ShardWorld:
         self.scheduler.run(until=until)
         return {
             "pending": self.scheduler.pending,
-            "next_when": self.scheduler._peek_when(),
+            "next_when": self.scheduler.next_when(),
         }
 
     # -- inspection ----------------------------------------------------

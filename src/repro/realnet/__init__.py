@@ -3,16 +3,14 @@
 ``repro.simnet`` simulates the network deterministically; this package
 runs the *same* peers, ordering service, gossip and client shim over
 real localhost (or multi-process) sockets behind the same two
-interfaces:
+interfaces, each written down once as the base class both backends
+inherit:
 
-* :class:`WallClock` — the :class:`~repro.simnet.clock.Scheduler`
-  contract (``call_at`` / ``call_after`` / ``call_at_anon``, monotone
-  ``now`` in milliseconds, ``run`` / ``run_until_idle``) driven by wall
-  time on an asyncio event loop;
-* :class:`RealNetwork` — the :class:`~repro.simnet.transport.Network`
-  surface (``register`` / ``send`` / ``send_many`` / ``condition`` /
-  ``partition`` / ``fault_injector`` / ``stats``) over length-prefixed
-  :mod:`repro.blockchain.codec` frames on per-channel TCP connections.
+* :class:`WallClock` is a :class:`~repro.simnet.clock.ClockCore` driven
+  by wall time on an asyncio event loop;
+* :class:`RealNetwork` is a :class:`~repro.simnet.transport.NetworkCore`
+  whose ``send`` writes length-prefixed :mod:`repro.blockchain.codec`
+  frames to per-channel TCP connections.
 
 :func:`make_network` is the backend factory the deployment constructors
 use; ``FabricConfig(backend="realnet")`` routes through it.  DESIGN.md
@@ -26,6 +24,7 @@ from __future__ import annotations
 
 from typing import Optional
 
+from ..simnet.transport import Network, NetworkCore
 from .clock import WallClock
 from .metrics_http import MetricsServer
 from .transport import FrameError, RealHostCondition, RealNetwork
@@ -49,19 +48,17 @@ def make_network(
     profile=None,
     seed: int = 0,
     clock: Optional[WallClock] = None,
-):
+) -> NetworkCore:
     """Construct a transport backend by name.
 
     ``simnet`` returns the deterministic discrete-event
     :class:`~repro.simnet.transport.Network`; ``realnet`` returns a
     :class:`RealNetwork` on a fresh (or supplied) :class:`WallClock`.
-    Both satisfy the same interface, so everything above the transport
+    Both are a ``NetworkCore``, so everything above the transport
     boundary — peers, ordering, gossip, shards, clients — runs
     unmodified on either.
     """
     if backend == "simnet":
-        from ..simnet.transport import Network
-
         return Network(profile=profile, seed=seed)
     if backend == "realnet":
         return RealNetwork(clock=clock, profile=profile, seed=seed)

@@ -1,18 +1,12 @@
-"""Wall-clock scheduler satisfying the simnet ``Scheduler`` contract.
+"""Wall-clock scheduler: the simnet clock contract on real time.
 
 :class:`WallClock` is the realnet backend's clock: ``now`` is real
 milliseconds since construction (monotonic — ``time.monotonic`` based,
 immune to NTP steps), and scheduled callbacks fire from an asyncio
 event loop so socket I/O interleaves with timer work in one thread.
-
-The engine's hot paths do not go through ``call_at``: ``peer._compute``
-and the transports push ``(when, seq, fn, args)`` tuples straight onto
-``scheduler._queue`` and bump ``_seq`` / ``_live`` themselves (see
-``repro.simnet.transport``).  :class:`WallClock` therefore keeps the
-*exact same* internal shapes — a ``heapq`` of ``(when, seq, timer)`` /
-``(when, seq, fn, args)`` entries, integer ``_seq`` and ``_live``
-counters, ``_now`` readable as an attribute — so those inlined pushes
-land in the wall-clock queue unchanged.
+The timer heap, its counters and the scheduling calls are
+:class:`~repro.simnet.clock.ClockCore`'s, shared with the deterministic
+``Scheduler``; this module adds wall time and the pump.
 
 Contract differences from the deterministic ``Scheduler``, both forced
 by wall time (DESIGN.md §15):
@@ -33,12 +27,12 @@ import heapq
 import time
 from typing import Any, Callable, List, Optional
 
-from ..simnet.clock import SimulationError, Timer, _COMPACT_MIN_QUEUE
+from ..simnet.clock import ClockCore, SimulationError, Timer
 
 __all__ = ["WallClock"]
 
 
-class WallClock:
+class WallClock(ClockCore):
     """Scheduler-compatible wall clock on a private asyncio loop.
 
     Usage mirrors :class:`~repro.simnet.clock.Scheduler`::
@@ -57,21 +51,14 @@ class WallClock:
     idle_grace_ms = 150.0
 
     def __init__(self, loop: Optional[asyncio.AbstractEventLoop] = None):
+        super().__init__()
         self._loop = loop if loop is not None else asyncio.new_event_loop()
         self._owns_loop = loop is None
         self._origin = time.monotonic()
-        self._seq = 0
-        self._queue: List[Any] = []
-        self._events_processed = 0
-        self._live = 0
-        self._cancelled_in_queue = 0
         self._wake: Optional[asyncio.Event] = None
         self._busy_checks: List[Callable[[], bool]] = []
         self._running = False
         self._closed = False
-
-    # ------------------------------------------------------------------
-    # Scheduler surface
 
     @property
     def now(self) -> float:
@@ -79,67 +66,20 @@ class WallClock:
         return (time.monotonic() - self._origin) * 1000.0
 
     @property
-    def _now(self) -> float:
-        # The engine's inlined fast paths read ``scheduler._now`` as an
-        # attribute; a property keeps those reads working verbatim.
-        return (time.monotonic() - self._origin) * 1000.0
-
-    @property
-    def events_processed(self) -> int:
-        return self._events_processed
-
-    @property
-    def pending(self) -> int:
-        """Number of live events still in the queue (O(1))."""
-        return self._live
-
-    @property
     def loop(self) -> asyncio.AbstractEventLoop:
         """The asyncio loop timers and transport I/O share."""
         return self._loop
 
     def call_at(self, when: float, fn: Callable[..., Any], *args: Any) -> Timer:
-        """Schedule ``fn(*args)`` at absolute clock time ``when`` (ms).
-
-        Unlike the deterministic scheduler, ``when`` in the past is
-        accepted and fires on the next pump pass: against wall time a
-        deadline can be stale the instant it is computed.
-        """
-        seq = self._seq
-        self._seq = seq + 1
-        timer = Timer(when, seq, fn, args, self)
-        heapq.heappush(self._queue, (when, seq, timer))
-        self._live += 1
+        """As on any clock, except that a ``when`` in the past is taken
+        (it fires on the next pump pass) — and a sleeping pump is woken."""
+        timer = super().call_at(when, fn, *args)
         self.kick()
         return timer
 
-    def call_after(self, delay: float, fn: Callable[..., Any], *args: Any) -> Timer:
-        """Schedule ``fn(*args)`` after ``delay`` milliseconds."""
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay:.3f}")
-        return self.call_at(self.now + delay, fn, *args)
-
     def call_at_anon(self, when: float, fn: Callable[..., Any], *args: Any) -> None:
-        """Schedule without a cancellation handle (hot-path shape)."""
-        seq = self._seq
-        self._seq = seq + 1
-        heapq.heappush(self._queue, (when, seq, fn, args))
-        self._live += 1
+        super().call_at_anon(when, fn, *args)
         self.kick()
-
-    def _on_cancel(self) -> None:
-        """A queued timer was cancelled: adjust counters, maybe compact."""
-        self._live -= 1
-        self._cancelled_in_queue += 1
-        if (
-            len(self._queue) >= _COMPACT_MIN_QUEUE
-            and self._cancelled_in_queue * 2 > len(self._queue)
-        ):
-            self._queue[:] = [
-                e for e in self._queue if len(e) == 4 or not e[2]._cancelled
-            ]
-            heapq.heapify(self._queue)
-            self._cancelled_in_queue = 0
 
     # ------------------------------------------------------------------
     # realnet extensions
@@ -220,20 +160,15 @@ class WallClock:
         finally:
             self._running = False
 
-    def _fire_due(self) -> int:
-        """Fire every entry whose ``when`` has passed; returns the count."""
+    def _fire_due(self, limit: Optional[int]) -> int:
+        """Fire the entries whose ``when`` has passed, ``limit`` of them
+        at most (``None``: all); returns the count."""
         fired = 0
-        queue = self._queue
-        pop = heapq.heappop
-        while queue:
-            head = queue[0]
-            if len(head) == 3 and head[2]._cancelled:
-                pop(queue)
-                self._cancelled_in_queue -= 1
-                continue
-            if head[0] > self.now:
+        while fired != limit:
+            when = self.next_when()
+            if when is None or when > self.now:
                 break
-            entry = pop(queue)
+            entry = heapq.heappop(self._queue)
             self._live -= 1
             if len(entry) == 4:
                 entry[2](*entry[3])
@@ -242,17 +177,6 @@ class WallClock:
             self._events_processed += 1
             fired += 1
         return fired
-
-    def _peek_when(self) -> Optional[float]:
-        queue = self._queue
-        while queue:
-            head = queue[0]
-            if len(head) == 3 and head[2]._cancelled:
-                heapq.heappop(queue)
-                self._cancelled_in_queue -= 1
-                continue
-            return head[0]
-        return None
 
     async def _pump(
         self,
@@ -263,18 +187,24 @@ class WallClock:
     ) -> None:
         self._wake = asyncio.Event()
         started = self.now
-        fired_total = 0
+        left = max_events  # callbacks this run may still fire (None: no cap)
         idle_since: Optional[float] = None
         drain = until is None
         try:
             while True:
-                fired_total += self._fire_due()
-                if max_events is not None and fired_total >= max_events:
-                    if raise_on_cap:
-                        raise SimulationError(
-                            f"run did not quiesce within {max_events} events"
-                        )
-                    return
+                fired = self._fire_due(left)
+                # Pushes made by the callbacks just fired need no
+                # wake-up: the sleep below is computed from the heap
+                # head.  Only an I/O callback has to end the wait.
+                self._wake.clear()
+                if left is not None:
+                    left -= fired
+                    if left <= 0:
+                        if raise_on_cap:
+                            raise SimulationError(
+                                f"run did not quiesce within {max_events} events"
+                            )
+                        return
                 now = self.now
                 if until is not None and now >= until:
                     return
@@ -292,7 +222,7 @@ class WallClock:
                         return
 
                 delay_ms = self.max_sleep_ms
-                nxt = self._peek_when()
+                nxt = self.next_when()
                 if nxt is not None and nxt - now < delay_ms:
                     delay_ms = nxt - now
                 if until is not None and until - now < delay_ms:
@@ -304,7 +234,6 @@ class WallClock:
                 if delay_ms <= 0:
                     # Something is already due: yield one loop pass so
                     # socket callbacks interleave, then fire it.
-                    self._wake.clear()
                     await asyncio.sleep(0)
                     continue
                 try:
@@ -313,9 +242,5 @@ class WallClock:
                     )
                 except asyncio.TimeoutError:
                     pass
-                self._wake.clear()
         finally:
             self._wake = None
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<WallClock now={self.now:.3f} pending={self.pending}>"

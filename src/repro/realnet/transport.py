@@ -52,15 +52,14 @@ Fault injection (netem-style shim)
 from __future__ import annotations
 
 import asyncio
-import random
 import struct
 from collections import deque
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Optional, Sequence, Set, Tuple
 
 from ..blockchain.codec import CodecError, decode, encode
-from ..simnet.latency import INTERNET_US, LatencyProfile
-from ..simnet.topology import Host, Topology
-from ..simnet.transport import Message, NetworkStats
+from ..simnet.latency import LatencyProfile
+from ..simnet.topology import Host
+from ..simnet.transport import Message, NetworkCore
 from .clock import WallClock
 
 __all__ = ["RealNetwork", "RealHostCondition", "FrameError"]
@@ -242,7 +241,7 @@ class _Channel:
         self.last_backoff_ms = 0.0
 
 
-class RealNetwork:
+class RealNetwork(NetworkCore):
     """Drop-in for :class:`~repro.simnet.transport.Network` over TCP.
 
     The latency ``profile`` is accepted for interface parity and used
@@ -270,14 +269,9 @@ class RealNetwork:
         seed: int = 0,
         bind_host: str = "127.0.0.1",
     ) -> None:
-        self.scheduler = clock if clock is not None else WallClock()
-        self.profile = profile if profile is not None else INTERNET_US
-        self.rng = random.Random(seed)
-        self.topology = Topology()
-        self.stats = NetworkStats()
+        super().__init__(clock if clock is not None else WallClock(), profile, seed)
         self.backend = "realnet"
         self._bind_host = bind_host
-        self._conditions: Dict[str, RealHostCondition] = {}
         self._endpoints: Dict[str, _Endpoint] = {}
         #: name -> (host, port): where frames for that name connect to.
         #: Local listeners register themselves; :meth:`add_remote` adds
@@ -285,8 +279,6 @@ class RealNetwork:
         self._addresses: Dict[str, Tuple[str, int]] = {}
         self._channels: Dict[Tuple[str, str], _Channel] = {}
         self._remote_stubs: Dict[str, Host] = {}
-        self._partition_of: Optional[Dict[str, int]] = None
-        self._fault_injector: Optional[Callable[[Message, float], List[float]]] = None
         #: Frames accepted for transmission but not yet written out (or
         #: dropped): the transport's contribution to "not idle yet".
         self._inflight = 0
@@ -302,8 +294,6 @@ class RealNetwork:
         self.wire_bytes_sent = 0
         self._started = False
         self._closed = False
-        self.on_stats_event: Optional[Callable[[str, Dict[str, Any]], None]] = None
-        self.telemetry = None
         self.scheduler.add_busy_check(self._busy)
 
     # ------------------------------------------------------------------
@@ -354,13 +344,12 @@ class RealNetwork:
     # ------------------------------------------------------------------
     # registration
 
+    def _new_condition(self, host_name: str) -> RealHostCondition:
+        return RealHostCondition(self, host_name)
+
     def register(self, host: Host) -> Host:
         """Attach ``host``: condition, address-book entry and listener."""
-        self.topology.add(host)
-        host.network = self
-        cond = RealHostCondition(self, host.name)
-        self._conditions[host.name] = cond
-        host._condition = cond
+        super().register(host)
         self._endpoints[host.name] = _Endpoint(host)
         if self._started:
             self._call_async(self._open_endpoint(host.name))
@@ -369,22 +358,6 @@ class RealNetwork:
     def add_remote(self, name: str, host: str, port: int) -> None:
         """Route frames for ``name`` to another process's listener."""
         self._addresses[name] = (host, port)
-
-    def condition(self, host_name: str) -> RealHostCondition:
-        return self._conditions[host_name]
-
-    def host(self, name: str) -> Host:
-        return self.topology.get(name)
-
-    @property
-    def fault_injector(self) -> Optional[Callable[[Message, float], List[float]]]:
-        return self._fault_injector
-
-    @fault_injector.setter
-    def fault_injector(
-        self, fn: Optional[Callable[[Message, float], List[float]]]
-    ) -> None:
-        self._fault_injector = fn
 
     def transport_counters(self) -> Dict[str, int]:
         """The socket-level counters (each also an attribute of that
@@ -483,11 +456,7 @@ class RealNetwork:
         dst_name = dst.name
         stats.messages_sent += 1
         stats.bytes_sent += size_bytes
-        src_cond = self._conditions.get(src_name)
-        dst_cond = self._conditions.get(dst_name)
-        if (src_cond is not None and src_cond._down) or (
-            dst_cond is not None and dst_cond._down
-        ):
+        if self._is_down(src_name) or self._is_down(dst_name):
             stats.messages_dropped += 1
             return
         if self._partition_of is not None:
@@ -498,16 +467,8 @@ class RealNetwork:
         if self._fault_injector is not None:
             now = self.scheduler.now
             msg = Message(src_name, dst_name, payload, size_bytes, now)
-            times = self._fault_injector(msg, now)
-            if not times:
-                stats.messages_dropped += 1
-                stats.messages_dropped_fault += 1
-                return
-            if len(times) > 1:
-                stats.messages_duplicated += len(times) - 1
-            if max(times) > now:
-                stats.messages_delayed_fault += 1
-            if body is None or msg.payload is not payload:
+            times = self._apply_injector(msg, now)
+            if times and (body is None or msg.payload is not payload):
                 body = encode(msg.payload)
             for when in times:
                 if when <= now:
@@ -571,11 +532,7 @@ class RealNetwork:
         """
         write_failures = 0
         while channel.queue:
-            src_cond = self._conditions.get(channel.src)
-            dst_cond = self._conditions.get(channel.dst)
-            if (src_cond is not None and src_cond._down) or (
-                dst_cond is not None and dst_cond._down
-            ):
+            if self._is_down(channel.src) or self._is_down(channel.dst):
                 # Also the connection, if a connect outlived the crash.
                 self._reset_channel(channel, drop_queue=True)
                 return
@@ -606,8 +563,7 @@ class RealNetwork:
         loop = self.scheduler.loop
         backoff = self.retry_base_ms
         for _attempt in range(self.max_connect_attempts):
-            dst_cond = self._conditions.get(channel.dst)
-            if dst_cond is not None and dst_cond._down:
+            if self._is_down(channel.dst):
                 return False
             addr = self._addresses.get(channel.dst)
             if addr is not None:
@@ -645,6 +601,12 @@ class RealNetwork:
 
     def _busy(self) -> bool:
         return self._inflight > 0
+
+    def _is_down(self, name: str) -> bool:
+        """Crashed — a host of this process, that is: one that lives in
+        another (see :meth:`add_remote`) has no condition here."""
+        cond = self._conditions.get(name)
+        return cond is not None and cond._down
 
     def _raise_in_run(self, exc: BaseException) -> None:
         """Schedule ``exc`` to re-raise inside the clock pump, so it
@@ -688,8 +650,7 @@ class RealNetwork:
             self.stats.messages_dropped += 1
             return
         dst = self.topology.get(dst_name)
-        cond = self._conditions.get(dst_name)
-        if cond is not None and cond._down:
+        if self._is_down(dst_name):
             self.stats.messages_dropped += 1
             return
         if src_name in self.topology:
@@ -704,53 +665,3 @@ class RealNetwork:
                 self._remote_stubs[src_name] = src
         self.stats.messages_delivered += 1
         dst.handle_message(src, payload)
-
-    # ------------------------------------------------------------------
-    # partitions
-
-    def partition(self, *groups) -> None:
-        """Sender-side partition, same contract as simnet ``partition``."""
-        mapping: Dict[str, int] = {}
-        for index, group in enumerate(groups):
-            for name in group:
-                mapping[name] = index
-        self._partition_of = mapping
-        self.stats.partitions_started += 1
-        self._emit("partition", {
-            "t": self.scheduler.now,
-            "groups": [sorted(group) for group in groups],
-        })
-
-    def heal(self) -> None:
-        was_active = self._partition_of is not None
-        self._partition_of = None
-        if was_active:
-            self.stats.partitions_healed += 1
-            self._emit("heal", {"t": self.scheduler.now})
-
-    @property
-    def partitioned(self) -> bool:
-        return self._partition_of is not None
-
-    def _emit(self, event: str, detail: Dict[str, Any]) -> None:
-        if self.on_stats_event is not None:
-            self.on_stats_event(event, detail)
-
-    # ------------------------------------------------------------------
-    # convenience
-
-    @property
-    def now(self) -> float:
-        return self.scheduler.now
-
-    def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
-        self.scheduler.run(until=until, max_events=max_events)
-
-    def run_until_idle(
-        self,
-        max_events: int = 10_000_000,
-        max_wall_ms: Optional[float] = None,
-    ) -> None:
-        self.scheduler.run_until_idle(
-            max_events=max_events, max_wall_ms=max_wall_ms
-        )

@@ -6,7 +6,7 @@ with simulated time; see DESIGN.md §2 for the substitution argument.
 """
 
 from .bridge import DEFAULT_LOOKAHEAD_MS, BridgeError, ShardGroupPort, TimeBridge
-from .clock import Scheduler, SimulationError, Timer
+from .clock import ClockCore, Scheduler, SimulationError, Timer
 from .ddos import (
     Attack,
     FloodAttack,
@@ -24,13 +24,14 @@ from .latency import (
 )
 from .process import Periodic
 from .topology import Host, Topology, place_random, place_round_robin
-from .transport import HostCondition, Message, Network, NetworkStats
+from .transport import HostCondition, Message, Network, NetworkCore, NetworkStats
 
 __all__ = [
     "DEFAULT_LOOKAHEAD_MS",
     "BridgeError",
     "ShardGroupPort",
     "TimeBridge",
+    "ClockCore",
     "Scheduler",
     "SimulationError",
     "Timer",
@@ -53,5 +54,6 @@ __all__ = [
     "HostCondition",
     "Message",
     "Network",
+    "NetworkCore",
     "NetworkStats",
 ]

@@ -191,7 +191,7 @@ class TimeBridge:
 
     def _earliest_activity(self) -> Optional[float]:
         candidates: List[float] = []
-        control_next = self.control._peek_when()
+        control_next = self.control.next_when()
         if control_next is not None:
             candidates.append(control_next)
         for stats in self._shard_stats.values():

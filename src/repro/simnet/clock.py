@@ -13,12 +13,16 @@ number), which keeps runs deterministic.
 
 The queue stores ``(when, seq, timer)`` tuples rather than timer objects:
 ``seq`` is unique, so heap ordering is decided entirely inside the
-C-level tuple comparison and Python-level ``__lt__`` calls never happen
-on the hot path (at 32 peers they were the single largest profile line).
+C-level tuple comparison and no Python-level ``__lt__`` is ever called
+(at 32 peers those calls were the single largest profile line).
 Cancelled timers are removed lazily on pop, with a live counter making
-:attr:`Scheduler.pending` O(1) and a compaction pass rebuilding the heap
+:attr:`ClockCore.pending` O(1) and a compaction pass rebuilding the heap
 whenever cancelled entries outnumber live ones (retry timers are almost
 always cancelled, so an un-compacted queue grows without bound).
+
+That heap is :class:`ClockCore`.  :class:`Scheduler` adds simulated time
+to it and :class:`repro.realnet.clock.WallClock` wall time; the core's
+public surface is the clock contract the rest of the code is written to.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from __future__ import annotations
 import heapq
 from typing import Any, Callable, List, Optional, Tuple, Union
 
-__all__ = ["Scheduler", "Timer", "SimulationError"]
+__all__ = ["ClockCore", "Scheduler", "Timer", "SimulationError"]
 
 #: Compaction only kicks in above this queue size: tiny queues drain
 #: quickly anyway and rebuilding them would cost more than it saves.
@@ -40,19 +44,14 @@ class SimulationError(RuntimeError):
 class Timer:
     """Handle to a scheduled event; supports cancellation.
 
-    Returned by :meth:`Scheduler.call_at` and :meth:`Scheduler.call_after`.
+    Returned by :meth:`ClockCore.call_at` and :meth:`ClockCore.call_after`.
     Cancelling an already-fired or already-cancelled timer is a no-op.
     """
 
     __slots__ = ("when", "seq", "_fn", "_args", "_cancelled", "_fired", "_sched")
 
     def __init__(
-        self,
-        when: float,
-        seq: int,
-        fn: Callable[..., Any],
-        args: tuple,
-        sched: Optional["Scheduler"] = None,
+        self, when: float, seq: int, fn: Callable[..., Any], args: tuple, sched: "ClockCore"
     ):
         self.when = when
         self.seq = seq
@@ -67,8 +66,7 @@ class Timer:
         if self._cancelled or self._fired:
             return
         self._cancelled = True
-        if self._sched is not None:
-            self._sched._on_cancel()
+        self._sched._on_cancel()
 
     @property
     def cancelled(self) -> bool:
@@ -89,9 +87,6 @@ class Timer:
         self._fired = True
         self._fn(*self._args)
 
-    def __lt__(self, other: "Timer") -> bool:
-        return (self.when, self.seq) < (other.when, other.seq)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self._cancelled else ("fired" if self._fired else "pending")
         return f"<Timer t={self.when:.3f} seq={self.seq} {state}>"
@@ -104,19 +99,22 @@ class Timer:
 _Entry = Union[Tuple[float, int, Timer], Tuple[float, int, Callable, tuple]]
 
 
-class Scheduler:
-    """A minimal, deterministic discrete-event scheduler.
-
-    Usage::
-
-        sched = Scheduler()
-        sched.call_after(10.0, print, "ten ms in")
-        sched.run()
-        assert sched.now == 10.0
+class ClockCore:
+    """The timer heap and its bookkeeping — and, through its public
+    surface, the contract both clocks keep: ``now`` in milliseconds,
+    :meth:`call_at` / :meth:`call_after` / :meth:`call_at_anon` firing in
+    ``(when, seq)`` order off one sequence counter, :attr:`pending`,
+    :attr:`events_processed`, :meth:`next_when`, and the ``run`` /
+    ``run_until_idle`` loops each clock supplies.
     """
 
+    #: A deadline before ``_now`` is refused.  ``Scheduler`` keeps simulated
+    #: time here; on a clock whose time moves by itself a deadline can be
+    #: stale the instant it is computed, so ``WallClock`` never sets it
+    #: and takes them all.
+    _now = float("-inf")
+
     def __init__(self) -> None:
-        self._now = 0.0
         self._seq = 0
         self._queue: List[_Entry] = []
         self._events_processed = 0
@@ -125,8 +123,18 @@ class Scheduler:
 
     @property
     def now(self) -> float:
-        """Current simulated time in milliseconds."""
-        return self._now
+        """Current clock time in milliseconds (monotone)."""
+        raise NotImplementedError
+
+    def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
+        """Fire events until ``now`` reaches ``until`` or ``max_events``
+        have fired; with no ``until``, until nothing is left to do."""
+        raise NotImplementedError
+
+    def run_until_idle(self, max_events: int = 10_000_000) -> None:
+        """Fire events until nothing is left to do; ``max_events`` firing
+        first is a :class:`SimulationError`."""
+        raise NotImplementedError
 
     @property
     def events_processed(self) -> int:
@@ -139,11 +147,9 @@ class Scheduler:
         return self._live
 
     def call_at(self, when: float, fn: Callable[..., Any], *args: Any) -> Timer:
-        """Schedule ``fn(*args)`` at absolute simulated time ``when``."""
+        """Schedule ``fn(*args)`` at absolute clock time ``when``."""
         if when < self._now:
-            raise SimulationError(
-                f"cannot schedule event at t={when:.3f} before now={self._now:.3f}"
-            )
+            raise SimulationError(f"cannot schedule at t={when:.3f}, before now={self._now:.3f}")
         seq = self._seq
         self._seq = seq + 1
         timer = Timer(when, seq, fn, args, self)
@@ -155,7 +161,7 @@ class Scheduler:
         """Schedule ``fn(*args)`` after ``delay`` milliseconds."""
         if delay < 0:
             raise SimulationError(f"negative delay {delay:.3f}")
-        return self.call_at(self._now + delay, fn, *args)
+        return self.call_at(self.now + delay, fn, *args)
 
     def call_at_anon(self, when: float, fn: Callable[..., Any], *args: Any) -> None:
         """Schedule ``fn(*args)`` at ``when`` with no cancellation handle.
@@ -167,9 +173,7 @@ class Scheduler:
         consumes a sequence number from the same counter.
         """
         if when < self._now:
-            raise SimulationError(
-                f"cannot schedule event at t={when:.3f} before now={self._now:.3f}"
-            )
+            raise SimulationError(f"cannot schedule at t={when:.3f}, before now={self._now:.3f}")
         seq = self._seq
         self._seq = seq + 1
         heapq.heappush(self._queue, (when, seq, fn, args))
@@ -183,13 +187,50 @@ class Scheduler:
             len(self._queue) >= _COMPACT_MIN_QUEUE
             and self._cancelled_in_queue * 2 > len(self._queue)
         ):
-            # In-place (slice) rebuild: run_until_idle holds a local
+            # In-place (slice) rebuild: the run loops hold a local
             # reference to the queue list across callbacks.
             self._queue[:] = [
                 e for e in self._queue if len(e) == 4 or not e[2]._cancelled
             ]
             heapq.heapify(self._queue)
             self._cancelled_in_queue = 0
+
+    def next_when(self) -> Optional[float]:
+        """Fire time of the next live event (``None`` when there is
+        none), discarding cancelled heads."""
+        queue = self._queue
+        while queue:
+            head = queue[0]
+            if len(head) == 3 and head[2]._cancelled:
+                heapq.heappop(queue)
+                self._cancelled_in_queue -= 1
+                continue
+            return head[0]
+        return None
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"<{type(self).__name__} now={self.now:.3f} pending={self.pending}>"
+
+
+class Scheduler(ClockCore):
+    """A minimal, deterministic discrete-event scheduler.
+
+    Usage::
+
+        sched = Scheduler()
+        sched.call_after(10.0, print, "ten ms in")
+        sched.run()
+        assert sched.now == 10.0
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._now = 0.0
+
+    @property
+    def now(self) -> float:
+        """Current simulated time in milliseconds."""
+        return self._now
 
     def step(self) -> bool:
         """Fire the next pending event.  Returns False if the queue is empty."""
@@ -222,7 +263,7 @@ class Scheduler:
         """
         fired = 0
         while self._queue:
-            nxt_when = self._peek_when()
+            nxt_when = self.next_when()
             if nxt_when is None:
                 break
             if until is not None and nxt_when > until:
@@ -263,18 +304,3 @@ class Scheduler:
             fired += 1
             if fired >= max_events:
                 raise SimulationError(f"simulation did not quiesce within {max_events} events")
-
-    def _peek_when(self) -> Optional[float]:
-        """Fire time of the next live event, discarding cancelled heads."""
-        queue = self._queue
-        while queue:
-            head = queue[0]
-            if len(head) == 3 and head[2]._cancelled:
-                heapq.heappop(queue)
-                self._cancelled_in_queue -= 1
-                continue
-            return head[0]
-        return None
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Scheduler now={self._now:.3f} pending={self.pending}>"

@@ -10,9 +10,12 @@ deterministic and Swarm-style random placements.
 from __future__ import annotations
 
 import random
-from typing import Any, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence
 
 from .latency import Region
+
+if TYPE_CHECKING:
+    from .transport import NetworkCore
 
 __all__ = ["Host", "Topology", "place_round_robin", "place_random"]
 
@@ -31,7 +34,7 @@ class Host:
             raise ValueError("host name must be non-empty")
         self.name = name
         self.region = region
-        self.network: Optional[Any] = None  # set by Network.register
+        self.network: Optional["NetworkCore"] = None  # set by its register()
         #: The host's mutable HostCondition, pinned here by
         #: Network.register so the transport hot paths read it with one
         #: attribute load instead of a per-message dict lookup.

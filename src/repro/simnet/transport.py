@@ -17,14 +17,18 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from heapq import heappush
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
-from .clock import Scheduler
-from .latency import LatencyProfile
+from .clock import ClockCore, Scheduler
+from .latency import INTERNET_US, LatencyProfile
 from .topology import Host, Topology
 
-__all__ = ["Message", "HostCondition", "NetworkStats", "Network"]
+__all__ = ["Message", "HostCondition", "NetworkStats", "NetworkCore", "Network"]
+
+#: The chaos hook: called with each otherwise-deliverable message and
+#: its natural delivery time, it returns the delivery times to use — an
+#: empty list drops the message, more than one duplicates it.
+FaultInjector = Callable[["Message", float], List[float]]
 
 
 class Message:
@@ -97,7 +101,163 @@ class NetworkStats:
         }
 
 
-class Network:
+class NetworkCore:
+    """What every transport backend is, whatever carries its messages:
+    the hosts, their fault conditions, partitions, the fault-injector
+    hook with its accounting, the statistics and the clock.
+
+    Its public surface plus ``send`` / ``send_many`` (which each backend
+    supplies) is the network contract hosts and deployments are written
+    against; :class:`Network` models the wire,
+    :class:`repro.realnet.transport.RealNetwork` opens sockets.
+    """
+
+    def __init__(
+        self, scheduler: ClockCore, profile: Optional[LatencyProfile], seed: int
+    ) -> None:
+        self.scheduler = scheduler
+        self.profile = profile if profile is not None else INTERNET_US
+        self.rng = random.Random(seed)
+        self.topology = Topology()
+        self.stats = NetworkStats()
+        self._conditions: Dict[str, Any] = {}
+        #: host -> partition group id; messages between different groups
+        #: are dropped while a partition is active (None = no partition).
+        self._partition_of: Optional[Dict[str, int]] = None
+        self._fault_injector: Optional[FaultInjector] = None
+        #: True from the first injector installed on: deliveries may be
+        #: out of their natural order (``Network._deliver`` counts them).
+        self._reorder_track = False
+        #: Observer for fabric-level events ("partition", "heal"), called
+        #: with the event name and a detail dict.  Chaos timelines and
+        #: monitors subscribe here.
+        self.on_stats_event: Optional[Callable[[str, Dict[str, Any]], None]] = None
+        #: Optional :class:`repro.telemetry.Telemetry`.  Set by
+        #: ``Telemetry.bind_network``, which exports :attr:`stats` as
+        #: collect-time callback gauges and chains ``on_stats_event`` —
+        #: the transport hot path itself carries no telemetry branches.
+        self.telemetry = None
+
+    # ------------------------------------------------------------------
+    # registration
+
+    def _new_condition(self, host_name: str) -> Any:
+        """The fault condition a newly registered host gets."""
+        return HostCondition()
+
+    def register(self, host: Host) -> Host:
+        """Attach ``host`` to this network."""
+        self.topology.add(host)
+        host.network = self
+        cond = self._new_condition(host.name)
+        self._conditions[host.name] = cond
+        host._condition = cond
+        return host
+
+    def condition(self, host_name: str) -> Any:
+        """The mutable fault condition for a host (used by attack models)."""
+        return self._conditions[host_name]
+
+    def host(self, name: str) -> Host:
+        return self.topology.get(name)
+
+    def send(self, src: Host, dst: Host, payload: Any, size_bytes: int = 256) -> None:
+        """Send ``payload`` from ``src`` to ``dst``, asynchronously: it is
+        handed to ``dst.handle_message`` later, or never if lost."""
+        raise NotImplementedError
+
+    def send_many(
+        self, src: Host, dsts: Sequence[Host], payload: Any, size_bytes: int = 256
+    ) -> None:
+        """:meth:`send` to every host in ``dsts``, in order."""
+        raise NotImplementedError
+
+    # ------------------------------------------------------------------
+    # fault injection
+
+    @property
+    def fault_injector(self) -> Optional[FaultInjector]:
+        return self._fault_injector
+
+    @fault_injector.setter
+    def fault_injector(self, fn: Optional[FaultInjector]) -> None:
+        self._fault_injector = fn
+        if fn is not None:
+            # Once any injector has run, tampered messages may overtake
+            # untampered ones; keep reorder tracking on for the rest of
+            # the run (clearing the injector must not blind detection of
+            # still-in-flight tampered deliveries).
+            self._reorder_track = True
+
+    def _apply_injector(self, msg: Message, natural_time: float) -> List[float]:
+        """The installed injector's delivery times for ``msg``, with its
+        verdict counted: none drops the message, several duplicate it,
+        one past ``natural_time`` delays it.  The injector may also have
+        replaced ``msg.payload``."""
+        times = self._fault_injector(msg, natural_time)
+        stats = self.stats
+        if not times:
+            stats.messages_dropped += 1
+            stats.messages_dropped_fault += 1
+            return times
+        if len(times) > 1:
+            stats.messages_duplicated += len(times) - 1
+        if max(times) > natural_time:
+            stats.messages_delayed_fault += 1
+        return times
+
+    # ------------------------------------------------------------------
+    # partitions
+
+    def partition(self, *groups) -> None:
+        """Split the network: hosts in different groups cannot exchange
+        messages.  Hosts not named in any group share an implicit extra
+        group.  Call :meth:`heal` to reconnect."""
+        mapping: Dict[str, int] = {}
+        for index, group in enumerate(groups):
+            for name in group:
+                mapping[name] = index
+        self._partition_of = mapping
+        self.stats.partitions_started += 1
+        self._emit("partition", {
+            "t": self.scheduler.now,
+            "groups": [sorted(group) for group in groups],
+        })
+
+    def heal(self) -> None:
+        """Remove an active partition."""
+        was_active = self._partition_of is not None
+        self._partition_of = None
+        if was_active:
+            self.stats.partitions_healed += 1
+            self._emit("heal", {"t": self.scheduler.now})
+
+    def _emit(self, event: str, detail: Dict[str, Any]) -> None:
+        if self.on_stats_event is not None:
+            self.on_stats_event(event, detail)
+
+    @property
+    def partitioned(self) -> bool:
+        return self._partition_of is not None
+
+    # ------------------------------------------------------------------
+    # convenience
+
+    @property
+    def now(self) -> float:
+        return self.scheduler.now
+
+    def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
+        self.scheduler.run(until=until, max_events=max_events)
+
+    def run_until_idle(self, **caps: Any) -> None:
+        """Run the clock until quiescent; ``caps`` are its
+        ``run_until_idle`` limits (``max_events``, and ``max_wall_ms`` on
+        a wall clock)."""
+        self.scheduler.run_until_idle(**caps)
+
+
+class Network(NetworkCore):
     """The simulated network fabric connecting all hosts.
 
     A single :class:`Network` owns the scheduler, the latency profile and
@@ -113,78 +273,23 @@ class Network:
         profile: Optional[LatencyProfile] = None,
         seed: int = 0,
     ) -> None:
-        from .latency import INTERNET_US
-
-        self.scheduler = scheduler if scheduler is not None else Scheduler()
-        self.profile = profile if profile is not None else INTERNET_US
-        self.rng = random.Random(seed)
-        self.topology = Topology()
-        self.stats = NetworkStats()
-        self._conditions: Dict[str, HostCondition] = {}
+        super().__init__(
+            scheduler if scheduler is not None else Scheduler(), profile, seed
+        )
         self._egress_free_at: Dict[str, float] = {}
         # Nested src -> dst -> time maps (not (src, dst)-tuple keys): the
         # lookups run per message and nested dict gets reuse the interned
         # string hashes instead of building and hashing a tuple each time.
         self._channel_clear_at: Dict[str, Dict[str, float]] = {}
+        #: Reorder detection, kept only once ``_reorder_track`` is set:
+        #: without tampering the per-channel FIFO clamp makes reordering
+        #: impossible and the per-delivery bookkeeping pure overhead.
         self._channel_last_sent_at: Dict[str, Dict[str, float]] = {}
-        #: host -> partition group id; messages between different groups
-        #: are dropped while a partition is active (None = no partition).
-        self._partition_of: Optional[Dict[str, int]] = None
-        #: Chaos hook (see the ``fault_injector`` property): called with
-        #: each otherwise-deliverable message and its natural delivery
-        #: time; returns the delivery times to use — an empty list drops
-        #: the message, more than one duplicates it.
-        self._fault_injector: Optional[Callable[[Message, float], List[float]]] = None
-        #: Reorder detection runs only after a fault injector has ever
-        #: been installed: without tampering the per-channel FIFO clamp
-        #: makes reordering impossible, so the per-delivery bookkeeping
-        #: would be pure overhead on the (dominant) fault-free runs.
-        self._reorder_track = False
-        #: Observer for fabric-level events ("partition", "heal"), called
-        #: with the event name and a detail dict.  Chaos timelines and
-        #: monitors subscribe here.
-        self.on_stats_event: Optional[Callable[[str, Dict[str, Any]], None]] = None
-        #: Optional :class:`repro.telemetry.Telemetry`.  Set by
-        #: ``Telemetry.bind_network``, which exports :attr:`stats` as
-        #: collect-time callback gauges and chains ``on_stats_event`` —
-        #: the transport hot path itself carries no telemetry branches.
-        self.telemetry = None
-
-    # ------------------------------------------------------------------
-    # registration
 
     def register(self, host: Host) -> Host:
-        """Attach ``host`` to this network."""
-        self.topology.add(host)
-        host.network = self
-        cond = HostCondition()
-        self._conditions[host.name] = cond
-        host._condition = cond
+        super().register(host)
         self._egress_free_at[host.name] = 0.0
         return host
-
-    def condition(self, host_name: str) -> HostCondition:
-        """The mutable fault condition for a host (used by attack models)."""
-        return self._conditions[host_name]
-
-    @property
-    def fault_injector(self) -> Optional[Callable[[Message, float], List[float]]]:
-        return self._fault_injector
-
-    @fault_injector.setter
-    def fault_injector(
-        self, fn: Optional[Callable[[Message, float], List[float]]]
-    ) -> None:
-        self._fault_injector = fn
-        if fn is not None:
-            # Once any injector has run, tampered messages may overtake
-            # untampered ones; keep reorder tracking on for the rest of
-            # the run (clearing the injector must not blind detection of
-            # still-in-flight tampered deliveries).
-            self._reorder_track = True
-
-    def host(self, name: str) -> Host:
-        return self.topology.get(name)
 
     # ------------------------------------------------------------------
     # sending
@@ -201,7 +306,7 @@ class Network:
         src_name = src.name
         dst_name = dst.name
         scheduler = self.scheduler
-        now = scheduler._now
+        now = scheduler.now
         stats.messages_sent += 1
         stats.bytes_sent += size_bytes
 
@@ -268,29 +373,14 @@ class Network:
             # (chaos) path and read the payload back afterwards so a
             # tampering injector's mutations are honoured.
             msg = Message(src_name, dst_name, payload, size_bytes, now)
-            times = self._fault_injector(msg, deliver_at)
-            if not times:
-                stats.messages_dropped += 1
-                stats.messages_dropped_fault += 1
-                return
-            if len(times) > 1:
-                stats.messages_duplicated += len(times) - 1
-            if max(times) > deliver_at:
-                stats.messages_delayed_fault += 1
-            for when in times:
+            for when in self._apply_injector(msg, deliver_at):
                 scheduler.call_at_anon(
                     max(when, now), self._deliver, dst, src, msg.payload, now
                 )
             return
-        # Fast path: no Message allocation — the delivery closure carries
-        # the payload and send time directly.  The scheduler push is
-        # inlined (Scheduler.call_at_anon, same seq counter, minus one
-        # call per message); the past-time guard is skipped because every
-        # term above is non-negative, making deliver_at >= now.
-        seq = scheduler._seq
-        scheduler._seq = seq + 1
-        heappush(scheduler._queue, (deliver_at, seq, self._deliver, (dst, src, payload, now)))
-        scheduler._live += 1
+        # Fast path: no Message allocation — the delivery event carries
+        # the payload and send time directly.
+        scheduler.call_at_anon(deliver_at, self._deliver, dst, src, payload, now)
 
     def send_many(
         self, src: Host, dsts: Sequence[Host], payload: Any, size_bytes: int = 256
@@ -308,8 +398,7 @@ class Network:
         profile = self.profile
         src_name = src.name
         src_region = src.region
-        scheduler = self.scheduler
-        now = scheduler._now
+        now = self.scheduler.now
         src_down = src._condition.down
         partition_of = self._partition_of
         src_group = partition_of.get(src_name) if partition_of is not None else None
@@ -330,10 +419,8 @@ class Network:
         if clear_by_dst is None:
             clear_by_dst = self._channel_clear_at[src_name] = {}
         fault_injector = self._fault_injector
-        call_at_anon = scheduler.call_at_anon
+        call_at_anon = self.scheduler.call_at_anon
         deliver = self._deliver
-        queue = scheduler._queue
-        seq = scheduler._seq
         n_sent = 0
         n_dropped = 0
 
@@ -386,29 +473,11 @@ class Network:
 
             if fault_injector is not None:
                 msg = Message(src_name, dst_name, payload, size_bytes, now)
-                times = fault_injector(msg, deliver_at)
-                if not times:
-                    n_dropped += 1
-                    stats.messages_dropped_fault += 1
-                    continue
-                if len(times) > 1:
-                    stats.messages_duplicated += len(times) - 1
-                if max(times) > deliver_at:
-                    stats.messages_delayed_fault += 1
-                # Flush the inlined-push seq before re-entering the
-                # scheduler API, resync after.
-                scheduler._seq = seq
-                for when in times:
+                for when in self._apply_injector(msg, deliver_at):
                     call_at_anon(max(when, now), deliver, dst, src, msg.payload, now)
-                seq = scheduler._seq
                 continue
-            # Inlined Scheduler.call_at_anon (same seq counter, one fewer
-            # call per message; deliver_at >= now by construction).
-            heappush(queue, (deliver_at, seq, deliver, (dst, src, payload, now)))
-            seq += 1
-            scheduler._live += 1
+            call_at_anon(deliver_at, deliver, dst, src, payload, now)
 
-        scheduler._seq = seq
         stats.messages_sent += n_sent
         stats.bytes_sent += size_bytes * n_sent
         stats.messages_dropped += n_dropped
@@ -421,9 +490,6 @@ class Network:
             stats.messages_dropped += 1
             return
         if self._reorder_track:
-            # Only fault injection can break the per-channel FIFO, so the
-            # overtake bookkeeping runs only once an injector has been
-            # installed (see the fault_injector setter).
             last_by_dst = self._channel_last_sent_at.get(src.name)
             if last_by_dst is None:
                 last_by_dst = self._channel_last_sent_at[src.name] = {}
@@ -434,50 +500,3 @@ class Network:
                 last_by_dst[dst.name] = sent_at
         stats.messages_delivered += 1
         dst.handle_message(src, payload)
-
-    # ------------------------------------------------------------------
-    # partitions
-
-    def partition(self, *groups) -> None:
-        """Split the network: hosts in different groups cannot exchange
-        messages.  Hosts not named in any group share an implicit extra
-        group.  Call :meth:`heal` to reconnect."""
-        mapping: Dict[str, int] = {}
-        for index, group in enumerate(groups):
-            for name in group:
-                mapping[name] = index
-        self._partition_of = mapping
-        self.stats.partitions_started += 1
-        self._emit("partition", {
-            "t": self.scheduler.now,
-            "groups": [sorted(group) for group in groups],
-        })
-
-    def heal(self) -> None:
-        """Remove an active partition."""
-        was_active = self._partition_of is not None
-        self._partition_of = None
-        if was_active:
-            self.stats.partitions_healed += 1
-            self._emit("heal", {"t": self.scheduler.now})
-
-    def _emit(self, event: str, detail: Dict[str, Any]) -> None:
-        if self.on_stats_event is not None:
-            self.on_stats_event(event, detail)
-
-    @property
-    def partitioned(self) -> bool:
-        return self._partition_of is not None
-
-    # ------------------------------------------------------------------
-    # convenience
-
-    @property
-    def now(self) -> float:
-        return self.scheduler.now
-
-    def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
-        self.scheduler.run(until=until, max_events=max_events)
-
-    def run_until_idle(self, max_events: int = 10_000_000) -> None:
-        self.scheduler.run_until_idle(max_events=max_events)

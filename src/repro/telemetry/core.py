@@ -214,7 +214,7 @@ class Telemetry:
     # internals
 
     def _now(self) -> float:
-        return self._sched._now if self._sched is not None else 0.0
+        return self._sched.now if self._sched is not None else 0.0
 
     def _stage_hist(self, stage: str) -> Histogram:
         hist = self._h_stage.get(stage)

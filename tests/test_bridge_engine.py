@@ -66,7 +66,7 @@ class ScriptedPort(ShardGroupPort):
             {
                 self.index: {
                     "pending": self.scheduler.pending,
-                    "next_when": self.scheduler._peek_when(),
+                    "next_when": self.scheduler.next_when(),
                 }
             },
         )

@@ -1,15 +1,14 @@
 """Wall-clock scheduler (`repro.realnet.clock.WallClock`) unit tests.
 
-The clock must satisfy the same scheduling contract as the
-deterministic simnet Scheduler — ordering, FIFO tie-break,
-cancellation, the inlined hot-path queue shapes — with the one
-documented divergence: ``call_at`` in the past fires promptly instead
-of raising.
+What the clock shares with the deterministic simnet Scheduler —
+ordering, FIFO tie-break, cancellation, compaction, the ``max_events``
+cap — is ``ClockCore``'s contract and is tested on both clocks in
+``test_simnet_clock.py``.  Here is what only wall time does: ``call_at``
+in the past fires promptly instead of raising, ``until`` is a wall
+deadline, the wall cap, ``rebase``.
 """
 
 from __future__ import annotations
-
-import heapq
 
 import pytest
 
@@ -24,55 +23,12 @@ def clock():
     c.close()
 
 
-def test_timers_fire_in_deadline_order(clock):
-    fired = []
-    clock.call_after(30.0, fired.append, "late")
-    clock.call_after(5.0, fired.append, "early")
-    clock.call_after(15.0, fired.append, "middle")
-    clock.run_until_idle(max_wall_ms=5_000)
-    assert fired == ["early", "middle", "late"]
-
-
-def test_same_deadline_fires_fifo(clock):
-    fired = []
-    when = clock.now + 10.0
-    for i in range(5):
-        clock.call_at(when, fired.append, i)
-    clock.run_until_idle(max_wall_ms=5_000)
-    assert fired == [0, 1, 2, 3, 4]
-
-
 def test_call_at_in_the_past_fires_promptly(clock):
     fired = []
     clock.call_at(clock.now - 500.0, fired.append, "stale")
     clock.call_after(5.0, fired.append, "fresh")
     clock.run_until_idle(max_wall_ms=5_000)
     assert fired == ["stale", "fresh"]
-
-
-def test_negative_delay_rejected(clock):
-    with pytest.raises(SimulationError):
-        clock.call_after(-1.0, lambda: None)
-
-
-def test_cancellation(clock):
-    fired = []
-    keep = clock.call_after(5.0, fired.append, "keep")
-    drop = clock.call_after(5.0, fired.append, "drop")
-    drop.cancel()
-    clock.run_until_idle(max_wall_ms=5_000)
-    assert fired == ["keep"]
-    assert keep.fired and not drop.fired
-    assert clock.pending == 0
-
-
-def test_cancelled_timers_compact(clock):
-    timers = [clock.call_after(60_000.0, lambda: None) for _ in range(200)]
-    for t in timers:
-        t.cancel()
-    # Compaction keeps the heap from accumulating dead entries.
-    assert len(clock._queue) < 200
-    assert clock.pending == 0
 
 
 def test_run_until_wall_deadline(clock):
@@ -102,25 +58,10 @@ def test_run_until_idle_raises_on_wall_cap(clock):
         clock.run_until_idle(max_wall_ms=250.0)
 
 
-def test_inlined_hot_path_push_is_compatible(clock):
-    """The engine's fast paths bypass call_at and push raw tuples; the
-    wall clock must fire them exactly like the simnet scheduler."""
-    fired = []
-    when = clock.now + 5.0
-    seq = clock._seq
-    clock._seq = seq + 1
-    heapq.heappush(clock._queue, (when, seq, fired.append, ("inlined",)))
-    clock._live += 1
-    clock.call_after(10.0, fired.append, "api")
-    clock.run_until_idle(max_wall_ms=5_000)
-    assert fired == ["inlined", "api"]
-    assert clock.events_processed == 2
-
-
 def test_now_is_monotone_nondecreasing(clock):
     samples = [clock.now for _ in range(100)]
     assert all(b >= a for a, b in zip(samples, samples[1:]))
-    assert clock.now == clock._now or clock.now >= samples[-1]
+    assert clock.now >= samples[-1]
 
 
 def test_rebase_resets_origin(clock):
@@ -128,12 +69,3 @@ def test_rebase_resets_origin(clock):
     assert clock.now >= 20.0
     clock.rebase()
     assert clock.now < 20.0
-
-
-def test_callback_exception_propagates(clock):
-    def boom():
-        raise RuntimeError("scheduled failure")
-
-    clock.call_after(1.0, boom)
-    with pytest.raises(RuntimeError, match="scheduled failure"):
-        clock.run_until_idle(max_wall_ms=5_000)

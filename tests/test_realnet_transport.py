@@ -1,6 +1,8 @@
-"""RealNetwork behaviour tests: delivery, crash semantics, partitions,
-fault injection, and connect retry/backoff — all over real localhost
-sockets driven by the wall clock."""
+"""RealNetwork behaviour tests: delivery, crash and restart, ingress
+conditions and connect retry/backoff — all over real localhost sockets
+driven by the wall clock.  Partitions, the fault injector's accounting
+and down-host drops are ``NetworkCore``'s and are tested on both
+backends in ``test_transport_faults.py``."""
 
 from __future__ import annotations
 
@@ -68,53 +70,6 @@ def test_down_host_drops_and_restart_revives(net):
     a.send(b, "after-restart")
     _drain(net)
     assert b.received == [("a", "after-restart")]
-
-
-def test_partition_blocks_cross_group_traffic(net):
-    a, b, c = (net.register(Sink(n)) for n in "abc")
-    net.start()
-    net.partition(["a"], ["b", "c"])
-    assert net.partitioned
-    a.send(b, "blocked")
-    b.send(c, "same-side")
-    _drain(net)
-    assert b.received == []
-    assert c.received == [("b", "same-side")]
-    assert net.stats.messages_dropped_partition == 1
-
-    net.heal()
-    a.send(b, "healed")
-    _drain(net)
-    assert b.received == [("a", "healed")]
-
-
-def test_fault_injector_drop_duplicate_delay(net):
-    a, b = net.register(Sink("a")), net.register(Sink("b"))
-    net.start()
-
-    def injector(msg, deliver_at):
-        if msg.payload == "drop-me":
-            return []
-        if msg.payload == "dup-me":
-            return [deliver_at, deliver_at]
-        if msg.payload == "delay-me":
-            return [deliver_at + 30.0]
-        return [deliver_at]
-
-    net.fault_injector = injector
-    a.send(b, "drop-me")
-    a.send(b, "dup-me")
-    a.send(b, "delay-me")
-    a.send(b, "clean")
-    _drain(net)
-    payloads = [p for _, p in b.received]
-    assert "drop-me" not in payloads
-    assert payloads.count("dup-me") == 2
-    assert payloads.count("delay-me") == 1
-    assert payloads.count("clean") == 1
-    assert net.stats.messages_dropped_fault == 1
-    assert net.stats.messages_duplicated == 1
-    assert net.stats.messages_delayed_fault == 1
 
 
 def test_ingress_condition_drop_and_delay(net):

@@ -1,8 +1,32 @@
-"""Unit tests for the discrete-event scheduler."""
+"""Unit tests for the clocks.
+
+The cases taking the ``clock`` fixture are the contract of
+``repro.simnet.clock.ClockCore`` and run on both clocks that inherit
+it — the discrete-event ``Scheduler`` and the realnet ``WallClock``
+(whose own cases are in ``test_realnet_clock.py``).  The rest pin what
+only the simulated clock does: it refuses a deadline in its past and
+``run(until=...)`` sets ``now``.
+"""
 
 import pytest
 
+from repro.realnet.clock import WallClock
 from repro.simnet import Scheduler, SimulationError
+
+
+@pytest.fixture(params=[Scheduler, WallClock], ids=lambda cls: cls.__name__)
+def clock(request):
+    made = request.param()
+    if request.param is WallClock:
+        # Nothing but timers here: no frame in a socket buffer to wait out.
+        made.idle_grace_ms = 5.0
+    yield made
+    if request.param is WallClock:
+        made.close()
+
+
+def drain(clock):
+    clock.run_until_idle(max_events=10_000)
 
 
 def test_starts_at_zero():
@@ -18,41 +42,111 @@ def test_call_after_advances_clock():
     assert sched.now == 10.0
 
 
-def test_events_fire_in_time_order():
-    sched = Scheduler()
+def test_events_fire_in_time_order(clock):
     fired = []
-    sched.call_after(30.0, fired.append, 3)
-    sched.call_after(10.0, fired.append, 1)
-    sched.call_after(20.0, fired.append, 2)
-    sched.run()
+    clock.call_after(15.0, fired.append, 3)
+    clock.call_after(5.0, fired.append, 1)
+    clock.call_after(10.0, fired.append, 2)
+    drain(clock)
     assert fired == [1, 2, 3]
 
 
-def test_same_time_events_fire_fifo():
-    sched = Scheduler()
+def test_same_time_events_fire_fifo(clock):
     fired = []
+    when = clock.now + 5.0
     for i in range(10):
-        sched.call_after(5.0, fired.append, i)
-    sched.run()
+        clock.call_at(when, fired.append, i)
+    drain(clock)
     assert fired == list(range(10))
 
 
-def test_cancel_prevents_firing():
-    sched = Scheduler()
+def test_call_at_anon_from_a_callback_shares_the_sequence(clock):
+    """Anonymous entries pushed while an event fires (message delivery,
+    CPU completion) order by ``(when, seq)`` with everything else, off
+    the counter ``call_at`` uses."""
     fired = []
-    timer = sched.call_after(5.0, fired.append, "x")
-    timer.cancel()
-    sched.run()
-    assert fired == []
-    assert timer.cancelled and not timer.fired
+
+    def first():
+        fired.append("first")
+        when = clock.now + 5.0
+        clock.call_at_anon(when, fired.append, "anon-a")
+        clock.call_at(when, fired.append, "timer")
+        clock.call_at_anon(when, fired.append, "anon-b")
+        clock.call_at_anon(when - 2.0, fired.append, "earlier")
+
+    clock.call_after(1.0, first)
+    drain(clock)
+    assert fired == ["first", "earlier", "anon-a", "timer", "anon-b"]
+    assert clock.events_processed == 5
 
 
-def test_cancel_is_idempotent():
-    sched = Scheduler()
-    timer = sched.call_after(5.0, lambda: None)
+def test_cancel_prevents_firing(clock):
+    fired = []
+    keep = clock.call_after(5.0, fired.append, "keep")
+    drop = clock.call_after(5.0, fired.append, "drop")
+    drop.cancel()
+    drain(clock)
+    assert fired == ["keep"]
+    assert keep.fired and not keep.cancelled
+    assert drop.cancelled and not drop.fired
+    assert clock.pending == 0
+
+
+def test_cancel_is_idempotent(clock):
+    timer = clock.call_after(5.0, lambda: None)
     timer.cancel()
     timer.cancel()
     assert timer.cancelled
+    assert clock.pending == 0
+
+
+def test_pending_excludes_cancelled(clock):
+    t1 = clock.call_after(1.0, lambda: None)
+    clock.call_after(2.0, lambda: None)
+    t1.cancel()
+    assert clock.pending == 1
+
+
+def test_cancelled_timers_compact(clock):
+    timers = [clock.call_after(60_000.0, lambda: None) for _ in range(200)]
+    for t in timers:
+        t.cancel()
+    # Compaction keeps the heap from accumulating dead entries.
+    assert len(clock._queue) < 200
+    assert clock.pending == 0
+
+
+def test_negative_delay_rejected(clock):
+    with pytest.raises(SimulationError):
+        clock.call_after(-1.0, lambda: None)
+
+
+def test_events_processed_counter(clock):
+    for _ in range(5):
+        clock.call_after(1.0, lambda: None)
+    clock.call_after(1.0, lambda: None).cancel()
+    drain(clock)
+    assert clock.events_processed == 5
+
+
+def test_run_stops_at_max_events(clock):
+    """The cap holds inside one pass over the due entries, not only
+    between passes."""
+    fired = []
+    for i in range(10):
+        clock.call_after(0.0, fired.append, i)
+    clock.run(until=clock.now + 5.0, max_events=3)
+    assert fired == [0, 1, 2]
+    assert clock.pending == 7
+
+
+def test_callback_exception_propagates(clock):
+    def boom():
+        raise RuntimeError("scheduled failure")
+
+    clock.call_after(1.0, boom)
+    with pytest.raises(RuntimeError, match="scheduled failure"):
+        drain(clock)
 
 
 def test_cannot_schedule_in_the_past():
@@ -61,11 +155,8 @@ def test_cannot_schedule_in_the_past():
     sched.run()
     with pytest.raises(SimulationError):
         sched.call_at(5.0, lambda: None)
-
-
-def test_negative_delay_rejected():
     with pytest.raises(SimulationError):
-        Scheduler().call_after(-1.0, lambda: None)
+        sched.call_at_anon(5.0, lambda: None)
 
 
 def test_run_until_stops_before_later_events():
@@ -114,22 +205,6 @@ def test_run_until_idle_backstop():
     sched.call_after(1.0, forever)
     with pytest.raises(SimulationError):
         sched.run_until_idle(max_events=100)
-
-
-def test_pending_excludes_cancelled():
-    sched = Scheduler()
-    t1 = sched.call_after(1.0, lambda: None)
-    sched.call_after(2.0, lambda: None)
-    t1.cancel()
-    assert sched.pending == 1
-
-
-def test_events_processed_counter():
-    sched = Scheduler()
-    for _ in range(5):
-        sched.call_after(1.0, lambda: None)
-    sched.run()
-    assert sched.events_processed == 5
 
 
 def test_timer_active_lifecycle():

@@ -1,6 +1,17 @@
-"""Transport-level fault hooks: injector callback, stats counters and
-partition/heal stats events (PR satellite for ``simnet.transport``)."""
+"""Transport-level fault hooks: injector callback, stats counters,
+partition/heal stats events and down-host drops.
 
+The cases taking the ``net`` fixture are what
+``repro.simnet.transport.NetworkCore`` owns, so they run on both
+backends that inherit it — the simulated ``Network`` and ``RealNetwork``
+over loopback sockets (whose socket-level cases are in
+``test_realnet_transport.py``).  Reorder counting is the simulated
+network's alone: a frame carries no send time.
+"""
+
+import pytest
+
+from repro.realnet import RealNetwork
 from repro.simnet import LAN_1GBPS, Host, Network, Region
 
 
@@ -13,43 +24,65 @@ class Recorder(Host):
         self.received.append((self.network.now, src.name, payload))
 
 
-def make_net(n=3, seed=0):
-    net = Network(profile=LAN_1GBPS, seed=seed)
+def make_net(n=3, seed=0, backend=Network):
+    net = backend(profile=LAN_1GBPS, seed=seed)
     hosts = [net.register(Recorder(f"h{i}")) for i in range(n)]
     return net, hosts
 
 
+@pytest.fixture(params=[Network, RealNetwork], ids=lambda cls: cls.__name__)
+def net(request):
+    """A three-host network (``h0``..``h2``) of either backend."""
+    network, _hosts = make_net(backend=request.param)
+    if request.param is RealNetwork:
+        network.scheduler.idle_grace_ms = 50.0  # loopback: no frame flies that long
+        network.start()
+    yield network
+    if request.param is RealNetwork:
+        network.close()
+
+
+def hosts_of(net):
+    return [net.host(f"h{i}") for i in range(3)]
+
+
+def drain(net):
+    net.run_until_idle(max_events=100_000)
+
+
 class TestFaultInjectorHook:
-    def test_empty_times_drops_message(self):
-        net, (a, b, _) = make_net()
+    def test_empty_times_drops_message(self, net):
+        a, b, _ = hosts_of(net)
         net.fault_injector = lambda msg, deliver_at: []
         a.send(b, "gone")
-        net.run_until_idle()
+        drain(net)
         assert b.received == []
         assert net.stats.messages_dropped_fault == 1
         assert net.stats.messages_dropped == 1
 
-    def test_multiple_times_duplicate_message(self):
-        net, (a, b, _) = make_net()
+    def test_multiple_times_duplicate_message(self, net):
+        a, b, _ = hosts_of(net)
         net.fault_injector = lambda msg, deliver_at: [deliver_at, deliver_at + 5.0]
         a.send(b, "twice")
-        net.run_until_idle()
+        drain(net)
         assert [p for (_, _, p) in b.received] == ["twice", "twice"]
         assert net.stats.messages_duplicated == 1
         assert net.stats.messages_delivered == 2
 
-    def test_later_time_delays_message(self):
-        net, (a, b, _) = make_net()
-        a.send(b, "baseline")
-        net.run_until_idle()
-        base = b.received[0][0]
+    def test_later_time_delays_message(self, net):
+        a, b, _ = hosts_of(net)
+        natural = []
 
-        net2, (a2, b2, _) = make_net()
-        net2.fault_injector = lambda msg, deliver_at: [deliver_at + 50.0]
-        a2.send(b2, "late")
-        net2.run_until_idle()
-        assert b2.received[0][0] >= base + 50.0
-        assert net2.stats.messages_delayed_fault == 1
+        def delay(msg, deliver_at):
+            natural.append(deliver_at)
+            return [deliver_at + 50.0]
+
+        net.fault_injector = delay
+        a.send(b, "late")
+        drain(net)
+        assert b.received[0][0] >= natural[0] + 50.0
+        assert net.stats.messages_delayed_fault == 1
+        assert net.stats.messages_duplicated == 0
 
     def test_injected_delay_counts_reorder(self):
         net, (a, b, _) = make_net()
@@ -79,32 +112,48 @@ class TestFaultInjectorHook:
 
 
 class TestPartitionStats:
-    def test_partition_and_heal_emit_stats_events(self):
-        net, (a, b, c) = make_net()
+    def test_partition_and_heal_emit_stats_events(self, net):
         events = []
         net.on_stats_event = lambda kind, detail: events.append((kind, detail))
         net.partition(["h0"], ["h1", "h2"])
+        assert net.partitioned
         net.heal()
+        net.heal()  # no partition left: neither counted nor reported
+        assert not net.partitioned
         kinds = [k for k, _ in events]
         assert kinds == ["partition", "heal"]
         assert events[0][1]["groups"] == [["h0"], ["h1", "h2"]]
         assert net.stats.partitions_started == 1
         assert net.stats.partitions_healed == 1
 
-    def test_cross_partition_sends_counted_as_partition_drops(self):
-        net, (a, b, c) = make_net()
+    def test_cross_partition_sends_counted_as_partition_drops(self, net):
+        a, b, c = hosts_of(net)
         net.partition(["h0"], ["h1", "h2"])
         a.send(b, "blocked")
         b.send(c, "same-side")
-        net.run_until_idle()
+        drain(net)
         assert b.received == []
         assert len(c.received) == 1
         assert net.stats.messages_dropped_partition == 1
         net.heal()
         a.send(b, "open-again")
-        net.run_until_idle()
+        drain(net)
         assert len(b.received) == 1
         assert net.stats.messages_dropped_partition == 1
+
+    def test_down_host_drops_at_the_sender(self, net):
+        a, b, c = hosts_of(net)
+        net.condition("h1").down = True
+        a.send(b, "to-the-dead")
+        b.send(c, "from-the-dead")
+        a.send_many([b, c], "fanout")
+        drain(net)
+        assert b.received == []
+        assert [p for (_, _, p) in c.received] == ["fanout"]
+        assert net.stats.messages_sent == 4
+        assert net.stats.messages_dropped == 3
+        assert net.stats.messages_dropped_partition == 0
+        assert net.stats.messages_dropped_fault == 0
 
     def test_stats_as_dict_has_all_counters(self):
         net, (a, b, _) = make_net()
