@@ -12,10 +12,9 @@ paper's <150 ms real-time envelope at 4 shards.
 """
 
 from repro.analysis import AsciiTable
-from repro.blockchain import FabricConfig, ShardedDeployment
+from repro.blockchain import FabricConfig
+from repro.blockchain.shardworker import BridgedShardEngine
 from repro.simnet import INTERNET_US
-
-from conftest import CounterContract  # tests/ is on pythonpath
 
 ROOM = 64
 SHARD_COUNTS = (1, 2, 4)
@@ -25,49 +24,44 @@ N_ASSETS = 5
 
 def measure(n_shards: int) -> float:
     """Five per-asset closed loops, each routed to the shard owning its
-    counter's key; average end-to-end validation latency."""
-    deployment = ShardedDeployment(
+    counter's key; average end-to-end validation latency (measured by
+    the submitting client inside the shard, so the bridge transit of a
+    resubmission is not part of it)."""
+    engine = BridgedShardEngine(
         n_peers=ROOM, n_shards=n_shards, profile=INTERNET_US,
         config=FabricConfig(max_block_txs=5, mutually_exclusive_blocks=True),
-        seed=3,
+        seed=3, contract="conftest:CounterContract",  # tests/ is on pythonpath
     )
-    deployment.install_contract(CounterContract)
-    clients = {
-        index: shard.create_client(f"client{index}")
-        for index, shard in enumerate(deployment.shards)
-    }
+
+    def invoke(lane, function, args, on_complete):
+        key = f"ctr/{lane}"
+        engine.submit_invoke(
+            engine.shard_index_for_key(key), function, args, (key,),
+            on_complete=on_complete, client_prefix="client",
+            poll_interval_ms=1000.0 / 35.0,
+        )
 
     lanes = [f"asset{i}" for i in range(N_ASSETS)]
-    done = []
     for lane in lanes:
-        key = f"ctr/{lane}"
-        shard_index = deployment.shard_index_for_key(key)
-        clients[shard_index].invoke(
-            "counter", "init", (lane,), (key,),
-            on_complete=lambda r, l: done.append(l),
-        )
-    deployment.run_until_idle()
+        invoke(lane, "init", (lane,), None)
+    engine.run()
 
     latencies = []
     sent = {lane: 0 for lane in lanes}
 
     def loop(lane):
-        key = f"ctr/{lane}"
-        client = clients[deployment.shard_index_for_key(key)]
-
         def on_complete(result, latency):
             latencies.append(latency)
             if sent[lane] < EVENTS_PER_ASSET:
                 sent[lane] += 1
-                client.invoke("counter", "add", (lane, 1), (key,),
-                              on_complete=on_complete)
+                invoke(lane, "add", (lane, 1), on_complete)
 
         sent[lane] += 1
-        client.invoke("counter", "add", (lane, 1), (key,), on_complete=on_complete)
+        invoke(lane, "add", (lane, 1), on_complete)
 
     for lane in lanes:
         loop(lane)
-    deployment.run_until_idle()
+    engine.run()
     return sum(latencies) / len(latencies)
 
 

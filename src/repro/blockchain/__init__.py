@@ -53,15 +53,14 @@ from .network import BlockchainNetwork
 from .ordering import OrderingService
 from .peer import Peer
 from .policy import MAJORITY, ConsensusPolicy, PolicyError, parse_policy
-from .sharding import ShardedDeployment, session_shard_key, shard_index_for_key
+from .sharding import session_shard_key, shard_index_for_key
 from .state import Version, VersionedValue, WorldState
 from .swaps import (
     CrossShardSwap,
     ShardAssetContract,
     SwapCoordinator,
     SwapState,
-    check_conservation,
-    scan_assets,
+    check_conservation_summaries,
 )
 from .transaction import (
     Proposal,
@@ -113,15 +112,13 @@ __all__ = [
     "OrderingService",
     "Peer",
     "MAJORITY",
-    "ShardedDeployment",
     "shard_index_for_key",
     "session_shard_key",
     "ShardAssetContract",
     "SwapCoordinator",
     "SwapState",
     "CrossShardSwap",
-    "scan_assets",
-    "check_conservation",
+    "check_conservation_summaries",
     "ConsensusPolicy",
     "PolicyError",
     "parse_policy",

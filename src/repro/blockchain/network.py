@@ -54,8 +54,9 @@ class BlockchainNetwork:
         name_prefix: str = "",
     ):
         """``net``/``ca``/``name_prefix`` let several chains share one
-        simulated network and certificate authority — the basis of the
-        sharded deployment (``repro.blockchain.sharding``)."""
+        network and certificate authority (the soak harness's sessions)
+        or one CA across per-shard networks (the sharded deployment,
+        ``repro.blockchain.shardworker``)."""
         if n_peers < 1:
             raise ValueError("need at least one peer")
         self.config = config if config is not None else FabricConfig()

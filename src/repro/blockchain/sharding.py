@@ -1,46 +1,20 @@
-"""Sharded deployment — the paper's §8(5) future-work direction.
+"""Shard routing — the one home of "which shard owns this key".
 
-"Our prototype reports increasing validation latency with increasing
-peers, and cannot currently scale to MMORPGs … However, recent
-advancements [sharding, consensus algorithms] can help mitigate the
-issue."  This module grows that idea into a horizontal-scale subsystem:
-
-* **per-shard pipelines** — the room's peers are partitioned into
-  ``n_shards`` independent chains, each with its own ordering service,
-  peer set and validation executor, all driven by *one* shared
-  deterministic sim clock (one :class:`~repro.simnet.transport.Network`)
-  so multi-shard runs stay replayable;
-* **stable routing** — sessions and state-key prefixes map to shards by
-  an explicit crc32 hash (:meth:`ShardedDeployment.shard_index_for_key`),
-  never by anything interpreter- or process-dependent;
-* **cross-shard atomicity** — :mod:`repro.blockchain.swaps` layers a
-  two-phase prepare/commit protocol over per-shard clients so an asset
-  can move between shards without ever being duplicated or destroyed.
-
-Consensus, vote traffic and ledger sync all scale with the *shard* size
-instead of the room size.  The trade-off is explicit: each asset update
-is validated by a subset of the room, so the honest-majority assumption
-must hold per shard.  ``bench_ablation_sharding.py`` measures the
-latency side of the trade; the ``sharded-replay-{1,4,8}s`` perf
-workloads measure the throughput side.
+The paper's §8(5) names sharding as the way past its validation-latency
+wall: partition the room into independent chains so consensus, vote
+traffic and ledger sync scale with the *shard* size instead of the room
+size.  The deployment itself is
+:class:`~repro.blockchain.shardworker.BridgedShardEngine`; this module
+holds only the mapping it, the router and the session pool share.
+Sessions and state-key prefixes map to shards by an explicit crc32 hash,
+never by anything interpreter- or process-dependent.
 """
 
 from __future__ import annotations
 
 import zlib
-from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from ..simnet.latency import INTERNET_US, LatencyProfile
-from ..simnet.transport import Network
-from .client import BlockchainClient
-from .config import FabricConfig
-from .contracts import Contract
-from .identity import CertificateAuthority
-from .network import BlockchainNetwork
-from .peer import Peer
-from .policy import MAJORITY
-
-__all__ = ["ShardedDeployment", "shard_index_for_key", "session_shard_key"]
+__all__ = ["shard_index_for_key", "session_shard_key"]
 
 
 def shard_index_for_key(key: str, n_shards: int) -> int:
@@ -66,194 +40,3 @@ def session_shard_key(session_id: str) -> str:
     MMOG scaling literature.
     """
     return f"sess/{session_id}"
-
-
-class ShardedDeployment:
-    """``n_shards`` independent chains over one simulated network.
-
-    Keys are routed by stable hash: :meth:`shard_for_key` names the
-    chain responsible for a world-state key, and every client must
-    submit a transaction to the shard owning its touched keys.
-    Cross-shard asset transfers go through the two-phase protocol in
-    :mod:`repro.blockchain.swaps` instead of a single transaction.
-    """
-
-    def __init__(
-        self,
-        n_peers: int,
-        n_shards: int,
-        profile: LatencyProfile = INTERNET_US,
-        config: Optional[FabricConfig] = None,
-        policy: str = MAJORITY,
-        seed: int = 0,
-    ):
-        if n_shards < 1:
-            raise ValueError("need at least one shard")
-        if n_peers < n_shards:
-            raise ValueError("need at least one peer per shard")
-        self.n_shards = n_shards
-        self.config = config if config is not None else FabricConfig()
-        self.net = Network(profile=profile, seed=seed)
-        self.ca = CertificateAuthority(seed=seed)
-        base, extra = divmod(n_peers, n_shards)
-        self.shards: List[BlockchainNetwork] = []
-        for index in range(n_shards):
-            size = base + (1 if index < extra else 0)
-            self.shards.append(
-                BlockchainNetwork(
-                    n_peers=size,
-                    profile=profile,
-                    config=self.config,
-                    policy=policy,
-                    seed=seed + index,
-                    net=self.net,
-                    ca=self.ca,
-                    name_prefix=f"s{index}-",
-                )
-            )
-        self._clients: Dict[Tuple[int, str], BlockchainClient] = {}
-        #: Optional :class:`repro.telemetry.Telemetry`; set by
-        #: ``Telemetry.instrument_sharded``.
-        self.telemetry = None
-
-    @property
-    def n_peers(self) -> int:
-        return sum(len(shard.peers) for shard in self.shards)
-
-    # ------------------------------------------------------------------
-    # routing
-
-    def shard_index_for_key(self, key: str) -> int:
-        return shard_index_for_key(key, self.n_shards)
-
-    def shard_for_key(self, key: str) -> BlockchainNetwork:
-        return self.shards[self.shard_index_for_key(key)]
-
-    def shard_index_for_session(self, session_id: str) -> int:
-        """Shard owning a whole session's key space (``sess/<id>/...``)."""
-        return self.shard_index_for_key(session_shard_key(session_id))
-
-    def shard_for_session(self, session_id: str) -> BlockchainNetwork:
-        return self.shards[self.shard_index_for_session(session_id)]
-
-    # ------------------------------------------------------------------
-    # deployment
-
-    def install_contract(self, factory: Callable[[], Contract]) -> None:
-        for shard in self.shards:
-            shard.install_contract(factory)
-
-    def client_for_shard(
-        self,
-        shard_index: int,
-        name_prefix: str = "router",
-        poll_interval_ms: Optional[float] = None,
-    ) -> BlockchainClient:
-        """Get-or-create one submission client anchored on a shard.
-
-        The router and the swap coordinators share these clients: a
-        coordinator is a host-side state machine, not a network
-        identity, so per-swap client (and RSA enrolment) cost would be
-        pure overhead.  ``poll_interval_ms`` only applies when the
-        client is first created.
-        """
-        key = (shard_index, name_prefix)
-        client = self._clients.get(key)
-        if client is None:
-            client = self.shards[shard_index].create_client(
-                f"{name_prefix}-s{shard_index}",
-                poll_interval_ms=(
-                    poll_interval_ms if poll_interval_ms is not None
-                    else 1000.0 / 35.0
-                ),
-            )
-            self._clients[key] = client
-        return client
-
-    # ------------------------------------------------------------------
-    # state inspection (host-side, read-only)
-
-    def reference_peer(self, shard_index: int) -> Optional[Peer]:
-        """The shard's most-advanced reachable peer.
-
-        Host-side readers (swap recovery, the global conservation scan)
-        need a consistent-enough cut of a shard's committed state; the
-        max-committed-height reachable peer is monotone with respect to
-        the shard's commit order, so cross-shard reads through it can
-        never observe a transfer's destination before its source.
-        Returns None when every peer of the shard is down.
-        """
-        best: Optional[Peer] = None
-        for peer in self.shards[shard_index].peers:
-            if self.net.condition(peer.name).down:
-                continue
-            if best is None or peer.committed_height > best.committed_height:
-                best = peer
-        return best
-
-    def committed_state_get(self, shard_index: int, key: str) -> Any:
-        """Read one key from a shard's reference committed state."""
-        peer = self.reference_peer(shard_index)
-        if peer is None:
-            return None
-        return peer.ledger.state.get(key)
-
-    def committed_tx_count(self) -> int:
-        """Total transactions committed across all shards (reference
-        peers), including invalidated ones — the pipeline processed
-        them either way."""
-        total = 0
-        for index in range(self.n_shards):
-            peer = self.reference_peer(index)
-            if peer is not None:
-                total += len(peer.ledger.committed_tx_ids())
-        return total
-
-    def committed_heights(self) -> List[int]:
-        """Max committed height per shard (0 for an unreachable shard)."""
-        out: List[int] = []
-        for index in range(self.n_shards):
-            peer = self.reference_peer(index)
-            out.append(peer.committed_height if peer is not None else 0)
-        return out
-
-    def ledgers_agree(self) -> List[bool]:
-        """Per shard: do all reachable peers hold identical state?"""
-        results: List[bool] = []
-        for shard in self.shards:
-            hashes = {
-                peer.ledger.state_hash()
-                for peer in shard.peers
-                if not self.net.condition(peer.name).down
-            }
-            results.append(len(hashes) == 1)
-        return results
-
-    # ------------------------------------------------------------------
-    # convenience
-
-    @property
-    def scheduler(self):
-        return self.net.scheduler
-
-    @property
-    def now(self) -> float:
-        return self.net.now
-
-    def all_peers(self) -> List[Peer]:
-        return [peer for shard in self.shards for peer in shard.peers]
-
-    def peer_names(self) -> List[str]:
-        return [peer.name for peer in self.all_peers()]
-
-    def orderer_names(self) -> List[str]:
-        return [shard.orderer.name for shard in self.shards]
-
-    def run(self, until: Optional[float] = None) -> None:
-        self.net.run(until=until)
-
-    def run_until_idle(self, max_events: int = 50_000_000) -> None:
-        self.net.run_until_idle(max_events=max_events)
-
-    def all_synced(self) -> bool:
-        return all(shard.all_synced() for shard in self.shards)

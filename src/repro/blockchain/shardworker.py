@@ -1,9 +1,9 @@
-"""Process-parallel shard execution: worlds, worker processes, engine.
+"""The sharded deployment: shard worlds, worker processes, engine.
 
-The single-process :class:`~repro.blockchain.sharding.ShardedDeployment`
-interleaves every shard's pipeline on one scheduler; the GIL then
-serializes all validation, hashing and crypto, capping the 8-shard
-replay's parallel efficiency.  This module is the escape hatch:
+The room's peers are partitioned into ``n_shards`` independent chains
+(the paper's §8(5) direction), each on its own clock so that shards can
+run in separate processes — on one interpreter the GIL serializes all
+validation, hashing and crypto:
 
 * :class:`ShardWorld` — one shard's complete pipeline (orderer, peers,
   executor, ledger, clients) on its *own* :class:`Network` and clock,
@@ -19,12 +19,13 @@ replay's parallel efficiency.  This module is the escape hatch:
   placements execute byte-identical command streams — bit-identical
   results are by construction, not by luck;
 * :class:`BridgedShardEngine` — the deployment-shaped facade: routing,
-  command submission with completion callbacks, the epoch loop, and
-  summary collection.  :class:`BridgeSwapPort` adapts it for the
+  command submission with completion callbacks, the epoch loop,
+  summary collection and horizon reads of committed state.
+  :class:`BridgeSwapPort` adapts it for the
   :class:`~repro.blockchain.swaps.SwapCoordinator`, whose 2PC steps
   then traverse the time bridge like any other control-plane traffic.
 
-Determinism argument (DESIGN.md §14): each shard world is a pure
+Determinism argument (DESIGN.md §13): each shard world is a pure
 function of its spec and its injected command stream; the bridge ships
 identical command batches and merges upward events in a placement-
 independent total order; therefore sim metrics, ledgers and state
@@ -95,13 +96,9 @@ def shard_specs(
     contract: str = "repro.blockchain.swaps:ShardAssetContract",
     profile_dir: Optional[str] = None,
 ) -> List[Dict[str, Any]]:
-    """Serializable per-shard construction specs.
-
-    Sizing, per-shard seeds and name prefixes follow
-    :class:`~repro.blockchain.sharding.ShardedDeployment` exactly
-    (``base + 1`` peers for the first ``n_peers % n_shards`` shards,
-    seed ``seed + index``, prefix ``s<index>-``).
-    """
+    """Serializable per-shard construction specs: ``base + 1`` peers
+    for the first ``n_peers % n_shards`` shards, seed ``seed + index``,
+    one CA (``seed``), host-name prefix ``s<index>-``."""
     if n_shards < 1:
         raise ValueError("need at least one shard")
     if n_peers < n_shards:
@@ -183,7 +180,9 @@ class ShardWorld:
 
     # -- downward commands ---------------------------------------------
 
-    def _client(self, prefix: str, poll_interval_ms: float) -> BlockchainClient:
+    def client(self, prefix: str, poll_interval_ms: float) -> BlockchainClient:
+        """Get-or-create the submission client of one control-plane
+        identity; ``poll_interval_ms`` applies on creation only."""
         client = self._clients.get(prefix)
         if client is None:
             client = self.chain.create_client(
@@ -210,7 +209,7 @@ class ShardWorld:
             def on_complete(result: TxResult, latency: float) -> None:
                 self._emit("complete", (callback_id, result, latency))
 
-        self._client(payload["prefix"], payload["poll_ms"]).invoke(
+        self.client(payload["prefix"], payload["poll_ms"]).invoke(
             payload["contract"],
             payload["function"],
             payload["args"],
@@ -230,18 +229,40 @@ class ShardWorld:
     # -- inspection ----------------------------------------------------
 
     def _reference_peer(self):
+        """The most-advanced *reachable* peer, None when all are down.
+
+        Host-side readers (swap recovery, the conservation scan) need a
+        consistent-enough cut of the shard's committed state; the
+        max-committed-height reachable peer is monotone with respect to
+        the shard's commit order, so cross-shard reads through it can
+        never observe a transfer's destination before its source.
+        """
         best = None
         for peer in self.chain.peers:
+            if self.chain.net.condition(peer.name).down:
+                continue
             if best is None or peer.committed_height > best.committed_height:
                 best = peer
         return best
 
-    def summary(self) -> Dict[str, Any]:
-        """Codec-safe end-of-run digest of this shard's committed state."""
+    def committed_state_get(self, key: str) -> Any:
         peer = self._reference_peer()
+        return peer.ledger.state.get(key) if peer is not None else None
+
+    def summary(self) -> Dict[str, Any]:
+        """Codec-safe digest of this shard's committed state.
+
+        Asset records and locks are read through the reference peer; a
+        shard with every peer down is ``readable: False`` and reports
+        none (unobservable, not destroyed).  The progress figures
+        describe the most advanced ledger, reachable or not.
+        """
+        reference = self._reference_peer()
+        records = reference.ledger.state.snapshot() if reference is not None else {}
+        peer = max(self.chain.peers, key=lambda p: p.committed_height)
         assets: Dict[str, Any] = {}
         locks: Dict[str, Any] = {}
-        for key, value in sorted(peer.ledger.state.snapshot().items()):
+        for key, value in sorted(records.items()):
             if value is None:
                 continue  # tombstone
             if key.startswith(ASSET_PREFIX):
@@ -252,6 +273,7 @@ class ShardWorld:
         completed = sum(c.completed_count for c in self._clients.values())
         return {
             "shard": self.index,
+            "readable": reference is not None,
             "committed_height": peer.committed_height,
             "committed_heights_all": sorted(
                 {p.committed_height for p in self.chain.peers}
@@ -280,10 +302,16 @@ class ShardWorld:
 #
 #   down: ("epoch", until, {shard: [command, ...]})
 #         ("summaries",)
+#         ("get", shard, key)
 #         ("stop",)
 #   up:   ("events", [event, ...], {shard: {"pending", "next_when"}})
 #         ("summaries", {shard: summary})
+#         ("value", committed value or None)
 #         ("bye",)
+#
+# "summaries" and "get" are only sent between epochs, when every world
+# sits idle at the same horizon: the answer is the same for any
+# placement and costs no scheduler event.
 
 
 class _WorldGroup:
@@ -310,6 +338,9 @@ class _WorldGroup:
                 "summaries",
                 {index: world.summary() for index, world in self.worlds.items()},
             )
+        if kind == "get":
+            _, index, key = frame
+            return ("value", self.worlds[index].committed_state_get(key))
         raise BridgeError(f"unknown frame kind {frame[0]!r}")
 
 
@@ -349,6 +380,8 @@ class LocalShardGroupPort(ShardGroupPort):
     def __init__(self, specs: List[Dict[str, Any]]):
         self.shard_indices = tuple(spec["index"] for spec in specs)
         self._group = _WorldGroup(decode(encode(specs)))
+        #: The live worlds, by shard index (``BridgedShardEngine.worlds``).
+        self.worlds = self._group.worlds
         self._reply: Optional[bytes] = None
 
     def _roundtrip(self, frame: Tuple) -> bytes:
@@ -365,6 +398,9 @@ class LocalShardGroupPort(ShardGroupPort):
 
     def collect_summaries(self) -> Dict[int, Dict[str, Any]]:
         return decode(self._roundtrip(("summaries",)))[1]
+
+    def committed_state_get(self, shard: int, key: str) -> Any:
+        return decode(self._roundtrip(("get", shard, key)))[1]
 
     def close(self) -> None:
         pass
@@ -391,21 +427,42 @@ class ProcessShardGroupPort(ShardGroupPort):
         self._process.start()
         child_conn.close()
 
+    def _send(self, frame: Tuple) -> None:
+        try:
+            self._conn.send_bytes(encode(frame))
+        except OSError as exc:  # BrokenPipeError: the worker is gone
+            raise self._worker_lost() from exc
+
+    def _recv(self, kind: str) -> Tuple:
+        try:
+            reply = decode(self._conn.recv_bytes())
+        except (EOFError, OSError) as exc:
+            raise self._worker_lost() from exc
+        if reply[0] != kind:
+            raise BridgeError(f"unexpected worker reply {reply[0]!r}")
+        return reply
+
+    def _worker_lost(self) -> BridgeError:
+        self._process.join(timeout=5)
+        return BridgeError(
+            f"worker {self._process.name} hosting shards "
+            f"{list(self.shard_indices)} died (exit code {self._process.exitcode})"
+        )
+
     def begin_epoch(self, until: float, commands: Dict[int, List[Command]]) -> None:
-        self._conn.send_bytes(encode(("epoch", until, commands)))
+        self._send(("epoch", until, commands))
 
     def finish_epoch(self) -> Tuple[List[UpEvent], Dict[int, Dict[str, Any]]]:
-        reply = decode(self._conn.recv_bytes())
-        if reply[0] != "events":
-            raise BridgeError(f"unexpected worker reply {reply[0]!r}")
+        reply = self._recv("events")
         return reply[1], reply[2]
 
     def collect_summaries(self) -> Dict[int, Dict[str, Any]]:
-        self._conn.send_bytes(encode(("summaries",)))
-        reply = decode(self._conn.recv_bytes())
-        if reply[0] != "summaries":
-            raise BridgeError(f"unexpected worker reply {reply[0]!r}")
-        return reply[1]
+        self._send(("summaries",))
+        return self._recv("summaries")[1]
+
+    def committed_state_get(self, shard: int, key: str) -> Any:
+        self._send(("get", shard, key))
+        return self._recv("value")[1]
 
     def close(self) -> None:
         if self._process.is_alive():
@@ -426,7 +483,7 @@ class ProcessShardGroupPort(ShardGroupPort):
 
 
 class BridgedShardEngine:
-    """Deployment-shaped facade over the bridge + worker worlds.
+    """The sharded deployment: a facade over the bridge + shard worlds.
 
     The control plane (completion callbacks, swap coordinator timers)
     runs on the bridge's control scheduler; every shard interaction is
@@ -468,10 +525,28 @@ class BridgedShardEngine:
         self.bridge = TimeBridge(
             [port_cls(group) for group in by_worker], lookahead_ms=lookahead_ms
         )
-        self._summaries: Optional[Dict[int, Dict[str, Any]]] = None
+        #: ``(horizon, summaries)`` of the last collection.
+        self._summaries: Optional[Tuple[float, Dict[int, Dict[str, Any]]]] = None
         self._closed = False
 
-    # -- routing (identical to ShardedDeployment) ----------------------
+    @property
+    def worlds(self) -> List[ShardWorld]:
+        """The live shard worlds, by shard index — local placement only.
+
+        The one host-side handle for what cannot cross a process
+        boundary: chaos attaches invariant monitors, fault injectors
+        and buggy fixtures to ``world.chain``, telemetry hooks each
+        world's hosts on that world's clock.
+        """
+        if self.procs != 1:
+            raise RuntimeError(
+                f"engine.worlds needs the local placement (procs=1); with "
+                f"procs={self.procs} the worlds live in worker processes"
+            )
+        worlds = self.bridge.ports[0].worlds
+        return [worlds[index] for index in range(self.n_shards)]
+
+    # -- routing -------------------------------------------------------
 
     def shard_index_for_key(self, key: str) -> int:
         return shard_index_for_key(key, self.n_shards)
@@ -516,7 +591,6 @@ class BridgedShardEngine:
         pre-planned streams pass their absolute injection times.
         Returns the effect time.
         """
-        self._summaries = None
         callback_id = (
             self.bridge.register_callback(on_complete)
             if on_complete is not None else None
@@ -539,12 +613,25 @@ class BridgedShardEngine:
     # -- results -------------------------------------------------------
 
     def collect_summaries(self) -> Dict[int, Dict[str, Any]]:
-        if self._summaries is None:
+        """Every shard's summary at the current horizon (worlds only
+        change inside epochs, so one collection per horizon is kept)."""
+        horizon = self.bridge.horizon
+        if self._summaries is None or self._summaries[0] != horizon:
             merged: Dict[int, Dict[str, Any]] = {}
             for port in self.bridge.ports:
                 merged.update(port.collect_summaries())
-            self._summaries = {index: merged[index] for index in sorted(merged)}
-        return self._summaries
+            self._summaries = (
+                horizon, {index: merged[index] for index in sorted(merged)}
+            )
+        return self._summaries[1]
+
+    def committed_state_get(self, shard_index: int, key: str) -> Any:
+        """One key of a shard's reference committed state, read at the
+        current horizon (None when absent or the shard is dark)."""
+        for port in self.bridge.ports:
+            if shard_index in port.shard_indices:
+                return port.committed_state_get(shard_index, key)
+        raise BridgeError(f"unknown shard {shard_index}")
 
     def committed_heights(self) -> List[int]:
         summaries = self.collect_summaries()
@@ -628,7 +715,4 @@ class BridgeSwapPort:
         )
 
     def committed_state_get(self, shard_index: int, key: str) -> Any:
-        raise NotImplementedError(
-            "crash recovery reads committed state synchronously; that needs "
-            "the in-process ShardedDeployment (chaos scenarios keep it)"
-        )
+        return self.engine.committed_state_get(shard_index, key)

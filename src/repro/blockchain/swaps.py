@@ -1,6 +1,6 @@
 """Atomic cross-shard asset transfers: two-phase prepare/commit.
 
-A sharded room (:class:`~repro.blockchain.sharding.ShardedDeployment`)
+A sharded room (:class:`~repro.blockchain.shardworker.BridgedShardEngine`)
 partitions the key space, so "player trades an item between sessions on
 different shards" cannot be one transaction — no single shard's ledger
 sees both sides.  This module implements the classic resolution:
@@ -20,8 +20,9 @@ sees both sides.  This module implements the classic resolution:
    its point of no return and must roll forward.
 
 The :class:`SwapCoordinator` drives the sequence through ordinary
-per-shard :class:`~repro.blockchain.client.BlockchainClient` submissions
-and is itself a crashable host-side state machine: :meth:`~
+per-shard client submissions (routed by its port, the engine's
+:class:`~repro.blockchain.shardworker.BridgeSwapPort`) and is itself a
+crashable host-side state machine: :meth:`~
 SwapCoordinator.crash` freezes it mid-protocol (locks stay on chain,
 exactly like a real coordinator dying), and :meth:`~SwapCoordinator.
 recover` re-derives each unresolved swap's fate from *committed chain
@@ -30,10 +31,11 @@ source tombstone proves the commit point was passed.  Timeouts abort
 undecided swaps so locks are never leaked by a slow or dead
 counterparty.
 
-Conservation is checkable globally: :func:`check_conservation` scans
-every shard's reference committed state and verifies each asset exists
-exactly once — as a live record, or carried by an in-flight destination
-lock — and never twice.
+Conservation is checkable globally: :func:`check_conservation_summaries`
+judges every shard's reference committed state (as shipped in the
+engine's summaries) and verifies each asset exists exactly once — as a
+live record, or carried by an in-flight destination lock — and never
+twice.
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .contracts import Contract, ContractError, InvocationContext
-from .sharding import ShardedDeployment
 from .transaction import TxResult, TxValidationCode
 
 __all__ = [
@@ -51,23 +52,15 @@ __all__ = [
     "SwapState",
     "CrossShardSwap",
     "SwapCoordinator",
-    "DeploymentSwapPort",
-    "scan_assets",
-    "scan_from_summaries",
-    "check_conservation",
     "check_conservation_summaries",
 ]
 
-ASSET_PREFIX = "asset/"
-LOCK_PREFIX = "swaplock/"
-
-
 def asset_key(asset_id: str) -> str:
-    return f"{ASSET_PREFIX}{asset_id}"
+    return f"asset/{asset_id}"
 
 
 def lock_key(asset_id: str) -> str:
-    return f"{LOCK_PREFIX}{asset_id}"
+    return f"swaplock/{asset_id}"
 
 
 def session_key(session_id: str, player_id: str) -> str:
@@ -176,54 +169,6 @@ class ShardAssetContract(Contract):
 
 
 # ----------------------------------------------------------------------
-# execution ports
-#
-# The coordinator is a pure host-side state machine; everything it needs
-# from the outside world fits a five-method port, so the same 2PC logic
-# drives both the in-process ShardedDeployment and the process-parallel
-# BridgedShardEngine (repro.blockchain.shardworker.BridgeSwapPort).
-
-
-class DeploymentSwapPort:
-    """The classic backend: direct clients on a shared-clock deployment."""
-
-    def __init__(self, deployment: ShardedDeployment, client_name: str = "swapcoord"):
-        self.deployment = deployment
-        self.client_name = client_name
-
-    @property
-    def now(self) -> float:
-        return self.deployment.now
-
-    @property
-    def swap_timeout_ms(self) -> float:
-        return self.deployment.config.swap_timeout_ms
-
-    def call_after(self, delay: float, fn: Callable[..., Any], *args: Any):
-        return self.deployment.scheduler.call_after(delay, fn, *args)
-
-    def submit(
-        self,
-        shard_index: int,
-        contract: str,
-        function: str,
-        args: Tuple,
-        keys: Tuple[str, ...],
-        on_complete: Callable[[TxResult, float], None],
-    ) -> None:
-        client = self.deployment.client_for_shard(
-            shard_index, self.client_name,
-            poll_interval_ms=self.deployment.config.swap_poll_interval_ms,
-        )
-        client.invoke(
-            contract, function, args, touched_keys=keys, on_complete=on_complete
-        )
-
-    def committed_state_get(self, shard_index: int, key: str) -> Any:
-        return self.deployment.committed_state_get(shard_index, key)
-
-
-# ----------------------------------------------------------------------
 # coordinator state machine
 
 
@@ -280,26 +225,18 @@ class SwapCoordinator:
 
     def __init__(
         self,
-        deployment: Optional[ShardedDeployment] = None,
+        port,
         contract: str = "shardasset",
         timeout_ms: Optional[float] = None,
         telemetry=None,
         name: str = "swapcoord",
         commit_retries: int = 3,
-        port=None,
     ):
-        """Drive swaps over ``deployment`` (classic shared-clock backend)
-        or an explicit ``port`` (any object with the
-        :class:`DeploymentSwapPort` protocol, e.g. the bridged engine's
-        ``BridgeSwapPort``); exactly one must be given."""
-        if port is None:
-            if deployment is None:
-                raise ValueError("need a deployment or an explicit port")
-            port = DeploymentSwapPort(deployment, client_name=name)
-        elif deployment is not None:
-            raise ValueError("pass either a deployment or a port, not both")
+        """``port`` is everything the state machine needs from the
+        outside world — ``now``, ``swap_timeout_ms``, ``call_after``,
+        ``submit`` and ``committed_state_get``: the engine's
+        :class:`~repro.blockchain.shardworker.BridgeSwapPort`."""
         self.port = port
-        self.deployment = getattr(port, "deployment", None)
         self.contract = contract
         self.timeout_ms = (
             timeout_ms if timeout_ms is not None else port.swap_timeout_ms
@@ -671,111 +608,41 @@ class SwapCoordinator:
 # global conservation
 
 
-def scan_assets(
-    deployment: ShardedDeployment,
-) -> Dict[str, Dict[str, List[Tuple[int, Dict[str, Any]]]]]:
-    """Every asset record and swap lock, per asset id, across shards.
-
-    Reads each shard's reference committed state (see
-    :meth:`ShardedDeployment.reference_peer`).  Shards with no reachable
-    peer are skipped — their assets are unobservable, not destroyed.
-    """
-    out: Dict[str, Dict[str, List[Tuple[int, Dict[str, Any]]]]] = {}
-
-    def slot(asset_id: str) -> Dict[str, List[Tuple[int, Dict[str, Any]]]]:
-        return out.setdefault(asset_id, {"records": [], "locks": []})
-
-    for index in range(deployment.n_shards):
-        peer = deployment.reference_peer(index)
-        if peer is None:
-            continue
-        for key, value in sorted(peer.ledger.state.snapshot().items()):
-            if value is None:
-                continue  # tombstone
-            if key.startswith(ASSET_PREFIX):
-                slot(key[len(ASSET_PREFIX):])["records"].append((index, value))
-            elif key.startswith(LOCK_PREFIX):
-                slot(key[len(LOCK_PREFIX):])["locks"].append((index, value))
-    return out
-
-
-def scan_from_summaries(
-    summaries: Dict[int, Dict[str, Any]],
-) -> Dict[str, Dict[str, List[Tuple[int, Dict[str, Any]]]]]:
-    """Same shape as :func:`scan_assets`, built from worker summaries.
-
-    Bridged engines (:class:`~repro.blockchain.shardworker.BridgedShardEngine`)
-    keep shard state in worker processes; each worker ships its committed
-    asset records and swap locks in its summary dict, so conservation is
-    judged over the wire instead of by touching peer ledgers directly.
-    """
-    out: Dict[str, Dict[str, List[Tuple[int, Dict[str, Any]]]]] = {}
-
-    def slot(asset_id: str) -> Dict[str, List[Tuple[int, Dict[str, Any]]]]:
-        return out.setdefault(asset_id, {"records": [], "locks": []})
-
-    for index in sorted(summaries):
-        summary = summaries[index]
-        for asset_id in sorted(summary.get("assets", {})):
-            slot(asset_id)["records"].append((index, summary["assets"][asset_id]))
-        for asset_id in sorted(summary.get("locks", {})):
-            slot(asset_id)["locks"].append((index, summary["locks"][asset_id]))
-    return out
-
-
-def check_conservation(
-    deployment: ShardedDeployment,
-    minted: Dict[str, int],
-    quiescent: bool = False,
-) -> List[str]:
-    """Global asset conservation across every shard; [] when it holds.
-
-    Mid-run (``quiescent=False``) an asset may legitimately live in an
-    in-flight destination lock (between ``swap_commit_out`` and
-    ``swap_commit_in``); it must still exist *somewhere*, exactly once,
-    at its minted value.  At quiescence the rules tighten: exactly one
-    live record per asset and no surviving locks at all.
-    """
-    scan = scan_assets(deployment)
-    reachability = [
-        deployment.reference_peer(i) is not None
-        for i in range(deployment.n_shards)
-    ]
-    if not any(reachability):
-        return []  # nothing observable to judge
-    # With a whole shard dark, an asset living there is unobservable,
-    # not destroyed — only positive evidence (duplicates, value drift)
-    # can be judged until every shard is readable again.
-    return _check_scan(scan, minted, quiescent, all(reachability))
-
-
 def check_conservation_summaries(
     summaries: Dict[int, Dict[str, Any]],
     minted: Dict[str, int],
     quiescent: bool = True,
 ) -> List[str]:
-    """Conservation over bridged-engine worker summaries; [] when it holds.
+    """Global asset conservation across every shard; [] when it holds.
 
-    Summaries reflect every shard (workers always answer), so the strict
-    all-shards-readable rules apply.
+    Judged over the engine's per-shard summaries (each ships its
+    reference peer's committed asset records and swap locks).  Mid-run
+    (``quiescent=False``) an asset may legitimately live in an in-flight
+    destination lock (between ``swap_commit_out`` and
+    ``swap_commit_in``); it must still exist *somewhere*, exactly once,
+    at its minted value.  At quiescence the rules tighten: exactly one
+    live record per asset and no surviving locks at all.
     """
-    return _check_scan(scan_from_summaries(summaries), minted, quiescent, True)
-
-
-def _check_scan(
-    scan: Dict[str, Dict[str, List[Tuple[int, Dict[str, Any]]]]],
-    minted: Dict[str, int],
-    quiescent: bool,
-    all_shards_readable: bool,
-) -> List[str]:
+    readable = [summary["readable"] for summary in summaries.values()]
+    if not any(readable):
+        return []  # nothing observable to judge
+    # With a whole shard dark, an asset living there is unobservable,
+    # not destroyed — only positive evidence (duplicates, value drift)
+    # can be judged until every shard is readable again.
+    all_shards_readable = all(readable)
     problems: List[str] = []
     for asset_id in sorted(minted):
-        entry = scan.get(asset_id, {"records": [], "locks": []})
-        records = entry["records"]
-        in_locks = [
-            (shard, lock) for shard, lock in entry["locks"]
-            if lock.get("direction") == "in"
+        records = [
+            (index, summaries[index]["assets"][asset_id])
+            for index in sorted(summaries)
+            if asset_id in summaries[index]["assets"]
         ]
+        locks = [
+            (index, summaries[index]["locks"][asset_id])
+            for index in sorted(summaries)
+            if asset_id in summaries[index]["locks"]
+        ]
+        in_locks = [lock for _, lock in locks if lock.get("direction") == "in"]
         if len(records) > 1:
             shards = [shard for shard, _ in records]
             problems.append(f"asset {asset_id} duplicated on shards {shards}")
@@ -789,8 +656,8 @@ def _check_scan(
                     f"asset {asset_id} value changed: "
                     f"{record.get('value')} != minted {minted[asset_id]}"
                 )
-        if quiescent and entry["locks"]:
-            shards = [shard for shard, _ in entry["locks"]]
+        if quiescent and locks:
+            shards = [shard for shard, _ in locks]
             problems.append(
                 f"asset {asset_id} has leaked lock(s) on shards {shards}"
             )

@@ -255,7 +255,13 @@ class InvariantMonitor:
         return self
 
     def _make_hook(self, peer):
+        # A shard world counts its commits through the same observer
+        # slot; keep whoever was there first.
+        previous = peer.ledger.on_append
+
         def hook(block, executions, codes):
+            if previous is not None:
+                previous(block, executions, codes)
             self._on_append(peer, block, executions, codes)
 
         return hook

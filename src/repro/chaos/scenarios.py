@@ -38,7 +38,7 @@ class Scenario:
     #: simulated grace period after faults are lifted before the
     #: liveness probes are injected.
     settle_ms: float = 2_000.0
-    #: >1 runs the scenario over a ShardedDeployment (per-shard chains
+    #: >1 runs the scenario over the sharded engine (per-shard chains
     #: plus a cross-shard swap workload) instead of one chain; the
     #: fields below only apply then.  All default so the single-chain
     #: catalog's digests are untouched.

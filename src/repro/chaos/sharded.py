@@ -1,14 +1,21 @@
-"""Chaos over a sharded deployment: swaps under fire, conservation global.
+"""Chaos over the sharded deployment: swaps under fire, conservation global.
 
 :func:`run_sharded_scenario` is the multi-shard twin of
 :func:`repro.chaos.runner.run_scenario` (which dispatches here whenever
 ``scenario.n_shards > 1``).  The deployment is a
-:class:`~repro.blockchain.sharding.ShardedDeployment` — per-shard
-chains on one sim clock — and the workload adds what single-chain chaos
-cannot exercise: cross-shard asset swaps driven by a crashable
+:class:`~repro.blockchain.shardworker.BridgedShardEngine` in its local
+placement — one chain per shard, each on its own clock behind the time
+bridge — and the workload adds what single-chain chaos cannot exercise:
+cross-shard asset swaps driven by a crashable
 :class:`~repro.blockchain.swaps.SwapCoordinator` while peers churn,
 partitions cut through in-flight prepares, and (per the scenario) the
 coordinator itself dies between prepare and commit and must recover.
+
+Everything that touches a shard's hosts — invariant monitors, fault
+injection, buggy fixtures — attaches to ``engine.worlds[i].chain`` and
+runs as timers on that world's clock; the workload, the conservation
+probes and the coordinator's lifecycle are timers on the control clock.
+One ``engine.run()`` then plays the whole scenario.
 
 Safety is judged at two levels:
 
@@ -16,8 +23,8 @@ Safety is judged at two levels:
   :class:`~repro.chaos.invariants.InvariantMonitor` (prefix
   consistency, shadow-ledger MVCC, state-hash agreement, convergence),
   because block numbers and state hashes are per-chain quantities;
-* **globally** — :func:`repro.blockchain.swaps.check_conservation`
-  scans every shard's reference committed state on a fixed cadence and
+* **globally** — :func:`repro.blockchain.swaps.check_conservation_summaries`
+  judges every shard's reference committed state on a fixed cadence and
   again at quiescence: no asset may ever be observed twice, and at the
   end each must exist exactly once with no surviving locks.
 """
@@ -27,22 +34,23 @@ from __future__ import annotations
 import random
 import time
 from collections import Counter
-from typing import Dict, List, Optional, Union
+from dataclasses import replace
+from typing import Dict, List, Optional, Tuple, Union
 
 from ..blockchain.config import FabricConfig
-from ..blockchain.sharding import ShardedDeployment
+from ..blockchain.shardworker import BridgedShardEngine, BridgeSwapPort
 from ..blockchain.swaps import (
     OUTCOME_COMMITTED,
-    ShardAssetContract,
     SwapCoordinator,
     asset_key,
-    check_conservation,
+    check_conservation_summaries,
 )
 from ..blockchain.transaction import TxValidationCode
 from ..core.shim import ShardRouter
+from .faults import FaultSchedule
 from .injector import FaultInjector
 from .invariants import InvariantMonitor, Violation
-from .runner import BUGGY_FIXTURES, ChaosResult, _run_budgeted
+from .runner import BUGGY_FIXTURES, ChaosResult
 from .scenarios import Scenario, get_scenario
 
 __all__ = ["ShardedSwapWorkload", "run_sharded_scenario"]
@@ -52,15 +60,6 @@ __all__ = ["ShardedSwapWorkload", "run_sharded_scenario"]
 #: stranded by the fault horizon doesn't stall quiescence for the
 #: default two simulated minutes.
 _POLL_TIMEOUT_MS = 20_000.0
-
-
-class _ShardChainView:
-    """The surface :class:`FaultInjector` (and the buggy fixtures) need:
-    one ``.net`` and a flat ``.peers`` across every shard."""
-
-    def __init__(self, deployment: ShardedDeployment):
-        self.net = deployment.net
-        self.peers = deployment.all_peers()
 
 
 class ShardedSwapWorkload:
@@ -76,13 +75,13 @@ class ShardedSwapWorkload:
 
     def __init__(
         self,
-        deployment: ShardedDeployment,
+        engine: BridgedShardEngine,
         scenario: Scenario,
         seed: int,
         telemetry=None,
         on_swap_done=None,
     ):
-        self.deployment = deployment
+        self.engine = engine
         self.scenario = scenario
         self.rng = random.Random(seed)
         self.telemetry = telemetry
@@ -102,44 +101,45 @@ class ShardedSwapWorkload:
     # ------------------------------------------------------------------
 
     def sessions(self) -> List[str]:
-        return [f"g{k:02d}" for k in range(4 * self.deployment.n_shards)]
+        return [f"g{k:02d}" for k in range(4 * self.engine.n_shards)]
 
     def install(self) -> "ShardedSwapWorkload":
         if self._installed:
             raise RuntimeError("workload already installed")
         self._installed = True
-        dep = self.deployment
+        engine = self.engine
         scenario = self.scenario
-        dep.install_contract(ShardAssetContract)
-        self.router = ShardRouter(dep)
-        self.coordinator = SwapCoordinator(dep, telemetry=self.telemetry)
-        for shard in range(dep.n_shards):
-            for prefix in ("router", self.coordinator.name):
-                client = dep.client_for_shard(shard, prefix)
-                client.poll_timeout_ms = _POLL_TIMEOUT_MS
+        self.router = ShardRouter(engine)
+        port = BridgeSwapPort(engine)
+        self.coordinator = SwapCoordinator(port=port, telemetry=self.telemetry)
+        for world in engine.worlds:
+            for prefix, poll_ms in (
+                (self.router.client_prefix, self.router.poll_interval_ms),
+                (port.client_name, engine.config.swap_poll_interval_ms),
+            ):
+                world.client(prefix, poll_ms).poll_timeout_ms = _POLL_TIMEOUT_MS
 
-        scheduler = dep.scheduler
         # Mint every tradable asset up front, round-robin across shards
         # (explicitly placed — swaps move assets anywhere, so asset
         # residence is coordinator state, not key-hash routing).
         for j in range(scenario.n_assets):
             aid = f"asset{j:03d}"
             self.minted[aid] = 50 + j
-            self._asset_home[aid] = j % dep.n_shards
-            scheduler.call_at(1.0 + 2.0 * j, self._mint, aid)
+            self._asset_home[aid] = j % engine.n_shards
+            engine.call_at(1.0 + 2.0 * j, self._mint, aid)
 
         t = 50.0
         sessions = self.sessions()
         while t < scenario.duration_ms:
             session = self.rng.choice(sessions)
             player = f"p{self.rng.randrange(4)}"
-            scheduler.call_at(t, self._session_event, session, player)
+            engine.call_at(t, self._session_event, session, player)
             t += scenario.workload_interval_ms
 
         index = 0
         t = 2_000.0
         while t < scenario.duration_ms * 0.9:
-            scheduler.call_at(t, self._try_swap, index)
+            engine.call_at(t, self._try_swap, index)
             index += 1
             t += scenario.swap_interval_ms
         return self
@@ -150,11 +150,13 @@ class ShardedSwapWorkload:
         self.codes.update([result.code])
 
     def _mint(self, aid: str) -> None:
-        client = self.deployment.client_for_shard(self._asset_home[aid], "router")
+        assert self.router is not None
         self.submitted += 1
-        client.invoke(
-            ShardAssetContract.name, "mint", (aid, "bank", self.minted[aid]),
+        self.engine.submit_invoke(
+            self._asset_home[aid], "mint", (aid, "bank", self.minted[aid]),
             touched_keys=(asset_key(aid),), on_complete=self._count,
+            client_prefix=self.router.client_prefix,
+            poll_interval_ms=self.router.poll_interval_ms,
         )
 
     def _session_event(self, session: str, player: str) -> None:
@@ -172,7 +174,7 @@ class ShardedSwapWorkload:
             return
         aid = self.rng.choice(sorted(self._asset_home))
         src = self._asset_home[aid]
-        others = [s for s in range(self.deployment.n_shards) if s != src]
+        others = [s for s in range(self.engine.n_shards) if s != src]
         dst = self.rng.choice(others)
         self.swaps_started += 1
         self.submitted += 1
@@ -226,6 +228,30 @@ class ShardedSwapWorkload:
         return out
 
 
+def _world_share(schedule: FaultSchedule, chain) -> Tuple[FaultSchedule, List[int]]:
+    """The part of a fabric-wide schedule that touches one world's hosts,
+    and each kept event's position in ``schedule``.
+
+    An event naming hosts is narrowed to the ones this world has and
+    dropped when it has none.  Partitions, heals and ``"*"`` windows
+    reach every world; a partition keeps its groups verbatim — names a
+    network does not know are inert, and the world's unlisted hosts (its
+    own orderer, its clients) fall into the implicit extra group exactly
+    as they would on one shared fabric.
+    """
+    local = {peer.name for peer in chain.peers} | {chain.orderer.name, "*"}
+    events, positions = [], []
+    for position, event in enumerate(schedule.events):
+        if event.targets:
+            targets = tuple(name for name in event.targets if name in local)
+            if not targets:
+                continue
+            event = replace(event, targets=targets)
+        events.append(event)
+        positions.append(position)
+    return FaultSchedule(events=events, seed=schedule.seed), positions
+
+
 def run_sharded_scenario(
     scenario: Union[str, Scenario],
     seed: int,
@@ -239,10 +265,11 @@ def run_sharded_scenario(
     """Run one seeded multi-shard chaos experiment end to end.
 
     Mirrors :func:`repro.chaos.runner.run_scenario` phase for phase
-    (fault horizon → lift-all → settle → probes → quiesce) and adds the
+    (fault horizon → lift-all → settle → probes → quiesce), each phase
+    boundary a timer instead of a ``run(until=...)``, and adds the
     sharded tail: a final coordinator restart+recover for swaps the
     crash orphaned, a stale-lock sweep, and the quiescent global
-    conservation check.
+    conservation check.  ``max_wall_s`` is checked between bridge rounds.
     """
     if isinstance(scenario, str):
         scenario = get_scenario(scenario)
@@ -256,24 +283,28 @@ def run_sharded_scenario(
         config = FabricConfig(max_block_txs=scenario.max_block_txs)
     else:
         config = config.with_options(max_block_txs=scenario.max_block_txs)
-    deployment = ShardedDeployment(
+    engine = BridgedShardEngine(
         n_peers=scenario.n_peers,
         n_shards=scenario.n_shards,
         config=config,
         seed=seed,
     )
+    worlds = engine.worlds
     if telemetry is not None:
-        telemetry.instrument_sharded(deployment)
+        # Before the workload installs: its clients then inherit the
+        # telemetry through BlockchainNetwork.create_client.
+        telemetry.instrument_sharded(engine)
     timeline: List[list] = []
 
-    def record(kind: str, *fields) -> None:
+    def record(kind: str, t: float, *fields) -> None:
         if record_timeline:
-            timeline.append([kind, round(deployment.now, 3), *fields])
+            timeline.append([kind, round(t, 3), *fields])
 
     workload = ShardedSwapWorkload(
-        deployment, scenario, seed, telemetry=telemetry,
+        engine, scenario, seed, telemetry=telemetry,
         on_swap_done=lambda swap: record(
-            "swap", swap.swap_id, swap.outcome, swap.src_shard, swap.dst_shard
+            "swap", engine.now,
+            swap.swap_id, swap.outcome, swap.src_shard, swap.dst_shard,
         ),
     ).install()
 
@@ -281,98 +312,116 @@ def run_sharded_scenario(
     # are per-chain quantities, so cross-shard comparison would be noise.
     monitors = [
         InvariantMonitor(
-            shard,
+            world.chain,
             deep=True,
             on_commit=lambda t, peer, height, state_hash: record(
-                "commit", peer, height, state_hash
+                "commit", t, peer, height, state_hash
             ),
         ).attach()
-        for shard in deployment.shards
+        for world in worlds
     ]
     conservation_violations: List[Violation] = []
 
-    def conservation_probe() -> None:
-        problems = check_conservation(deployment, workload.minted, quiescent=False)
-        record("conservation", len(problems))
+    def judge_conservation(quiescent: bool) -> int:
+        problems = check_conservation_summaries(
+            engine.collect_summaries(), workload.minted, quiescent=quiescent
+        )
         for problem in problems:
             conservation_violations.append(
-                Violation(deployment.now, "asset-conservation", "-", problem)
+                Violation(engine.now, "asset-conservation", "-", problem)
             )
+        return len(problems)
 
     probe_t = 2_500.0
     while probe_t < scenario.duration_ms:
-        deployment.scheduler.call_at(probe_t, conservation_probe)
+        engine.call_at(
+            probe_t,
+            lambda: record("conservation", engine.now, judge_conservation(False)),
+        )
         probe_t += 2_500.0
 
-    chain_view = _ShardChainView(deployment)
     if buggy is not None:
-        BUGGY_FIXTURES[buggy](chain_view)
+        for world in worlds:
+            BUGGY_FIXTURES[buggy](world.chain)
 
     schedule = scenario.build_schedule(
-        seed, deployment.peer_names(), deployment.shards[0].orderer.name
+        seed,
+        [peer.name for world in worlds for peer in world.chain.peers],
+        worlds[0].chain.orderer.name,
     )
     if max_faults is not None:
         schedule = schedule.prefix(max_faults)
-    injector = FaultInjector(
-        chain_view,
-        schedule,
-        on_fault=lambda t, kind, targets: record("fault", kind, list(targets)),
-    ).install()
-    if telemetry is not None:
-        injector.telemetry = telemetry
+
+    # One injector per world replays that world's share of the schedule
+    # on the world's own clock.  A fabric-wide event is injected into
+    # every world but is one timeline entry.
+    logged = set()
+
+    def on_fault(t: float, kind: str, targets) -> None:
+        if (t, kind, targets) not in logged:
+            logged.add((t, kind, targets))
+            record("fault", t, kind, list(targets))
+
+    injectors: List[FaultInjector] = []
+    shares: List[List[int]] = []
+    for world in worlds:
+        share, positions = _world_share(schedule, world.chain)
+        injector = FaultInjector(world.chain, share, on_fault=on_fault).install()
+        injector.telemetry = world.chain.telemetry
+        world.scheduler.call_at(scenario.duration_ms, injector.lift_all)
+        injectors.append(injector)
+        shares.append(positions)
 
     if scenario.coordinator_crash_ms > 0:
-        deployment.scheduler.call_at(
+        engine.call_at(
             scenario.coordinator_crash_ms,
-            lambda: (record("coordinator-crash"), workload.crash_coordinator()),
+            lambda: (record("coordinator-crash", engine.now),
+                     workload.crash_coordinator()),
         )
-        deployment.scheduler.call_at(
+        engine.call_at(
             scenario.coordinator_crash_ms + scenario.coordinator_recover_ms,
-            lambda: (record("coordinator-recover"), workload.recover_coordinator()),
+            lambda: (record("coordinator-recover", engine.now),
+                     workload.recover_coordinator()),
         )
+    engine.call_at(
+        scenario.duration_ms + scenario.settle_ms, workload.submit_probes
+    )
 
-    def finish_swaps() -> None:
+    wall_start = time.perf_counter()
+
+    def run_engine() -> bool:
+        """Run to quiescence; False when the wall budget ran out first."""
+        if max_wall_s is None:
+            engine.run()
+            return True
+        deadline = wall_start + max_wall_s
+        while time.perf_counter() < deadline:
+            if not engine.bridge.step():
+                return True
+        return False
+
+    def finish_swaps() -> bool:
         """Post-quiescence tail: resolve orphans, then sweep stale locks."""
         coordinator = workload.coordinator
         assert coordinator is not None
         if coordinator.crashed:
-            record("coordinator-recover")
+            record("coordinator-recover", engine.now)
             workload.recover_coordinator()
-            deployment.run_until_idle()
+            if not run_engine():
+                return False
         if coordinator.unresolved():
             workload.recover_actions.extend(coordinator.recover())
-            deployment.run_until_idle()
+            if not run_engine():
+                return False
         for _ in range(3):
             if coordinator.sweep_stale_locks() == 0:
                 break
-            record("lock-sweep")
-            deployment.run_until_idle()
+            record("lock-sweep", engine.now)
+            if not run_engine():
+                return False
+        return True
 
-    truncated = False
-    wall_start = time.perf_counter()
-    if max_wall_s is None:
-        deployment.run(until=scenario.duration_ms)
-        injector.lift_all()
-        deployment.run(until=scenario.duration_ms + scenario.settle_ms)
-        workload.submit_probes()
-        deployment.run_until_idle()
-        finish_swaps()
-    else:
-        deadline = wall_start + max_wall_s
-        sched = deployment.scheduler
-        if _run_budgeted(sched, deadline, until=scenario.duration_ms):
-            injector.lift_all()
-            if _run_budgeted(
-                sched, deadline, until=scenario.duration_ms + scenario.settle_ms
-            ):
-                workload.submit_probes()
-                truncated = not _run_budgeted(sched, deadline, until=None)
-                if not truncated:
-                    finish_swaps()
-            else:
-                truncated = True
-        else:
-            truncated = True
+    truncated = not (run_engine() and finish_swaps())
     wall_s = time.perf_counter() - wall_start
 
     if not truncated:
@@ -390,28 +439,38 @@ def run_sharded_scenario(
                 "liveness", "wl-probe",
                 f"only {len(workload.probe_codes)} of 3 probes completed",
             )
-        for problem in check_conservation(
-            deployment, workload.minted, quiescent=True
-        ):
-            conservation_violations.append(
-                Violation(deployment.now, "asset-conservation", "-", problem)
-            )
+        judge_conservation(quiescent=True)
 
     violations = [v for monitor in monitors for v in monitor.violations]
     violations.extend(conservation_violations)
+    # Worlds run an epoch one after the other, the control plane after
+    # them: put the entries back in time order (ties keep that order).
+    timeline.sort(key=lambda entry: entry[1])
+    network_stats: Counter = Counter()
+    for world in worlds:
+        network_stats.update(world.chain.net.stats.as_dict())
+    committed_height = max(engine.committed_heights())
+    engine.close()
     return ChaosResult(
         scenario=scenario.name,
         seed=seed,
         buggy=buggy,
         faults_in_schedule=len(schedule),
-        faults_applied=injector.faults_applied,
+        # Each injector applies its share in order, so the events it has
+        # applied are a prefix of the share; an event shared by several
+        # worlds counts once.
+        faults_applied=len({
+            position
+            for injector, positions in zip(injectors, shares)
+            for position in positions[:injector.faults_applied]
+        }),
         violations=violations,
         timeline=timeline,
         workload_summary=workload.summary(),
         probe_codes=list(workload.probe_codes),
         submitted=workload.submitted,
-        committed_height=max(p.committed_height for p in deployment.all_peers()),
-        network_stats=deployment.net.stats.as_dict(),
+        committed_height=committed_height,
+        network_stats=dict(network_stats),
         schedule=schedule,
         truncated=truncated,
         wall_s=round(wall_s, 3) if max_wall_s is not None else 0.0,

@@ -215,10 +215,8 @@ class ShardedSessionPool:
     A full :class:`GameSession` builds its own blockchain per room; at
     MMOG scale (the ``sharded-replay`` workloads simulate 1000+ sessions
     and 100k+ players) sessions are instead multiplexed onto the shards
-    of one :class:`~repro.blockchain.sharding.ShardedDeployment` — or,
-    for process-parallel runs, onto a
-    :class:`~repro.blockchain.shardworker.BridgedShardEngine` (the
-    router detects the backend; routing is identical).  Each session's
+    of one :class:`~repro.blockchain.shardworker.BridgedShardEngine`
+    (any placement of its shards onto processes).  Each session's
     entire key space (``sess/<id>/...``) lives on the shard the
     :class:`~repro.core.shim.ShardRouter` assigns it, so in-session
     events are single-shard transactions; only cross-session trades can
@@ -227,7 +225,7 @@ class ShardedSessionPool:
 
     def __init__(
         self,
-        deployment,
+        engine,
         n_sessions: int,
         players_per_session: int = 100,
         contract_name: str = "shardasset",
@@ -235,11 +233,11 @@ class ShardedSessionPool:
     ):
         if n_sessions < 1:
             raise SessionError("need at least one session")
-        self.deployment = deployment
+        self.engine = engine
         self.n_sessions = n_sessions
         self.players_per_session = players_per_session
         self.router = ShardRouter(
-            deployment, contract_name=contract_name,
+            engine, contract_name=contract_name,
             poll_interval_ms=poll_interval_ms,
         )
         self.events_submitted = 0
@@ -262,7 +260,7 @@ class ShardedSessionPool:
         return self.router.shard_of_session(self.session_id(session_index))
 
     def sessions_per_shard(self) -> List[int]:
-        counts = [0] * self.deployment.n_shards
+        counts = [0] * self.engine.n_shards
         for index in range(self.n_sessions):
             counts[self.shard_of(index)] += 1
         return counts
@@ -277,8 +275,8 @@ class ShardedSessionPool:
     ):
         """One in-session game-state update, routed to its shard.
 
-        ``effect_time`` (absolute sim ms) pre-plans the injection on a
-        bridged engine backend; in-process deployments submit now.
+        ``effect_time`` (absolute sim ms) pre-plans the injection;
+        without it the event is reactive and pays one bridge transit.
         """
         self.events_submitted += 1
         return self.router.submit_session_event(

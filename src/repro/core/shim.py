@@ -358,58 +358,32 @@ class Shim(BlockchainClient):
 class ShardRouter:
     """Routes session submissions to the shard owning their keys.
 
-    Sits between game-side code (shims, session pools) and a sharded
-    backend: callers keep invoking by *session*, and the router
-    resolves the session to its shard (crc32 of the session's key
-    prefix — stable across runs) and submits through that shard's
-    client.  Game code never names a shard, so re-sharding is a
-    deployment change, not a game change.
-
-    Two backends satisfy the routing surface the router needs
-    (``n_shards``, ``shard_index_for_session``/``_key``): the classic
-    in-process :class:`~repro.blockchain.sharding.ShardedDeployment`
-    (direct client invocation) and the process-parallel
-    :class:`~repro.blockchain.shardworker.BridgedShardEngine`
-    (submissions become routed bridge commands; detected by its
-    ``submit_invoke`` method).  Routing is identical either way — it
-    is a pure function of the session id.
+    Sits between game-side code (shims, session pools) and the sharded
+    deployment (:class:`~repro.blockchain.shardworker.BridgedShardEngine`):
+    callers keep invoking by *session*, and the router resolves the
+    session to its shard (crc32 of the session's key prefix — stable
+    across runs) and submits a routed bridge command.  Game code never
+    names a shard, so re-sharding is a deployment change, not a game
+    change.
     """
 
     def __init__(
         self,
-        deployment,
+        engine,
         contract_name: str = "shardasset",
         client_prefix: str = "router",
         poll_interval_ms: Optional[float] = None,
     ):
-        self.deployment = deployment
+        self.engine = engine
         self.contract_name = contract_name
         self.client_prefix = client_prefix
-        self.poll_interval_ms = poll_interval_ms
-        self.submitted_by_shard: List[int] = [0] * deployment.n_shards
-        self._bridged = hasattr(deployment, "submit_invoke")
-
-    # -- mapping -------------------------------------------------------
+        self.poll_interval_ms = (
+            poll_interval_ms if poll_interval_ms is not None else 1000.0 / 35.0
+        )
+        self.submitted_by_shard: List[int] = [0] * engine.n_shards
 
     def shard_of_session(self, session_id: str) -> int:
-        return self.deployment.shard_index_for_session(session_id)
-
-    def shard_of_key(self, key: str) -> int:
-        return self.deployment.shard_index_for_key(key)
-
-    def client_for_session(self, session_id: str) -> BlockchainClient:
-        if self._bridged:
-            raise TypeError(
-                "a bridged engine has no host-side clients; submissions "
-                "go through submit()/submit_session_event()"
-            )
-        return self.deployment.client_for_shard(
-            self.shard_of_session(session_id),
-            self.client_prefix,
-            poll_interval_ms=self.poll_interval_ms,
-        )
-
-    # -- routing -------------------------------------------------------
+        return self.engine.shard_index_for_session(session_id)
 
     def submit(
         self,
@@ -419,45 +393,22 @@ class ShardRouter:
         touched_keys: Tuple[str, ...] = (),
         on_complete=None,
         effect_time: Optional[float] = None,
-    ) -> Tuple[int, Optional[str]]:
-        """Route one contract invocation to the session's shard.
-
-        Returns ``(shard_index, tx_id)``; the bridged backend builds
-        the transaction inside the shard world, so its tx id is not
-        known at submission time (``None``).  ``effect_time`` — the
-        absolute injection time of a pre-planned stream — is only
-        meaningful on the bridged backend (an in-process deployment
-        submits immediately; schedule the call instead).
-        """
+    ) -> int:
+        """Route one contract invocation to the session's shard and
+        return the shard index.  ``effect_time`` is the absolute
+        injection time of a pre-planned stream; without it the call is
+        reactive and pays one bridge transit."""
         shard_index = self.shard_of_session(session_id)
-        if self._bridged:
-            self.deployment.submit_invoke(
-                shard_index, function, tuple(args),
-                touched_keys=tuple(touched_keys), on_complete=on_complete,
-                client_prefix=self.client_prefix,
-                poll_interval_ms=(
-                    self.poll_interval_ms if self.poll_interval_ms is not None
-                    else 1000.0 / 35.0
-                ),
-                contract=self.contract_name,
-                effect_time=effect_time,
-            )
-            tx_id: Optional[str] = None
-        else:
-            if effect_time is not None:
-                raise TypeError(
-                    "effect_time only applies to a bridged engine backend"
-                )
-            client = self.deployment.client_for_shard(
-                shard_index, self.client_prefix,
-                poll_interval_ms=self.poll_interval_ms,
-            )
-            tx_id = client.invoke(
-                self.contract_name, function, args,
-                touched_keys=touched_keys, on_complete=on_complete,
-            )
+        self.engine.submit_invoke(
+            shard_index, function, tuple(args),
+            touched_keys=tuple(touched_keys), on_complete=on_complete,
+            client_prefix=self.client_prefix,
+            poll_interval_ms=self.poll_interval_ms,
+            contract=self.contract_name,
+            effect_time=effect_time,
+        )
         self.submitted_by_shard[shard_index] += 1
-        return shard_index, tx_id
+        return shard_index
 
     def submit_session_event(
         self,
@@ -466,7 +417,7 @@ class ShardRouter:
         delta: int = 1,
         on_complete=None,
         effect_time: Optional[float] = None,
-    ) -> Tuple[int, Optional[str]]:
+    ) -> int:
         """Route one game-state update (``sess/<sid>/p/<pid>``)."""
         from ..blockchain.swaps import session_key
 

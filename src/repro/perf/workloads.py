@@ -360,7 +360,7 @@ def sharded_replay(
     each shard's pipeline lives on its own clock behind a conservative-
     lookahead time bridge, and ``procs`` places the shard worlds either
     in-process (``1``) or across spawned worker processes (``N``).  The
-    placements are bit-identical by construction (DESIGN.md §14), so
+    placements are bit-identical by construction (DESIGN.md §13), so
     ``procs`` stays out of ``params`` and every
     placement gates against one baseline; only ``wall_s`` may differ.
 

@@ -1,13 +1,13 @@
 """Conservative-lookahead time bridge for multi-clock simulations.
 
-The single-process engine runs every shard on one :class:`Scheduler`.
-To run shards on *separate* clocks (one per worker process) without
-changing any result, the bridge exploits the structure of the sharded
-deployment: shards never talk to each other directly — all cross-shard
-interaction goes through the control plane (client submissions, swap
-2PC steps), and every control→shard injection carries a minimum
-modeled transit latency ``lookahead_ms``.  That latency is the
-conservative lookahead window of classic CMB-style parallel
+Every shard of the sharded deployment runs on its *own*
+:class:`Scheduler`, in the host process or in a worker.  The bridge
+keeps those clocks in step by exploiting the deployment's structure:
+shards never talk to each other directly — all cross-shard interaction
+goes through the control plane (client submissions, swap 2PC steps),
+and every control→shard injection carries a minimum modeled transit
+latency ``lookahead_ms``.  That latency is the conservative lookahead
+window of classic CMB-style parallel
 discrete-event simulation: if the control plane has processed
 everything up to time ``t``, no shard can receive a *new* reactive
 injection earlier than ``t + lookahead_ms``, so every shard may safely
@@ -94,6 +94,11 @@ class ShardGroupPort:
         raise NotImplementedError
 
     def collect_summaries(self) -> Dict[int, Dict[str, Any]]:
+        raise NotImplementedError
+
+    def committed_state_get(self, shard: int, key: str) -> Any:
+        """One key of a hosted shard's reference committed state; None
+        when absent or when no peer of the shard is reachable."""
         raise NotImplementedError
 
     def close(self) -> None:
@@ -206,43 +211,49 @@ class TimeBridge:
     def quiescent(self) -> bool:
         return self._earliest_activity() is None and self.control.pending == 0
 
+    def step(self) -> bool:
+        """Run one epoch round; False when nothing was left to run."""
+        earliest = self._earliest_activity()
+        if earliest is None:
+            return False
+        until = max(self.horizon + self.lookahead_ms, earliest)
+        shipped: Dict[ShardGroupPort, Dict[int, List[Command]]] = {}
+        for index, commands in self._outbox.items():
+            if commands:
+                port = self._shard_to_port[index]
+                shipped.setdefault(port, {})[index] = commands
+        for index in self._outbox:
+            self._outbox[index] = []
+        # Start every worker's epoch before collecting any results:
+        # process-backed ports execute concurrently in this window.
+        for port in self.ports:
+            port.begin_epoch(until, shipped.get(port, {}))
+        merged: List[UpEvent] = []
+        for port in self.ports:
+            events, stats = port.finish_epoch()
+            merged.extend(events)
+            self._shard_stats.update(stats)
+        self.horizon = until
+        # Global order: time, then shard index, then the shard-local
+        # emission sequence — a total order identical for any
+        # shard→worker placement.
+        merged.sort(key=lambda ev: (ev[0], ev[1], ev[2]))
+        for event in merged:
+            if event[0] > until:
+                raise BridgeError(
+                    f"shard {event[1]} emitted an event at t={event[0]:.3f} "
+                    f"beyond the epoch horizon t={until:.3f}"
+                )
+            self.control.call_at(event[0], self._dispatch, event)
+        self.control.run(until=until)
+        self.rounds += 1
+        return True
+
     def run(self, max_rounds: int = 10_000_000) -> None:
         """Run epoch rounds until globally quiescent."""
         for _ in range(max_rounds):
-            earliest = self._earliest_activity()
-            if earliest is None:
+            if not self.step():
                 return
-            until = max(self.horizon + self.lookahead_ms, earliest)
-            shipped: Dict[ShardGroupPort, Dict[int, List[Command]]] = {}
-            for index, commands in self._outbox.items():
-                if commands:
-                    port = self._shard_to_port[index]
-                    shipped.setdefault(port, {})[index] = commands
-            for index in self._outbox:
-                self._outbox[index] = []
-            # Start every worker's epoch before collecting any results:
-            # process-backed ports execute concurrently in this window.
-            for port in self.ports:
-                port.begin_epoch(until, shipped.get(port, {}))
-            merged: List[UpEvent] = []
-            for port in self.ports:
-                events, stats = port.finish_epoch()
-                merged.extend(events)
-                self._shard_stats.update(stats)
-            self.horizon = until
-            # Global order: time, then shard index, then the shard-local
-            # emission sequence — a total order identical for any
-            # shard→worker placement.
-            merged.sort(key=lambda ev: (ev[0], ev[1], ev[2]))
-            for event in merged:
-                if event[0] > until:
-                    raise BridgeError(
-                        f"shard {event[1]} emitted an event at t={event[0]:.3f} "
-                        f"beyond the epoch horizon t={until:.3f}"
-                    )
-                self.control.call_at(event[0], self._dispatch, event)
-            self.control.run(until=until)
-            self.rounds += 1
         raise BridgeError(f"no quiescence within {max_rounds} epoch rounds")
 
     def _dispatch(self, event: UpEvent) -> None:

@@ -25,6 +25,7 @@ distributions (Fig. 3c's validation latency) still see all N peers.
 
 from __future__ import annotations
 
+import copy
 from typing import Any, Dict, Optional, Tuple
 
 from .metrics import (
@@ -108,9 +109,10 @@ class Telemetry:
     # ------------------------------------------------------------------
     # wiring
 
-    def instrument_chain(self, chain) -> "Telemetry":
+    def instrument_chain(self, chain, **net_labels: str) -> "Telemetry":
         """Attach to a :class:`~repro.blockchain.network.BlockchainNetwork`:
-        orderer, every peer, every existing client, and the transport."""
+        orderer, every peer, every existing client, and the transport
+        (its gauges labelled ``net_labels``)."""
         self._sched = chain.scheduler
         if self.witness is None:
             self.witness = chain.peers[0].name
@@ -119,39 +121,39 @@ class Telemetry:
         self._watch_peers(chain.peers)
         for client in getattr(chain, "_clients", {}).values():
             client.telemetry = self
-        self.bind_network(chain.net)
+        self.bind_network(chain.net, **net_labels)
         return self
 
-    def instrument_sharded(self, deployment) -> "Telemetry":
-        """Attach to a :class:`~repro.blockchain.sharding.
-        ShardedDeployment`: every shard's orderer, peers and clients,
-        the shared transport (bound once — the shards share one
-        network), plus per-shard progress gauges.
+    def instrument_sharded(self, engine) -> "Telemetry":
+        """Attach to a :class:`~repro.blockchain.shardworker.
+        BridgedShardEngine` through ``engine.worlds`` (local placement):
+        every world's orderer, peers, clients and transport, plus
+        per-shard progress gauges fed from ``collect_summaries()``.
 
-        The witness defaults to shard 0's first peer, so per-tx spans
-        describe one shard's pipeline; per-stage histograms and the
-        counters aggregate over all shards.
+        Each world has its own clock, so its hosts get a shallow view of
+        this facade that stamps with *that* clock; registry, tracer and
+        the pending-lifecycle maps are shared.  The facade itself stamps
+        with the control clock (swap stages).  The witness defaults to
+        shard 0's first peer, so per-tx spans describe one shard's
+        pipeline; per-stage histograms and the counters aggregate over
+        all shards.
         """
-        self._sched = deployment.scheduler
+        worlds = engine.worlds
         if self.witness is None:
-            self.witness = deployment.shards[0].peers[0].name
-        deployment.telemetry = self
-        for shard in deployment.shards:
-            shard.telemetry = self
-            shard.orderer.telemetry = self
-            self._watch_peers(shard.peers)
-            for client in getattr(shard, "_clients", {}).values():
-                client.telemetry = self
-        for index, shard in enumerate(deployment.shards):
-            def _height(s=shard) -> float:
-                return float(max(p.committed_height for p in s.peers))
+            self.witness = worlds[0].chain.peers[0].name
+        for world in worlds:
+            copy.copy(self).instrument_chain(world.chain, shard=f"s{world.index}")
+        self._sched = engine.scheduler
+        for index in range(engine.n_shards):
+            def _height(i=index) -> float:
+                return float(engine.collect_summaries()[i]["committed_height"])
 
-            def _throughput(s=shard) -> float:
-                now_s = s.net.scheduler.now / 1000.0
+            def _throughput(i=index) -> float:
+                summary = engine.collect_summaries()[i]
+                now_s = summary["sim_now_ms"] / 1000.0
                 if now_s <= 0:
                     return 0.0
-                peer = max(s.peers, key=lambda p: p.committed_height)
-                return round(len(peer.ledger.committed_tx_ids()) / now_s, 6)
+                return round(summary["committed_tx_count"] / now_s, 6)
 
             self.registry.gauge(
                 "shard_committed_height",
@@ -163,7 +165,6 @@ class Telemetry:
                 "committed transactions per simulated second on the shard",
                 fn=_throughput, shard=f"s{index}",
             )
-        self.bind_network(deployment.net)
         return self
 
     def _watch_peers(self, peers) -> None:
@@ -181,16 +182,19 @@ class Telemetry:
             shim.telemetry = self
         return self
 
-    def bind_network(self, net) -> None:
+    def bind_network(self, net, **labels: str) -> None:
         """Absorb the transport's :class:`NetworkStats` — and, on realnet,
         its socket-level counters — into the registry (collect-time
         callback gauges — nothing added to the per-message path) and
-        forward fabric events into the trace."""
+        forward fabric events into the trace.  ``labels`` tell several
+        bound transports apart (one per shard world)."""
         stats = net.stats
         for fname in stats.as_dict():
             def _read(s=stats, k=fname) -> float:
                 return getattr(s, k)
-            self.registry.gauge(f"net_{fname}", f"transport {fname}", fn=_read)
+            self.registry.gauge(
+                f"net_{fname}", f"transport {fname}", fn=_read, **labels
+            )
         # Only the realnet transport has sockets to count on.
         socket_counters = getattr(net, "transport_counters", None)
         if socket_counters is not None:
@@ -198,7 +202,8 @@ class Telemetry:
                 def _read_socket(n=net, k=cname) -> float:
                     return getattr(n, k)
                 self.registry.gauge(
-                    f"realnet_{cname}", f"socket-level {cname}", fn=_read_socket
+                    f"realnet_{cname}", f"socket-level {cname}", fn=_read_socket,
+                    **labels,
                 )
         previous = net.on_stats_event
 

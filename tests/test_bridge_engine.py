@@ -8,7 +8,7 @@ Integration layer: :class:`~repro.blockchain.shardworker.BridgedShardEngine`
 running the sharded replay workload with shard worlds in-process
 (``procs=1``) and across spawned worker processes (``procs=2``) —
 ``sim_metrics`` (ledgers, state hashes, swap outcomes, scheduler event
-counts) must be *bit-identical*, the tentpole guarantee of DESIGN.md §14.
+counts) must be *bit-identical*, the tentpole guarantee of DESIGN.md §13.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from repro.blockchain.shardworker import (
     LocalShardGroupPort,
     shard_specs,
 )
-from repro.blockchain.swaps import SwapCoordinator
+from repro.blockchain.swaps import SwapCoordinator, check_conservation_summaries
 from repro.core.shim import ShardRouter
 from repro.simnet.bridge import (
     DEFAULT_LOOKAHEAD_MS,
@@ -217,11 +217,9 @@ def test_engine_routes_and_completes():
         assert summaries[shard]["assets"]["a1"]["owner"] == "g00000"
 
 
-def test_router_detects_bridged_backend():
+def test_router_submits_through_engine():
     with BridgedShardEngine(**ENGINE_KW) as engine:
         router = ShardRouter(engine)
-        with pytest.raises(TypeError):
-            router.client_for_session("g00000")
         results = []
         router.submit(
             "g00000", "mint", ("a2", "g00000", 7),
@@ -233,16 +231,86 @@ def test_router_detects_bridged_backend():
         assert results == ["VALID"]
 
 
-def test_swap_coordinator_requires_exactly_one_backend():
-    with pytest.raises(ValueError):
-        SwapCoordinator()
+def test_summaries_follow_the_bridge():
+    """A collection made mid-run must not be served again later."""
     with BridgedShardEngine(**ENGINE_KW) as engine:
-        coordinator = SwapCoordinator(port=BridgeSwapPort(engine))
-        assert coordinator.deployment is None
-        assert coordinator.timeout_ms == engine.config.swap_timeout_ms
+        engine.submit_invoke(
+            0, "mint", ("a1", "alice", 5), touched_keys=("asset/a1",),
+            effect_time=50.0,
+        )
+        engine.call_at(1.0, engine.collect_summaries)
+        engine.run()
+        assert engine.collect_summaries()[0]["assets"] == {
+            "a1": {"owner": "alice", "value": 5}
+        }
+        assert engine.committed_heights() == [1, 0]
 
 
-def test_bridged_swap_commits_across_shards():
+def test_worlds_is_the_local_placement_only():
+    with BridgedShardEngine(**ENGINE_KW) as engine:
+        assert [world.index for world in engine.worlds] == [0, 1]
+    with BridgedShardEngine(procs=2, **ENGINE_KW) as engine:
+        with pytest.raises(RuntimeError, match="procs=1"):
+            engine.worlds
+
+
+def test_killed_worker_surfaces_as_bridge_error():
+    engine = BridgedShardEngine(procs=2, **ENGINE_KW)
+    try:
+        port = engine.bridge.ports[1]
+        port._process.kill()
+        engine.submit_invoke(0, "mint", ("a1", "alice", 5), effect_time=0.0)
+        with pytest.raises(BridgeError) as caught:
+            engine.run()
+        message = str(caught.value)
+        assert port._process.name in message
+        assert "shards [1]" in message
+        assert "exit code -9" in message
+    finally:
+        engine.close()
+    assert not any(p._process.is_alive() for p in engine.bridge.ports)
+
+
+def _darken(world, keep=0):
+    """Take the world's peers down, all but the first ``keep``."""
+    for peer in world.chain.peers[keep:]:
+        world.chain.net.condition(peer.name).down = True
+
+
+def test_dark_shard_is_unobservable_not_destroyed():
+    with BridgedShardEngine(**ENGINE_KW) as engine:
+        minted = {}
+        for shard, aid in ((0, "a0"), (1, "a1")):
+            minted[aid] = 5
+            engine.submit_invoke(
+                shard, "mint", (aid, "alice", 5),
+                touched_keys=(f"asset/{aid}",), effect_time=0.0,
+            )
+        engine.run()
+        world = engine.worlds[1]
+        # One reachable peer is enough to read the shard...
+        _darken(world, keep=1)
+        assert world._reference_peer() is world.chain.peers[0]
+        assert engine.committed_state_get(1, "asset/a1")["value"] == 5
+        # ...with none, the shard answers but shows nothing.
+        _darken(world)
+        summary = engine.collect_summaries()[1]
+        assert summary["readable"] is False
+        assert summary["assets"] == {} and summary["locks"] == {}
+        assert summary["committed_height"] == 1
+        assert engine.committed_state_get(1, "asset/a1") is None
+        for quiescent in (False, True):
+            assert check_conservation_summaries(
+                engine.collect_summaries(), minted, quiescent=quiescent
+            ) == []
+        # Positive evidence is still judged: a0's value is observable.
+        problems = check_conservation_summaries(
+            engine.collect_summaries(), dict(minted, a0=6), quiescent=False
+        )
+        assert problems == ["asset a0 value changed: 5 != minted 6"]
+
+
+def test_swap_commits_across_shards():
     with BridgedShardEngine(**ENGINE_KW) as engine:
         src = engine.shard_index_for_session("g00000")
         dst = next(
@@ -257,6 +325,7 @@ def test_bridged_swap_commits_across_shards():
         )
         engine.run()
         coordinator = SwapCoordinator(port=BridgeSwapPort(engine))
+        assert coordinator.timeout_ms == engine.config.swap_timeout_ms
         engine.call_at(
             engine.now, coordinator.start_swap,
             "s1", "swapme", src, dst, "g00099", 42,

@@ -36,10 +36,12 @@ class TestCrossShardSwapScenario:
         assert summary.get("swap_committed", 0) > 0
         assert summary.get("swap_skipped_while_crashed", 0) > 0
         kinds = {entry[0] for entry in result.timeline}
-        assert "coordinator-crash" in kinds
-        assert "coordinator-recover" in kinds
-        assert "swap" in kinds
-        assert "conservation" in kinds
+        assert {"fault", "commit", "swap", "conservation",
+                "coordinator-crash", "coordinator-recover"} <= kinds
+        # Worlds and control plane run on separate clocks; the timeline
+        # is still one history in time order.
+        times = [entry[1] for entry in result.timeline]
+        assert times == sorted(times)
 
     def test_dispatched_through_run_scenario(self):
         # n_shards > 1 in the scenario is all it takes — callers keep

@@ -9,9 +9,10 @@ and (c) session-colocating: every key of one session lands on one shard.
 
 import zlib
 
-from repro.blockchain import ShardedDeployment, TxValidationCode
+from repro.blockchain import TxValidationCode
 from repro.blockchain.sharding import session_shard_key, shard_index_for_key
-from repro.blockchain.swaps import ShardAssetContract, session_key
+from repro.blockchain.shardworker import BridgedShardEngine
+from repro.blockchain.swaps import session_key
 from repro.core import ShardRouter
 from repro.simnet import LAN_1GBPS
 
@@ -53,52 +54,51 @@ class TestShardIndexForKey:
 
 class TestSessionColocation:
     def test_all_keys_of_a_session_share_a_shard(self):
-        deployment = ShardedDeployment(8, 4, profile=LAN_1GBPS, seed=3)
+        engine = BridgedShardEngine(8, 4, profile=LAN_1GBPS, seed=3)
         for sid in (f"g{i:04d}" for i in range(50)):
-            home = deployment.shard_index_for_session(sid)
+            home = engine.shard_index_for_session(sid)
             for pid in ("p0", "p1", "p99"):
                 key = session_key(sid, pid)
                 # Player keys share the session prefix, so prefix-routing
                 # must put them on the session's shard.
                 assert key.startswith(session_shard_key(sid) + "/")
-                assert deployment.shard_index_for_key(session_shard_key(sid)) == home
+                assert engine.shard_index_for_key(session_shard_key(sid)) == home
 
 
 class TestShardRouter:
     def make(self, n_shards=2):
-        deployment = ShardedDeployment(
+        engine = BridgedShardEngine(
             n_peers=4 * n_shards, n_shards=n_shards, profile=LAN_1GBPS, seed=5
         )
-        deployment.install_contract(ShardAssetContract)
-        return deployment, ShardRouter(deployment)
+        return engine, ShardRouter(engine)
 
     def test_routes_to_owning_shard_and_commits(self):
-        deployment, router = self.make()
+        engine, router = self.make()
         codes = []
         targets = []
         for i in range(12):
             sid = f"g{i:02d}"
-            shard_index, _tx = router.submit_session_event(
+            shard_index = router.submit_session_event(
                 sid, "p0", 1, on_complete=lambda r, _l: codes.append(r.code)
             )
-            assert shard_index == deployment.shard_index_for_session(sid)
+            assert shard_index == engine.shard_index_for_session(sid)
             targets.append((sid, shard_index))
-        deployment.run_until_idle()
+        engine.run()
         assert codes == [TxValidationCode.VALID] * 12
         for sid, shard_index in targets:
             # The event's write is on its shard, and only there.
             key = session_key(sid, "p0")
-            assert deployment.committed_state_get(shard_index, key) == 1
-            for other in range(deployment.n_shards):
+            assert engine.committed_state_get(shard_index, key) == 1
+            for other in range(engine.n_shards):
                 if other != shard_index:
-                    assert deployment.committed_state_get(other, key) is None
+                    assert engine.committed_state_get(other, key) is None
 
     def test_per_shard_submission_counters(self):
-        deployment, router = self.make(n_shards=3)
+        engine, router = self.make(n_shards=3)
         for i in range(30):
             router.submit_session_event(f"g{i:02d}", "p0", 1)
         assert sum(router.submitted_by_shard) == 30
         expected = [0, 0, 0]
         for i in range(30):
-            expected[deployment.shard_index_for_session(f"g{i:02d}")] += 1
+            expected[engine.shard_index_for_session(f"g{i:02d}")] += 1
         assert router.submitted_by_shard == expected

@@ -10,8 +10,8 @@ and counts, which is exactly what dashboards scrape.
 
 from pathlib import Path
 
-from repro.blockchain import ShardedDeployment
-from repro.blockchain.swaps import ShardAssetContract, SwapCoordinator, asset_key
+from repro.blockchain.shardworker import BridgedShardEngine, BridgeSwapPort
+from repro.blockchain.swaps import SwapCoordinator, asset_key
 from repro.simnet import LAN_1GBPS
 from repro.telemetry import Telemetry
 from repro.telemetry.export import prometheus_text, trace_records
@@ -28,28 +28,29 @@ SHARDED_FAMILIES = (
 
 
 def run_instrumented():
-    deployment = ShardedDeployment(
+    engine = BridgedShardEngine(
         n_peers=8, n_shards=2, profile=LAN_1GBPS, seed=4
     )
-    deployment.install_contract(ShardAssetContract)
-    telemetry = Telemetry().instrument_sharded(deployment)
+    telemetry = Telemetry().instrument_sharded(engine)
     for j, home in ((0, 0), (1, 1)):
-        deployment.client_for_shard(home, "minter").invoke(
-            ShardAssetContract.name, "mint", (f"a{j}", "alice", 5 + j),
-            touched_keys=(asset_key(f"a{j}"),),
+        engine.submit_invoke(
+            home, "mint", (f"a{j}", "alice", 5 + j),
+            touched_keys=(asset_key(f"a{j}"),), client_prefix="minter",
+            poll_interval_ms=1000.0 / 35.0,
         )
-    deployment.run_until_idle()
-    coordinator = SwapCoordinator(deployment, telemetry=telemetry)
+    engine.run()
+    coordinator = SwapCoordinator(port=BridgeSwapPort(engine), telemetry=telemetry)
     coordinator.start_swap("s1", "a0", 0, 1, "bob", 5)     # commits
     coordinator.start_swap("s2", "nope", 0, 1, "bob", 1)   # aborts
-    deployment.run_until_idle()
+    engine.run()
     # A second coordinator whose timer is shorter than a commit
     # round-trip: its swap must time out.
     slow = SwapCoordinator(
-        deployment, telemetry=telemetry, timeout_ms=1.0, name="slowcoord"
+        port=BridgeSwapPort(engine, client_name="slowcoord"),
+        telemetry=telemetry, timeout_ms=1.0, name="slowcoord",
     )
     slow.start_swap("s3", "a1", 1, 0, "carol", 6)          # times out
-    deployment.run_until_idle()
+    engine.run()
     return telemetry
 
 
