@@ -57,10 +57,7 @@ def audit_ledger(ledger: Ledger) -> AuditReport:
     )
     for number in range(1, ledger.height):
         block = ledger.block(number)
-        codes = block.validation_codes or [TxValidationCode.PENDING] * len(
-            block.transactions
-        )
-        for tx, code in zip(block.transactions, codes):
+        for tx, code in zip(block.transactions, ledger.validation_codes(number)):
             report.total_transactions += 1
             creator = tx.proposal.creator
             function = tx.proposal.function

@@ -4,6 +4,10 @@ import pytest
 
 from repro.analysis import audit_ledger, cross_audit
 from repro.blockchain import TxValidationCode
+from repro.blockchain.config import FabricConfig
+from repro.blockchain.network import BlockchainNetwork
+from repro.chaos.buggy import install_mvcc_bypass
+from repro.chaos.workload import ChaosCounterContract
 from repro.core import CheatInjector, GameSession, relevant_cheats
 from repro.game import AssetId, DoomClient, EventType, GameEvent
 from repro.simnet import LAN_1GBPS
@@ -62,6 +66,45 @@ class TestAudit:
     def test_cross_audit_empty_rejected(self):
         with pytest.raises(ValueError):
             cross_audit([])
+
+
+def _conflicting_pair(bypassed):
+    """Two ``add``s on one counter in one block on four peers, with the
+    MVCC check broken on the ``bypassed`` peers."""
+    chain = BlockchainNetwork(n_peers=4, seed=11, config=FabricConfig(max_block_txs=5))
+    chain.install_contract(ChaosCounterContract)
+    client = chain.create_client("auditor")
+    key = ChaosCounterContract.key("a")
+    client.invoke(ChaosCounterContract.name, "init", ("a",), touched_keys=(key,))
+    chain.net.run_until_idle()
+    for index in bypassed:
+        install_mvcc_bypass(chain.peers[index])
+    for delta in (1, 2):
+        client.invoke(ChaosCounterContract.name, "add", ("a", delta), touched_keys=(key,))
+    chain.net.run_until_idle()
+    return chain
+
+
+@pytest.mark.parametrize("bypassed", [(1,), (1, 2, 3)])
+def test_audit_reports_this_ledgers_verdicts_not_the_last_appenders(bypassed):
+    """Peers of one process share block objects, and every append
+    overwrites ``block.validation_codes``; the audit must read the
+    audited ledger's own verdicts."""
+    chain = _conflicting_pair(bypassed)
+    ledger = chain.peers[0].ledger
+    assert ledger.height == 3
+    txs = ledger.block(2).transactions
+    own = [ledger.tx_status(tx.tx_id)[0] for tx in txs]
+    assert own == [TxValidationCode.VALID, TxValidationCode.MVCC_READ_CONFLICT]
+    report = audit_ledger(ledger)
+    assert report.by_code == {TxValidationCode.VALID: 2, TxValidationCode.MVCC_READ_CONFLICT: 1}
+    assert [(code, block) for _c, _f, code, block in report.rejections] == [
+        (TxValidationCode.MVCC_READ_CONFLICT, 2)
+    ]
+    assert ledger.validation_codes(2) == own
+    # A bypassed peer audits its own (different) verdicts.
+    bypassed_report = audit_ledger(chain.peers[bypassed[-1]].ledger)
+    assert bypassed_report.rejected == (1 if len(bypassed) == 1 else 0)
 
 
 class TestClientShimIntegration:
