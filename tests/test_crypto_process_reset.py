@@ -1,6 +1,6 @@
 """Crypto memo caches across process boundaries.
 
-The verify/keypair/decoded-certificate caches are pure memos, but a
+The verify/keypair/decoded-object caches are pure memos, but a
 forked worker would inherit them pre-warmed while a spawned worker
 starts cold — a timing (and, if a memo were ever wrong, a verdict)
 asymmetry between shard placements.  ``reset_crypto_caches()`` is the
@@ -23,14 +23,14 @@ from repro.blockchain.crypto import (
 )
 from repro.blockchain.identity import Certificate
 
-COLD = {"verify": 0, "keypair": 0, "certificate": 0}
+COLD = {"verify": 0, "keypair": 0, "decoded": 0}
 
 
 def _warm():
     pair = generate_keypair("cache-test-seed", bits=256)
     signature = pair.private.sign("hello")
     assert pair.public.verify("hello", signature)
-    # A certificate crossing the codec lands in the decoded-certificate memo.
+    # A certificate crossing the codec lands in the decoded-object memo.
     decode(encode(Certificate("warm", pair.public, "ca", 1, signature)))
     return pair, signature
 
@@ -41,7 +41,7 @@ def test_reset_empties_both_caches_and_reports_prior_sizes():
     before = crypto_cache_sizes()
     assert before["verify"] >= 1
     assert before["keypair"] >= 1
-    assert before["certificate"] == 1
+    assert before["decoded"] == 1
     dropped = reset_crypto_caches()
     assert dropped == before
     assert crypto_cache_sizes() == COLD
@@ -66,7 +66,7 @@ def test_spawned_process_starts_with_cold_caches():
     and warming the parent cannot leak into the child."""
     _warm()  # parent caches are demonstrably warm now
     assert crypto_cache_sizes()["verify"] >= 1
-    assert crypto_cache_sizes()["certificate"] >= 1
+    assert crypto_cache_sizes()["decoded"] >= 1
     script = (
         "from repro.blockchain.crypto import crypto_cache_sizes, "
         "reset_crypto_caches\n"

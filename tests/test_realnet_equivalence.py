@@ -70,7 +70,21 @@ def _starve(chain, counts):
     chain.net.fault_injector = injector
 
 
-def _run_session(backend: str, starve: bool = False):
+def _duplicate(chain, counts):
+    """Deliver every vote and sync hash twice.  On simnet both copies
+    are one object; on realnet they are equal bytes, which the receive
+    path decodes to one object too."""
+
+    def injector(msg, at):
+        if type(msg.payload) in (VoteMsg, SyncHashMsg):
+            counts["duplicated"] += 1
+            return [at, at]
+        return [at]
+
+    chain.net.fault_injector = injector
+
+
+def _run_session(backend: str, starve: bool = False, duplicate: bool = False):
     clear_execution_cache()
     reset_execution_stats()
     config = FabricConfig(max_block_txs=1, backend=backend)
@@ -80,9 +94,11 @@ def _run_session(backend: str, starve: bool = False):
     chain = BlockchainNetwork(PEERS, config=config, seed=11)
     if backend == "realnet":
         chain.net.start()
-    gossip = {"retries": 0, "replies": 0}
+    gossip = {"retries": 0, "replies": 0, "duplicated": 0}
     if starve:
         _starve(chain, gossip)
+    if duplicate:
+        _duplicate(chain, gossip)
     chain.install_contract(ChaosCounterContract)
     client = chain.create_client("scripted")
 
@@ -163,15 +179,27 @@ def test_committed_heights_identical(results):
 
 
 def test_decoded_block_copies_share_execution_results(results):
-    """The execution cache is keyed by content: on real sockets every
-    peer decodes its own copy of a block, and all but the first to
-    execute it still reuse the first one's results."""
+    """The execution cache is keyed by content: on real sockets the
+    peers of a process share one decoded block, as on simnet, and all
+    but the first to execute it reuse the first one's results."""
     blocks = len(SCRIPT_INIT) + len(SCRIPT_UPDATES)
     for backend, r in results.items():
         stats = r["execution"]
         assert stats["cache_misses"] == blocks, backend
         assert stats["cache_hits"] == (PEERS - 1) * blocks, backend
         assert stats["cache_bypasses"] == 0, backend
+
+
+def test_duplicated_attestations_are_tallied_once_on_both_backends(results):
+    """A vote or sync hash delivered twice is one ballot: it changes no
+    code, counter or height, on realnet exactly as on simnet."""
+    for backend in ("simnet", "realnet"):
+        r = _run_session(backend, duplicate=True)
+        assert r["gossip"]["duplicated"] >= 2 * PEERS * (PEERS - 1), backend
+        assert len(r["heights"]) == 1 and len(r["state_hashes"]) == 1, backend
+        assert r["chains_valid"] and r["synced"], backend
+        for key in ("codes", "counters", "heights"):
+            assert r[key] == results[backend][key], (backend, key)
 
 
 @pytest.fixture(scope="module")
