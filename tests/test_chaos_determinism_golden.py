@@ -78,3 +78,23 @@ def test_timeline_matches_golden(golden, replayed):
 
 def test_full_record_matches_golden(golden, replayed):
     assert replayed == golden
+
+
+#: Full timeline digests (commit state hashes included) of one sharded
+#: and two single-chain catalog runs.  Whatever drives a scenario must
+#: replay these event for event.
+PINNED_DIGESTS = {
+    ("cross-shard-swap", 7):
+        "9113f00a3b9f37e388cb9b9ecc35d0a95669408464c41f67a36905db76532bcf",
+    ("smoke", 7):
+        "eb93e28f656c8f448466796b10cc74b0338ab87f565d2910e7a7be7a761a7b9f",
+    ("smoke", 42):
+        "bc00c0d30ce383a04d79ff98d70f159488c2145a1d575507d5c070afb011e1b8",
+}
+
+
+@pytest.mark.parametrize("scenario,seed", sorted(PINNED_DIGESTS))
+def test_timeline_digest_is_pinned(scenario, seed):
+    result = run_scenario(scenario, seed=seed)
+    assert result.ok
+    assert result.timeline_digest() == PINNED_DIGESTS[scenario, seed]
