@@ -3,10 +3,11 @@
 Seeded fault schedules (:mod:`repro.chaos.faults`) are injected into a
 live simulated deployment (:mod:`repro.chaos.injector`) while safety and
 liveness invariants are checked independently of the implementation
-under test (:mod:`repro.chaos.invariants`).  The scenario runner
-(:mod:`repro.chaos.runner`, CLI via ``python -m repro.chaos``) shrinks a
-failing schedule to a minimal fault prefix and prints the command that
-replays it.
+under test (:mod:`repro.chaos.invariants`).  One run loop
+(:mod:`repro.chaos.loop`) plays every scenario and soak.  The scenario
+runner (:mod:`repro.chaos.runner`, CLI via ``python -m repro.chaos``)
+shrinks a failing schedule to a minimal fault prefix and prints the
+command that replays it.
 """
 
 from .faults import FaultEvent, FaultKind, FaultSchedule

@@ -11,9 +11,11 @@ peer lives next to honest ones in the same deployment.
 
 from __future__ import annotations
 
+from typing import Callable, Dict
+
 from ..blockchain.transaction import TxValidationCode
 
-__all__ = ["install_mvcc_bypass", "install_catchup_corruption"]
+__all__ = ["BUGGY_FIXTURES", "install_mvcc_bypass", "install_catchup_corruption"]
 
 
 def install_mvcc_bypass(peer) -> None:
@@ -65,3 +67,16 @@ def install_catchup_corruption(peer) -> None:
         return real_append(block, executions)
 
     peer.ledger.append = corrupted_append
+
+
+#: Named intentionally-buggy deployments: fixture name -> installer that
+#: receives a freshly built chain.
+BUGGY_FIXTURES: Dict[str, Callable[..., None]] = {
+    # A platform-wide MVCC regression: every peer skips conflict checks.
+    "mvcc-bypass": lambda chain: [
+        install_mvcc_bypass(peer) for peer in chain.peers
+    ],
+    # One peer whose gap-recovery path re-applies rejected writes; only
+    # observable once a fault forces it through catch-up.
+    "catchup-corruption": lambda chain: install_catchup_corruption(chain.peers[1]),
+}

@@ -73,11 +73,24 @@ class FaultInjector:
     # lifecycle
 
     def install(self) -> "FaultInjector":
-        """Schedule every fault event and hook the transport."""
+        """Schedule every fault event and hook the transport.
+
+        An injector already on the hook (another session sharing this
+        transport) keeps applying first: each delivery time it answers
+        flows through this injector's filter, and a message it drops
+        never reaches this one.
+        """
         if self._installed:
             raise RuntimeError("injector already installed")
         self._installed = True
-        self.net.fault_injector = self._filter
+        previous = self.net.fault_injector
+        if previous is None:
+            self.net.fault_injector = self._filter
+        else:
+            self.net.fault_injector = lambda msg, deliver_at: [
+                t for first in previous(msg, deliver_at)
+                for t in self._filter(msg, first)
+            ]
         for event in self.schedule.events:
             self.net.scheduler.call_at(event.at_ms, self._apply, event)
         return self

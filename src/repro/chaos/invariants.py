@@ -216,9 +216,6 @@ class InvariantMonitor:
     Args:
         chain: the :class:`~repro.blockchain.network.BlockchainNetwork`.
         asset_invariants: extra per-game conservation checks.
-        deep: also compare post-commit state hashes across peers at every
-            height (O(state) per commit; exactly what catches a peer
-            whose ledger silently diverged).
         on_commit: optional observer ``(sim_ms, peer, height, state_hash)``
             for timeline recording.
     """
@@ -227,12 +224,10 @@ class InvariantMonitor:
         self,
         chain,
         asset_invariants: Tuple[AssetInvariant, ...] = (),
-        deep: bool = True,
         on_commit=None,
     ):
         self.chain = chain
         self.asset_invariants = tuple(asset_invariants)
-        self.deep = deep
         self.on_commit = on_commit
         self.violations: List[Violation] = []
         self.commits_checked = 0
@@ -333,17 +328,16 @@ class InvariantMonitor:
                 overlay.put(key, None, Version(block.number, index))
         overlay.commit_to_base()
 
-        # 3. state-hash agreement at equal heights.
-        state_hash = None
-        if self.deep:
-            state_hash = peer.ledger.state_hash()
-            first_hash = self._state_hash_at.setdefault(block.number, state_hash)
-            if state_hash != first_hash:
-                self._record(
-                    "state-divergence", name,
-                    f"state hash at height {block.number} is {state_hash[:12]}, "
-                    f"first-seen {first_hash[:12]}",
-                )
+        # 3. state-hash agreement at equal heights (O(state) per commit;
+        #    exactly what catches a peer whose ledger silently diverged).
+        state_hash = peer.ledger.state_hash()
+        first_hash = self._state_hash_at.setdefault(block.number, state_hash)
+        if state_hash != first_hash:
+            self._record(
+                "state-divergence", name,
+                f"state hash at height {block.number} is {state_hash[:12]}, "
+                f"first-seen {first_hash[:12]}",
+            )
 
         # 4. game-level conservation.
         for invariant in self.asset_invariants:
@@ -352,10 +346,7 @@ class InvariantMonitor:
                 self._record(invariant.name, name, breach)
 
         if self.on_commit is not None:
-            self.on_commit(
-                self.chain.now, name, block.number,
-                state_hash if state_hash is not None else digest,
-            )
+            self.on_commit(self.chain.now, name, block.number, state_hash)
 
     # ------------------------------------------------------------------
     # end-of-run checks

@@ -2,16 +2,17 @@
 
 One :func:`run_scenario` call is a complete experiment:
 
-1. build a fresh deployment (:class:`BlockchainNetwork`) from the seed;
-2. install the deterministic counter workload and the
-   :class:`~repro.chaos.invariants.InvariantMonitor`;
-3. optionally break a peer with a fixture from :mod:`repro.chaos.buggy`;
-4. draw the scenario's :class:`FaultSchedule` from the seed and inject
-   it through the :class:`~repro.chaos.injector.FaultInjector`;
-5. at the fault horizon, lift everything, submit liveness probes and
-   run the network to quiescence;
-6. check convergence and report every violation plus a canonical digest
-   of the run's event timeline (the determinism witness).
+1. build a fresh deployment from the seed — one :class:`BlockchainNetwork`
+   with the deterministic counter workload, or a sharded engine with the
+   cross-shard swap workload (:mod:`repro.chaos.sharded`);
+2. draw the scenario's :class:`FaultSchedule` from the seed;
+3. hand both to the run loop (:func:`repro.chaos.loop.run_worlds`): it
+   attaches the invariant monitors and fault injectors, optionally
+   breaks peers with a fixture from :mod:`repro.chaos.buggy`, lifts
+   every fault at the horizon, probes liveness after the settle period,
+   runs to quiescence and checks convergence;
+4. report every violation plus a canonical digest of the run's event
+   timeline (the determinism witness).
 
 When a run fails, :func:`shrink_failing_schedule` replays ever-shorter
 fault prefixes to find the *minimal* failing one, and the CLI prints the
@@ -20,36 +21,22 @@ exact command that reproduces it.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Union
+from collections import Counter
+from dataclasses import dataclass, field, replace
+from typing import Dict, List, Optional, Tuple, Union
 
 from ..blockchain.config import FabricConfig
 from ..blockchain.crypto import canonical_digest
 from ..blockchain.network import BlockchainNetwork
-from ..blockchain.transaction import TxValidationCode
-from .buggy import install_catchup_corruption, install_mvcc_bypass
+from .buggy import BUGGY_FIXTURES
 from .faults import FaultSchedule
-from .injector import FaultInjector
-from .invariants import CounterConservation, InvariantMonitor, Violation
+from .invariants import CounterConservation, Violation
+from .loop import run_worlds
 from .scenarios import Scenario, get_scenario
 from .workload import CounterWorkload
 
 __all__ = ["ChaosResult", "ShrinkReport", "BUGGY_FIXTURES",
            "run_scenario", "shrink_failing_schedule", "replay_command"]
-
-
-#: Named intentionally-buggy deployments: fixture name -> installer that
-#: receives the freshly built chain.
-BUGGY_FIXTURES: Dict[str, Callable[[BlockchainNetwork], None]] = {
-    # A platform-wide MVCC regression: every peer skips conflict checks.
-    "mvcc-bypass": lambda chain: [
-        install_mvcc_bypass(peer) for peer in chain.peers
-    ],
-    # One peer whose gap-recovery path re-applies rejected writes; only
-    # observable once a fault forces it through catch-up.
-    "catchup-corruption": lambda chain: install_catchup_corruption(chain.peers[1]),
-}
 
 
 @dataclass
@@ -104,39 +91,29 @@ class ChaosResult:
         return lines
 
 
-#: Events fired between wall-clock checks under a ``max_wall_s`` budget.
-#: Large enough that the ``perf_counter`` call is noise, small enough
-#: that overshoot past the budget stays well under a second.
-_WALL_CHECK_EVERY = 20_000
+def _world_share(schedule: FaultSchedule, chain) -> Tuple[FaultSchedule, List[int]]:
+    """The part of a fabric-wide schedule that touches one world's hosts,
+    and each kept event's position in ``schedule``.
 
-#: Backstop matching :meth:`Scheduler.run_until_idle`'s default.
-_MAX_TOTAL_EVENTS = 10_000_000
-
-
-def _run_budgeted(scheduler, deadline: float, until: Optional[float]) -> bool:
-    """Run the scheduler in event chunks, checking the wall clock between
-    chunks.  Returns True when the phase completed (queue drained or
-    ``until`` reached), False when the ``deadline`` expired first.
-
-    Only used when a budget was requested: the unbudgeted path stays the
-    exact event loop the golden determinism record was taken on (the sim
-    results are identical either way — chunking never reorders events —
-    but the unchunked loop is faster and simpler to reason about).
+    An event naming hosts is narrowed to the ones this world has and
+    dropped when it has none.  Partitions, heals and ``"*"`` windows
+    reach every world; a partition keeps its groups verbatim — names a
+    network does not know are inert, and the world's unlisted hosts (its
+    own orderer, its clients) fall into the implicit extra group exactly
+    as they would on one shared fabric.  A single chain's share is the
+    whole schedule.
     """
-    total = 0
-    while True:
-        if time.perf_counter() >= deadline:
-            return False
-        before = scheduler.events_processed
-        scheduler.run(until=until, max_events=_WALL_CHECK_EVERY)
-        fired = scheduler.events_processed - before
-        total += fired
-        if fired < _WALL_CHECK_EVERY:
-            return True  # run() hit its natural end, not the chunk cap
-        if total >= _MAX_TOTAL_EVENTS:
-            raise RuntimeError(
-                f"simulation did not quiesce within {_MAX_TOTAL_EVENTS} events"
-            )
+    local = {peer.name for peer in chain.peers} | {chain.orderer.name, "*"}
+    events, positions = [], []
+    for position, event in enumerate(schedule.events):
+        if event.targets:
+            targets = tuple(name for name in event.targets if name in local)
+            if not targets:
+                continue
+            event = replace(event, targets=targets)
+        events.append(event)
+        positions.append(position)
+    return FaultSchedule(events=events, seed=schedule.seed), positions
 
 
 def run_scenario(
@@ -151,6 +128,12 @@ def run_scenario(
 ) -> ChaosResult:
     """Run one seeded chaos experiment end to end.
 
+    Builds the deployment — a :class:`BlockchainNetwork` with the counter
+    workload, or with ``scenario.n_shards > 1`` a
+    :class:`~repro.blockchain.shardworker.BridgedShardEngine` (local
+    placement) with the cross-shard swap workload — and plays it through
+    :func:`repro.chaos.loop.run_worlds`, one world per chain.
+
     Args:
         scenario: catalog name or an explicit :class:`Scenario`.
         seed: drives deployment placement, workload and fault schedule.
@@ -160,7 +143,7 @@ def run_scenario(
         record_timeline: keep the per-event timeline (disabled inside the
             shrinker's inner loop, where only pass/fail matters).
         telemetry: optional :class:`repro.telemetry.Telemetry` to wire
-            through the deployment and the injector.  Purely host-side:
+            through the deployment and the injectors.  Purely host-side:
             the simulated results are identical with and without.
         max_wall_s: host wall-clock budget in seconds.  When it expires
             the run stops in-process and returns with ``truncated=True``
@@ -171,130 +154,105 @@ def run_scenario(
     """
     if isinstance(scenario, str):
         scenario = get_scenario(scenario)
-    if scenario.n_shards > 1:
-        # Multi-shard scenarios swap the deployment and workload for
-        # their sharded twins; imported lazily so single-chain runs
-        # never load the sharding stack.
-        from .sharded import run_sharded_scenario
-
-        return run_sharded_scenario(
-            scenario, seed,
-            max_faults=max_faults, buggy=buggy,
-            record_timeline=record_timeline, telemetry=telemetry,
-            max_wall_s=max_wall_s, config=config,
-        )
-    if buggy is not None and buggy not in BUGGY_FIXTURES:
-        known = ", ".join(sorted(BUGGY_FIXTURES))
-        raise KeyError(f"unknown buggy fixture {buggy!r}; known: {known}")
-
-    if config is None:
-        config = FabricConfig(max_block_txs=scenario.max_block_txs)
-    else:
-        config = config.with_options(max_block_txs=scenario.max_block_txs)
-    chain = BlockchainNetwork(
-        n_peers=scenario.n_peers,
-        seed=seed,
-        config=config,
+    config = (config if config is not None else FabricConfig()).with_options(
+        max_block_txs=scenario.max_block_txs
     )
-    if telemetry is not None:
-        # Before the workload installs: its clients then inherit the
-        # telemetry through BlockchainNetwork.create_client.
-        telemetry.instrument_chain(chain)
     timeline: List[list] = []
 
-    def record(kind: str, *fields) -> None:
+    def record(kind: str, t: float, *fields) -> None:
         if record_timeline:
-            timeline.append([kind, round(chain.now, 3), *fields])
+            timeline.append([kind, round(t, 3), *fields])
 
-    workload = CounterWorkload(
-        chain,
-        duration_ms=scenario.duration_ms,
-        interval_ms=scenario.workload_interval_ms,
-        n_counters=scenario.n_counters,
-        conflict_every=scenario.conflict_every,
-        seed=seed,
-    ).install()
+    if scenario.n_shards > 1:
+        # Imported lazily so single-chain runs never load the sharding
+        # stack.
+        from ..blockchain.shardworker import BridgedShardEngine
+        from .sharded import ShardedSwapWorkload
 
-    monitor = InvariantMonitor(
-        chain,
-        asset_invariants=(CounterConservation(),),
-        deep=True,
-        on_commit=lambda t, peer, height, state_hash: record(
-            "commit", peer, height, state_hash
-        ),
-    ).attach()
+        engine = BridgedShardEngine(
+            n_peers=scenario.n_peers, n_shards=scenario.n_shards,
+            config=config, seed=seed,
+        )
+        chains = [world.chain for world in engine.worlds]
+        if telemetry is not None:
+            telemetry.instrument_sharded(engine)
+        workload = ShardedSwapWorkload(
+            engine, scenario, seed, telemetry=telemetry, record=record
+        ).install()
+        clock, tail, close = engine.bridge, workload.finish_swaps(), [engine.close]
+        invariants = tuple
+        extra_violations = workload.conservation_violations
+    else:
+        chain = BlockchainNetwork(n_peers=scenario.n_peers, seed=seed, config=config)
+        chains = [chain]
+        if telemetry is not None:
+            # Before the workload installs: its clients then inherit the
+            # telemetry through BlockchainNetwork.create_client.
+            telemetry.instrument_chain(chain)
+        workload = CounterWorkload(
+            chain,
+            duration_ms=scenario.duration_ms,
+            interval_ms=scenario.workload_interval_ms,
+            n_counters=scenario.n_counters,
+            conflict_every=scenario.conflict_every,
+            seed=seed,
+        ).install()
+        clock, tail, close = chain.scheduler, [], []
+        invariants = lambda: (CounterConservation(),)
+        extra_violations = []
 
-    if buggy is not None:
-        BUGGY_FIXTURES[buggy](chain)
-
-    schedule = scenario.build_schedule(seed, chain.peer_names(), chain.orderer.name)
+    schedule = scenario.build_schedule(
+        seed, [peer.name for chain in chains for peer in chain.peers],
+        chains[0].orderer.name,
+    )
     if max_faults is not None:
         schedule = schedule.prefix(max_faults)
-    injector = FaultInjector(
-        chain,
-        schedule,
-        on_fault=lambda t, kind, targets: record("fault", kind, list(targets)),
-    ).install()
-    if telemetry is not None:
-        injector.telemetry = telemetry
+    shares = [_world_share(schedule, chain) for chain in chains]
+    run = run_worlds(
+        clock,
+        [(chain, share) for chain, (share, _) in zip(chains, shares)],
+        [workload],
+        horizon_ms=scenario.duration_ms,
+        probe_at_ms=scenario.duration_ms + scenario.settle_ms,
+        tail=tail,
+        max_wall_s=max_wall_s,
+        buggy=buggy,
+        invariants=invariants,
+        record=record,
+        close=close,
+    )
 
-    # Fault phase, then heal-and-settle, then liveness probes.
-    truncated = False
-    wall_start = time.perf_counter()
-    if max_wall_s is None:
-        chain.run(until=scenario.duration_ms)
-        injector.lift_all()
-        chain.run(until=scenario.duration_ms + scenario.settle_ms)
-        workload.submit_probes()
-        chain.run_until_idle()
-    else:
-        deadline = wall_start + max_wall_s
-        sched = chain.net.scheduler
-        if _run_budgeted(sched, deadline, until=scenario.duration_ms):
-            injector.lift_all()
-            if _run_budgeted(
-                sched, deadline, until=scenario.duration_ms + scenario.settle_ms
-            ):
-                workload.submit_probes()
-                truncated = not _run_budgeted(sched, deadline, until=None)
-            else:
-                truncated = True
-        else:
-            truncated = True
-    wall_s = time.perf_counter() - wall_start
-
-    if not truncated:
-        # Convergence and liveness are end-of-run judgements; a
-        # wall-clock-truncated run never reached its end.
-        monitor.check_convergence()
-        for index, code in enumerate(workload.probe_codes):
-            if code != TxValidationCode.VALID:
-                monitor._record(
-                    "liveness", "wl-probe",
-                    f"post-heal probe {index} ended {code}, expected VALID",
-                )
-        if len(workload.probe_codes) < 3:
-            monitor._record(
-                "liveness", "wl-probe",
-                f"only {len(workload.probe_codes)} of 3 probes completed",
-            )
-
+    # Worlds run an epoch one after the other, the control plane after
+    # them: put the entries back in time order (ties keep that order).
+    timeline.sort(key=lambda entry: entry[1])
+    network_stats: Counter = Counter()
+    for chain in chains:
+        network_stats.update(chain.net.stats.as_dict())
     return ChaosResult(
         scenario=scenario.name,
         seed=seed,
         buggy=buggy,
         faults_in_schedule=len(schedule),
-        faults_applied=injector.faults_applied,
-        violations=list(monitor.violations),
+        # Each injector applies its share in order, so the events it has
+        # applied are a prefix of the share; an event shared by several
+        # worlds counts once.
+        faults_applied=len({
+            position
+            for injector, (_, positions) in zip(run.injectors, shares)
+            for position in positions[:injector.faults_applied]
+        }),
+        violations=run.violations + extra_violations,
         timeline=timeline,
         workload_summary=workload.summary(),
         probe_codes=list(workload.probe_codes),
         submitted=workload.submitted,
-        committed_height=max(p.committed_height for p in chain.peers),
-        network_stats=chain.net.stats.as_dict(),
+        committed_height=max(
+            peer.committed_height for chain in chains for peer in chain.peers
+        ),
+        network_stats=dict(network_stats),
         schedule=schedule,
-        truncated=truncated,
-        wall_s=round(wall_s, 3) if max_wall_s is not None else 0.0,
+        truncated=run.truncated,
+        wall_s=round(run.wall_s, 3) if max_wall_s is not None else 0.0,
     )
 
 

@@ -14,17 +14,21 @@ A soak run (:func:`run_soak`):
    independent game sessions on it, each a full
    :class:`~repro.blockchain.network.BlockchainNetwork` with its own
    orderer, peers, and :class:`~repro.chaos.workload.CounterWorkload`;
-2. arms per-session :class:`~repro.chaos.injector.FaultInjector`\\ s
-   (drop/delay windows, optional crash/restart churn) behind one
-   composite ``fault_injector`` hook;
-3. attaches a per-session :class:`~repro.chaos.invariants
-   .InvariantMonitor` with :class:`~repro.chaos.invariants
-   .CounterConservation`;
-4. runs for the requested budget, sampling throughput along the way
+2. hands them to the chaos run loop (:func:`repro.chaos.loop
+   .run_worlds`), which arms a per-session
+   :class:`~repro.chaos.injector.FaultInjector` (drop/delay windows,
+   optional crash/restart churn; injectors sharing the transport chain
+   on its one ``fault_injector`` hook) and a per-session
+   :class:`~repro.chaos.invariants.InvariantMonitor` with
+   :class:`~repro.chaos.invariants.CounterConservation`;
+3. runs for the requested budget, sampling throughput along the way
    (and, on realnet, serving live ``/metrics`` over HTTP and scraping
    it mid-run);
-5. lifts all faults, lets the network settle, submits liveness probes,
-   and runs the end-of-run convergence checks.
+4. lifts all faults, lets the network settle, submits liveness probes
+   after the settle, and runs the end-of-run convergence checks.  On
+   realnet one wall budget (run + two settle periods) bounds it all; a
+   run that hits it is a ``settle`` violation.  However the run ends,
+   the sockets, the clock's loop and ``/metrics`` are closed.
 
 The returned record is JSON-ready and tagged with the backend, so the
 perf baseline checker can refuse cross-backend comparisons.
@@ -35,18 +39,17 @@ from __future__ import annotations
 import json
 import time
 from collections import Counter
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Any, Dict, List, Optional
 
 from ..blockchain.config import FabricConfig
 from ..blockchain.identity import CertificateAuthority
 from ..blockchain.network import BlockchainNetwork
 from ..chaos.faults import FaultSchedule
-from ..chaos.injector import FaultInjector
-from ..chaos.invariants import CounterConservation, InvariantMonitor
+from ..chaos.invariants import CounterConservation
+from ..chaos.loop import run_worlds
 from ..chaos.workload import CounterWorkload
 from ..realnet import make_network
-from ..simnet.clock import SimulationError
 from ..telemetry import (
     Telemetry,
     fig2_latency_bins,
@@ -54,7 +57,7 @@ from ..telemetry import (
     stage_summary,
 )
 
-__all__ = ["SoakConfig", "SoakSession", "run_soak", "write_record"]
+__all__ = ["SoakConfig", "run_soak", "write_record"]
 
 SCHEMA = "repro.soak/1"
 
@@ -100,18 +103,6 @@ class SoakConfig:
             raise ValueError("wall_s must be positive")
 
 
-@dataclass
-class SoakSession:
-    """One game session riding the shared transport."""
-
-    chain: BlockchainNetwork
-    workload: CounterWorkload
-    monitor: InvariantMonitor
-    injector: Optional[FaultInjector]
-    telemetry: Telemetry
-    faults: List[Any] = field(default_factory=list)
-
-
 def _build_schedule(config: SoakConfig, chain: BlockchainNetwork, index: int) -> FaultSchedule:
     """Per-session fault timeline: drop/delay windows over the middle
     half of the run, plus optional crash/restart churn rounds."""
@@ -139,37 +130,6 @@ def _build_schedule(config: SoakConfig, chain: BlockchainNetwork, index: int) ->
     return schedule
 
 
-def _composite_filter(filters):
-    """Chain per-session fault filters behind the transport's single
-    ``fault_injector`` hook.  Each filter maps a delivery time to a
-    list of times (none = drop); times flow through every filter, so
-    disjoint sessions compose without interfering."""
-
-    def apply(msg, deliver_at):
-        times = [deliver_at]
-        for fn in filters:
-            nxt: List[float] = []
-            for t in times:
-                nxt.extend(fn(msg, t))
-            if not nxt:
-                return []
-            times = nxt
-        return times
-
-    return apply
-
-
-def _settle(net, backend: str, budget_ms: float, record: Dict[str, Any]) -> None:
-    """Drain in-flight work; on realnet bounded by wall time."""
-    try:
-        if backend == "realnet":
-            net.run_until_idle(max_wall_ms=budget_ms)
-        else:
-            net.run_until_idle()
-    except SimulationError as exc:
-        record["settle_timeouts"].append(str(exc))
-
-
 def run_soak(
     config: SoakConfig,
     metrics_snapshot_path: Optional[str] = None,
@@ -194,7 +154,8 @@ def run_soak(
     ca = CertificateAuthority(seed=config.seed)
     fabric = FabricConfig(backend=backend)
 
-    sessions: List[SoakSession] = []
+    chains: List[BlockchainNetwork] = []
+    workloads: List[CounterWorkload] = []
     for index in range(config.sessions):
         chain = BlockchainNetwork(
             config.peers,
@@ -204,38 +165,17 @@ def run_soak(
             ca=ca,
             name_prefix=f"s{index}.",
         )
-        telemetry = Telemetry().instrument_chain(chain)
-        workload = CounterWorkload(
+        Telemetry().instrument_chain(chain)
+        workloads.append(CounterWorkload(
             chain,
             duration_ms=duration_ms,
             interval_ms=config.tick_ms,
             seed=config.seed + index,
             poll_timeout_ms=min(20_000.0, config.settle_s * 1000.0),
             max_inflight=config.max_inflight,
-        ).install()
-        monitor = InvariantMonitor(
-            chain, asset_invariants=(CounterConservation(),)
-        ).attach()
-        schedule = _build_schedule(config, chain, index)
-        injector: Optional[FaultInjector] = None
-        if schedule.events:
-            faults: List[Any] = []
-            injector = FaultInjector(
-                chain, schedule,
-                on_fault=lambda t, kind, targets, _f=faults: _f.append(
-                    {"t_ms": t, "kind": kind, "targets": list(targets)}
-                ),
-            )
-            sessions.append(SoakSession(chain, workload, monitor, injector, telemetry, faults))
-        else:
-            sessions.append(SoakSession(chain, workload, monitor, None, telemetry))
-
-    # install() clobbers net.fault_injector per session; compose after.
-    injectors = [s.injector for s in sessions if s.injector is not None]
-    for injector in injectors:
-        injector.install()
-    if injectors:
-        net.fault_injector = _composite_filter([inj._filter for inj in injectors])
+        ).install())
+        chains.append(chain)
+    telemetry = chains[0].telemetry
 
     record: Dict[str, Any] = {
         "schema": SCHEMA,
@@ -251,9 +191,9 @@ def run_soak(
     def sample() -> None:
         record["samples"].append({
             "t_ms": round(net.scheduler.now, 1),
-            "submitted": sum(s.workload.submitted for s in sessions),
-            "resolved": sum(sum(s.workload.codes.values()) for s in sessions),
-            "committed_heights": [s.chain.peers[0].committed_height for s in sessions],
+            "submitted": sum(w.submitted for w in workloads),
+            "resolved": sum(sum(w.codes.values()) for w in workloads),
+            "committed_heights": [c.peers[0].committed_height for c in chains],
         })
 
     t = config.sample_s * 1000.0
@@ -262,14 +202,16 @@ def run_soak(
         t += config.sample_s * 1000.0
 
     # Live /metrics endpoint + mid-run self-scrape (realnet only).
-    metrics_server = None
+    close = []
+    max_wall_s = None
     scrape_holder: Dict[str, str] = {}
     if backend == "realnet":
         from ..realnet.metrics_http import MetricsServer, scrape
 
         metrics_server = MetricsServer(
-            sessions[0].telemetry, net.scheduler, port=config.metrics_port
+            telemetry, net.scheduler, port=config.metrics_port
         ).start()
+        close = [metrics_server.stop, net.close]
         record["metrics_url"] = metrics_server.url
 
         def store_scrape(task) -> None:
@@ -285,76 +227,68 @@ def run_soak(
             task.add_done_callback(store_scrape)
 
         net.scheduler.call_at(0.6 * duration_ms, live_scrape)
+        # One wall budget for the run and both settle periods (a
+        # simulated run needs none: it ends when its events do).
+        max_wall_s = config.wall_s + 2 * config.settle_s
         # Construction burned wall time; restart the clock so tick 1 of
         # the schedules above is "now", not a stale burst.
         net.scheduler.rebase()
 
-    say(f"running workload for {config.wall_s:.0f}s ({backend} time)")
-    net.run(until=duration_ms)
+    say(f"running workload for {config.wall_s:.0f}s ({backend} time), "
+        "then settling and probing")
+    schedules = [_build_schedule(config, chain, i) for i, chain in enumerate(chains)]
+    run = run_worlds(
+        net.scheduler,
+        [(chain, s if s.events else None) for chain, s in zip(chains, schedules)],
+        workloads,
+        horizon_ms=duration_ms,
+        max_wall_s=max_wall_s,
+        invariants=lambda: (CounterConservation(),),
+        close=close,
+    )
 
-    say("lifting faults and settling")
-    for injector in injectors:
-        injector.lift_all()
-    _settle(net, backend, config.settle_s * 1000.0, record)
-
-    say("submitting liveness probes")
-    for session in sessions:
-        session.workload.submit_probes()
-    _settle(net, backend, config.settle_s * 1000.0, record)
-
-    say("running invariant checks")
-    violations: List[str] = []
-    for session in sessions:
-        session.monitor.check_convergence()
-        violations.extend(v.describe() for v in session.monitor.violations)
+    violations = [v.describe() for v in run.violations]
+    if run.truncated:
+        timeout = f"run did not quiesce within {max_wall_s:g} s wall"
+        record["settle_timeouts"].append(timeout)
+        violations.append(f"settle: network failed to quiesce: {timeout}")
 
     per_session: List[Dict[str, Any]] = []
-    for session in sessions:
+    for chain, workload, monitor, injector, faults in zip(
+        chains, workloads, run.monitors, run.injectors, run.faults
+    ):
         per_session.append({
-            "name_prefix": session.chain.name_prefix,
-            "submitted": session.workload.submitted,
-            "shed": session.workload.shed,
-            "codes": session.workload.summary(),
-            "probe_codes": list(session.workload.probe_codes),
-            "committed_height": session.chain.peers[0].committed_height,
-            "commits_checked": session.monitor.commits_checked,
-            "counters": session.workload.expected_totals(),
-            "faults_applied": (
-                session.injector.faults_applied if session.injector else 0
-            ),
+            "name_prefix": chain.name_prefix,
+            "submitted": workload.submitted,
+            "shed": workload.shed,
+            "codes": workload.summary(),
+            "probe_codes": list(workload.probe_codes),
+            "committed_height": chain.peers[0].committed_height,
+            "commits_checked": monitor.commits_checked,
+            "counters": workload.expected_totals(),
+            "faults_applied": injector.faults_applied if injector else 0,
         })
-        record["faults"].extend(session.faults)
-
-    probes_expected = 3 * len(sessions)
-    probe_codes = [c for s in sessions for c in s.workload.probe_codes]
-    probes_valid = sum(1 for c in probe_codes if c == "VALID")
-    if probes_valid < probes_expected:
-        violations.append(
-            f"liveness: {probes_valid}/{probes_expected} probes committed VALID "
-            f"(codes: {probe_codes})"
-        )
-    if record["settle_timeouts"]:
-        violations.append(
-            "settle: network failed to quiesce: "
-            + "; ".join(record["settle_timeouts"])
+        record["faults"].extend(
+            {"t_ms": t, "kind": kind, "targets": list(targets)}
+            for t, kind, targets in faults
         )
 
     codes: Counter = Counter()
-    for session in sessions:
-        codes.update(session.workload.codes)
+    for workload in workloads:
+        codes.update(workload.codes)
 
     record.update({
         "wall_elapsed_s": round(time.time() - started_wall, 3),
         "clock_ms": round(net.scheduler.now, 1),
-        "submitted": sum(s.workload.submitted for s in sessions),
-        "shed": sum(s.workload.shed for s in sessions),
+        "submitted": sum(w.submitted for w in workloads),
+        "shed": sum(w.shed for w in workloads),
         "codes": dict(sorted(codes.items())),
         "per_session": per_session,
         "net": net.stats.as_dict(),
         "violations": violations,
         "ok": not violations,
-        "stage_summary": stage_summary(sessions[0].telemetry),
-        "fig2": fig2_latency_bins(sessions[0].telemetry),
+        "stage_summary": stage_summary(telemetry),
+        "fig2": fig2_latency_bins(telemetry),
     })
     if backend == "realnet":
         record["transport"] = net.transport_counters()
@@ -364,15 +298,10 @@ def run_soak(
             snapshot = scrape_holder["body"]
             record["metrics_snapshot"] = "live-scrape"
         else:
-            snapshot = prometheus_text(sessions[0].telemetry)
+            snapshot = prometheus_text(telemetry)
             record["metrics_snapshot"] = "export"
         with open(metrics_snapshot_path, "w") as fh:
             fh.write(snapshot)
-
-    if metrics_server is not None:
-        metrics_server.stop()
-    if backend == "realnet":
-        net.close()
     return record
 
 

@@ -19,9 +19,6 @@ package checks both properties before a contract ever runs:
   rules (CHT001–CHT004) flagging cheat vulnerabilities: unguarded
   payload→state writes, unbounded tainted arithmetic, asset minting and
   client-addressed keys.
-* :class:`ConflictPlanner` — lowers the conflict matrix onto concrete
-  transaction batches as provably-independent validation lanes
-  (an offline analysis; the engine validates in block order).
 * :func:`analyze_contract` / :func:`analyze_source` — everything at
   once, as a :class:`ContractReport`; also behind the
   ``python -m repro.staticcheck module:Class`` CLI, which additionally
@@ -37,7 +34,6 @@ from typing import Dict, List, Optional
 from .conflicts import ConflictLevel, ConflictMatrix, predict_conflicts
 from .fuzz import FuzzCase, FuzzOutcome, default_cases, fuzz_case, run_fuzz
 from .linter import StaticCheckError, gate, lint_contract, lint_source
-from .plan import ConflictPlan, ConflictPlanner
 from .rules import Diagnostic, SEVERITY_ERROR, SEVERITY_WARNING
 from .rwset import Footprint, infer_footprints
 from .sarif import to_sarif
@@ -48,8 +44,6 @@ __all__ = [
     "CHT_RULES",
     "ConflictLevel",
     "ConflictMatrix",
-    "ConflictPlan",
-    "ConflictPlanner",
     "ContractReport",
     "Diagnostic",
     "Footprint",

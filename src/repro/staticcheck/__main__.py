@@ -16,7 +16,7 @@ rules + footprints + conflict matrix) over each contract class.
 ``--fuzz N`` runs the fuzz-differential soundness harness instead:
 randomized N-event traces through every shipped contract, asserting the
 inferred footprints cover 100% of the runtime RWSet keys and the
-conflict/lane verdicts agree with the ledger's MVCC outcomes.
+conflict verdicts agree with the ledger's MVCC outcomes.
 
 Exit status 0 when every contract passes its gate (strict mode fails on
 warnings too) and every fuzz case is sound, 1 on findings or soundness

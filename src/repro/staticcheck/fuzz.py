@@ -1,7 +1,7 @@
 """Fuzz-differential soundness harness for the static analyzer.
 
-The footprints, the conflict matrix and the lane planner are only useful
-if they *over-approximate* what contracts actually do at runtime.  This
+The footprints and the conflict matrix are only useful if they
+*over-approximate* what contracts actually do at runtime.  This
 module is the executable form of that soundness claim: drive randomized
 but well-formed event traces through the real contracts, execute them
 through the real ``execute_transaction`` → ``Ledger.append`` pipeline
@@ -11,18 +11,15 @@ every transaction against the static story:
 * **coverage** — every key the runtime RWSet read must be covered by
   some inferred read pattern of the invoked handler, and every written
   key by some write pattern;
-* **independence** — whenever the :class:`ConflictPlanner` declares two
-  transactions of a block independent, their runtime write sets must be
-  disjoint from each other's touched sets (so no MVCC interaction is
-  possible);
+* **independence** — whenever the conflict matrix, resolved against the
+  two concrete creators, declares two transactions of a block
+  independent, their runtime write sets must be disjoint from each
+  other's touched sets (so no MVCC interaction is possible);
 * **conflict attribution** — every transaction the ledger downgrades to
   ``MVCC_READ_CONFLICT`` (after a VALID execution) must have a
   *predicted* edge to some earlier finally-VALID transaction of its
-  block: the planner may cry wolf, but a wolf must never arrive
-  unannounced;
-* **lanes** — transactions placed in different lanes of the block plan
-  must be pairwise independent at runtime (the property that makes
-  per-lane parallel validation safe).
+  block: the matrix may cry wolf, but a wolf must never arrive
+  unannounced.
 
 Any miss is a soundness bug in the analyzer, not in the contract.
 Exposed on the CLI as ``python -m repro.staticcheck --fuzz N --seed S``.
@@ -34,8 +31,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from .conflicts import predict_conflicts
-from .plan import ConflictPlanner
+from .conflicts import ConflictLevel, ConflictMatrix, predict_conflicts
 from .rwset import Footprint, infer_footprints
 from .symbols import covers_key
 
@@ -72,7 +68,7 @@ class FuzzCase:
 
 @dataclass(frozen=True)
 class FuzzViolation:
-    kind: str  # "coverage" | "independence" | "attribution" | "lanes"
+    kind: str  # "coverage" | "independence" | "attribution"
     detail: str
 
 
@@ -276,9 +272,7 @@ def fuzz_case(
     rng = random.Random(seed)
     contract = case.make()
     footprints = case.footprints()
-    planner = ConflictPlanner(
-        predict_conflicts(footprints), contract=contract.name
-    )
+    matrix = predict_conflicts(footprints)
     outcome = FuzzOutcome(case=case.name, seed=seed, n_events=n_events)
 
     ledger = Ledger(make_genesis_block({"peers": list(case.players)}))
@@ -319,8 +313,6 @@ def fuzz_case(
         if not txs:
             break
 
-        plan = planner.plan_block(txs)
-
         # Peer execution semantics: a speculative overlay makes earlier
         # in-block VALID writes visible to later transactions.
         overlay = ledger.state.overlay()
@@ -340,13 +332,34 @@ def fuzz_case(
         for code in codes:
             outcome.codes[code] = outcome.codes.get(code, 0) + 1
 
-        _check_block(case, outcome, planner, plan, footprints, txs,
+        _check_block(outcome, matrix, contract.name, footprints, txs,
                      executions, codes)
 
     return outcome
 
 
-def _check_block(case, outcome, planner, plan, footprints, txs, executions,
+def _may_conflict(matrix: ConflictMatrix, contract: str, tx_a, tx_b) -> bool:
+    """May the two transactions touch a common key?
+
+    Resolves the matrix's SAME_PLAYER verdict against the concrete
+    creators.  Sound direction: ``False`` is a proof of disjointness
+    (modulo the matrix's own soundness, which this harness checks);
+    ``True`` is merely "cannot rule it out" — as for a function the
+    analyzer never saw or a transaction addressed to another contract.
+    """
+    if tx_a.proposal.contract != contract or tx_b.proposal.contract != contract:
+        return True
+    fa = tx_a.proposal.function
+    fb = tx_b.proposal.function
+    if fa not in matrix.events or fb not in matrix.events:
+        return True
+    level = matrix.level(fa, fb)
+    if level == ConflictLevel.SAME_PLAYER:
+        return tx_a.proposal.creator == tx_b.proposal.creator
+    return level == ConflictLevel.ALWAYS
+
+
+def _check_block(outcome, matrix, contract, footprints, txs, executions,
                  codes) -> None:
     from ..blockchain.transaction import TxValidationCode
 
@@ -381,7 +394,7 @@ def _check_block(case, outcome, planner, plan, footprints, txs, executions,
     for i in range(len(txs)):
         for j in range(i + 1, len(txs)):
             outcome.pairs_checked += 1
-            if planner.may_conflict(txs[i], txs[j]):
+            if _may_conflict(matrix, contract, txs[i], txs[j]):
                 continue
             overlap = (written[i] & touched[j]) | (written[j] & touched[i])
             if overlap:
@@ -397,7 +410,7 @@ def _check_block(case, outcome, planner, plan, footprints, txs, executions,
                 and code == TxValidationCode.MVCC_READ_CONFLICT):
             explained = any(
                 codes[i] == TxValidationCode.VALID
-                and planner.may_conflict(txs[i], txs[j])
+                and _may_conflict(matrix, contract, txs[i], txs[j])
                 for i in range(j)
             )
             if not explained:
@@ -406,23 +419,6 @@ def _check_block(case, outcome, planner, plan, footprints, txs, executions,
                     f"tx {txs[j].tx_id} ({txs[j].proposal.function}) hit "
                     "MVCC_READ_CONFLICT with no predicted edge to any "
                     "earlier valid tx",
-                ))
-
-    # 4. lanes: cross-lane pairs must be independent at runtime.
-    lane_of = {}
-    for lane_no, lane in enumerate(plan.lanes):
-        for index in lane:
-            lane_of[index] = lane_no
-    for i in range(len(txs)):
-        for j in range(i + 1, len(txs)):
-            if lane_of[i] == lane_of[j]:
-                continue
-            overlap = (written[i] & touched[j]) | (written[j] & touched[i])
-            if overlap:
-                outcome.violations.append(FuzzViolation(
-                    "lanes",
-                    f"lanes {lane_of[i]}/{lane_of[j]} overlap at runtime "
-                    f"on {sorted(overlap)}",
                 ))
 
 

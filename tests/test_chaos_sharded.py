@@ -12,7 +12,6 @@ from dataclasses import replace
 import pytest
 
 from repro.chaos import get_scenario, run_scenario
-from repro.chaos.sharded import run_sharded_scenario
 
 SCENARIO = get_scenario("cross-shard-swap")
 
@@ -43,13 +42,6 @@ class TestCrossShardSwapScenario:
         times = [entry[1] for entry in result.timeline]
         assert times == sorted(times)
 
-    def test_dispatched_through_run_scenario(self):
-        # n_shards > 1 in the scenario is all it takes — callers keep
-        # using the ordinary entry point.
-        direct = run_sharded_scenario(MINI, seed=3)
-        routed = run_scenario(MINI, seed=3)
-        assert routed.timeline_digest() == direct.timeline_digest()
-
     def test_same_seed_is_bit_identical(self):
         a = run_scenario(MINI, seed=7)
         b = run_scenario(MINI, seed=7)
@@ -74,10 +66,6 @@ class TestCrossShardSwapScenario:
 
 
 class TestGuards:
-    def test_single_shard_scenario_rejected(self):
-        with pytest.raises(ValueError):
-            run_sharded_scenario(get_scenario("smoke"), seed=1)
-
     def test_unknown_buggy_fixture_rejected(self):
         with pytest.raises(KeyError):
             run_scenario(MINI, seed=1, buggy="no-such-bug")

@@ -1,7 +1,6 @@
 """Property tests for :mod:`repro.staticcheck.symbols`.
 
-``may_collide`` is the foundation of conflict prediction (and now of the
-ConflictPlanner's lane partition), so it must be
+``may_collide`` is the foundation of conflict prediction, so it must be
 
 * **symmetric** — ``may_collide(a, b) == may_collide(b, a)``, and
 * a sound **over-approximation** of concrete key equality: whenever two

@@ -9,8 +9,11 @@ over loopback sockets (whose socket-level cases are in
 network's alone: a frame carries no send time.
 """
 
+from types import SimpleNamespace
+
 import pytest
 
+from repro.chaos import FaultInjector, FaultSchedule
 from repro.realnet import RealNetwork
 from repro.simnet import LAN_1GBPS, Host, Network, Region
 
@@ -101,6 +104,33 @@ class TestFaultInjectorHook:
         net.run_until_idle()
         assert [p for (_, _, p) in b.received] == ["two", "one"]
         assert net.stats.messages_reordered == 1
+
+    def test_fault_injectors_sharing_a_transport_chain(self):
+        # Sessions on one transport each install an injector: the first
+        # applies first, each time it answers flows through the second,
+        # and what it drops never reaches the second.
+        net, (a, b, c) = make_net()
+        session = SimpleNamespace(net=net, peers=[])
+        first = FaultInjector(
+            session,
+            FaultSchedule().duplicate(0.0, ["h1"], 1e6, 1.0).drop(0.0, ["h2"], 1e6, 1.0),
+        )
+        second = FaultInjector(
+            session, FaultSchedule().delay(0.0, ["h1", "h2"], 1e6, 1.0, 50.0)
+        )
+        seen = []
+        delay = second._filter
+        second._filter = lambda msg, at: seen.append(msg.dst) or delay(msg, at)
+        first.install()
+        second.install()
+        net.run(until=1.0)  # the windows open at t=0
+        a.send(b, "to-b")
+        a.send(c, "to-c")
+        net.run_until_idle()
+        assert [p for (_, _, p) in b.received] == ["to-b", "to-b"]
+        assert min(t for (t, _, _) in b.received) >= 51.0
+        assert c.received == []
+        assert seen == ["h1", "h1"]
 
     def test_no_injector_means_no_fault_counters(self):
         net, (a, b, _) = make_net()
