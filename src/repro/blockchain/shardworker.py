@@ -34,10 +34,8 @@ hashes are identical for ``procs=1`` and ``procs=N``.
 
 from __future__ import annotations
 
-import cProfile
 import importlib
 import multiprocessing
-import os
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..simnet.bridge import (
@@ -50,7 +48,7 @@ from ..simnet.bridge import (
 )
 from ..simnet.latency import INTERCONTINENTAL, INTERNET_US, LAN_1GBPS, LatencyProfile
 from .client import BlockchainClient
-from .codec import decode, encode
+from .codec import CodecError, decode, encode
 from .config import FabricConfig
 from .crypto import reset_crypto_caches
 from .network import BlockchainNetwork
@@ -94,7 +92,6 @@ def shard_specs(
     policy: str = MAJORITY,
     profile: LatencyProfile = INTERNET_US,
     contract: str = "repro.blockchain.swaps:ShardAssetContract",
-    profile_dir: Optional[str] = None,
 ) -> List[Dict[str, Any]]:
     """Serializable per-shard construction specs: ``base + 1`` peers
     for the first ``n_peers % n_shards`` shards, seed ``seed + index``,
@@ -121,7 +118,6 @@ def shard_specs(
                 "config": config_dict,
                 "contract": contract,
                 "name_prefix": f"s{index}-",
-                "profile_dir": profile_dir,
             }
         )
     return specs
@@ -350,23 +346,10 @@ def _worker_main(conn, specs_bytes: bytes) -> None:
     # the parent's verify/keypair memos, a spawned one starts empty —
     # after this reset both are identical (and deterministic).
     reset_crypto_caches()
-    specs = decode(specs_bytes)
-    profiler = None
-    profile_dir = specs[0].get("profile_dir") if specs else None
-    if profile_dir:
-        profiler = cProfile.Profile()
-        profiler.enable()
-    group = _WorldGroup(specs)
+    group = _WorldGroup(decode(specs_bytes))
     while True:
         frame = decode(conn.recv_bytes())
         if frame[0] == "stop":
-            if profiler is not None:
-                profiler.disable()
-                os.makedirs(profile_dir, exist_ok=True)
-                tag = "-".join(f"s{spec['index']}" for spec in specs)
-                profiler.dump_stats(
-                    os.path.join(profile_dir, f"shardworker_{tag}.pstats")
-                )
             conn.send_bytes(encode(("bye",)))
             return
         conn.send_bytes(encode(group.handle(frame)))
@@ -435,19 +418,28 @@ class ProcessShardGroupPort(ShardGroupPort):
 
     def _recv(self, kind: str) -> Tuple:
         try:
-            reply = decode(self._conn.recv_bytes())
+            data = self._conn.recv_bytes()
         except (EOFError, OSError) as exc:
             raise self._worker_lost() from exc
-        if reply[0] != kind:
-            raise BridgeError(f"unexpected worker reply {reply[0]!r}")
+        try:
+            reply = decode(data)
+        except CodecError as exc:
+            raise self._worker_error(f"sent an undecodable reply ({exc})") from exc
+        if not (isinstance(reply, tuple) and reply and reply[0] == kind):
+            raise self._worker_error(
+                f"sent {reply!r:.80} where a {kind!r} reply was due"
+            )
         return reply
+
+    def _worker_error(self, what: str) -> BridgeError:
+        return BridgeError(
+            f"worker {self._process.name} hosting shards "
+            f"{list(self.shard_indices)} {what}"
+        )
 
     def _worker_lost(self) -> BridgeError:
         self._process.join(timeout=5)
-        return BridgeError(
-            f"worker {self._process.name} hosting shards "
-            f"{list(self.shard_indices)} died (exit code {self._process.exitcode})"
-        )
+        return self._worker_error(f"died (exit code {self._process.exitcode})")
 
     def begin_epoch(self, until: float, commands: Dict[int, List[Command]]) -> None:
         self._send(("epoch", until, commands))
@@ -504,7 +496,6 @@ class BridgedShardEngine:
         procs: int = 1,
         lookahead_ms: float = DEFAULT_LOOKAHEAD_MS,
         contract: str = "repro.blockchain.swaps:ShardAssetContract",
-        profile_dir: Optional[str] = None,
     ):
         if procs < 1:
             raise ValueError("need at least one process")
@@ -515,7 +506,7 @@ class BridgedShardEngine:
         self.procs = procs
         specs = shard_specs(
             n_peers, n_shards, self.config, seed=seed, policy=policy,
-            profile=profile, contract=contract, profile_dir=profile_dir,
+            profile=profile, contract=contract,
         )
         n_workers = min(procs, n_shards)
         by_worker: List[List[Dict[str, Any]]] = [[] for _ in range(n_workers)]

@@ -13,12 +13,17 @@ counts) must be *bit-identical*, the tentpole guarantee of DESIGN.md §13.
 
 from __future__ import annotations
 
+import multiprocessing
+from types import SimpleNamespace
+
 import pytest
 
+from repro.blockchain.codec import encode
 from repro.blockchain.shardworker import (
     BridgedShardEngine,
     BridgeSwapPort,
     LocalShardGroupPort,
+    ProcessShardGroupPort,
     shard_specs,
 )
 from repro.blockchain.swaps import SwapCoordinator, check_conservation_summaries
@@ -269,6 +274,76 @@ def test_killed_worker_surfaces_as_bridge_error():
     finally:
         engine.close()
     assert not any(p._process.is_alive() for p in engine.bridge.ports)
+
+
+class _FakeConn:
+    """A pipe end that hands out one canned reply."""
+
+    def __init__(self, data: bytes):
+        self.data = data
+
+    def recv_bytes(self) -> bytes:
+        return self.data
+
+
+def _port_replying(data: bytes) -> ProcessShardGroupPort:
+    port = ProcessShardGroupPort.__new__(ProcessShardGroupPort)
+    port.shard_indices = (0, 2)
+    port._conn = _FakeConn(data)
+    port._process = SimpleNamespace(name="shardworker-0-2")
+    return port
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        encode(("events", [], {0: {"pending": 0}}))[:-1],
+        encode(5),
+        encode(()),
+        encode(("value", None)),
+    ],
+    ids=["truncated", "not-a-tuple", "empty-tuple", "wrong-kind"],
+)
+def test_malformed_worker_reply_names_the_worker(data):
+    with pytest.raises(BridgeError) as caught:
+        _port_replying(data).finish_epoch()
+    assert "worker shardworker-0-2 hosting shards [0, 2]" in str(caught.value)
+
+
+def test_aggregate_telemetry_matches_worker_summaries():
+    from repro.telemetry import Telemetry
+
+    with BridgedShardEngine(procs=2, **ENGINE_KW) as engine:
+        for shard in (0, 1):
+            engine.submit_invoke(
+                shard, "mint", (f"a{shard}", "alice", 5),
+                touched_keys=(f"asset/a{shard}",), effect_time=0.0,
+            )
+        engine.run()
+        telemetry = Telemetry()
+        engine.aggregate_telemetry(telemetry)
+        summaries = engine.collect_summaries()
+    checked = 0
+    for shard, summary in summaries.items():
+        for name, value in summary["counters"].items():
+            counter = telemetry.registry.get(
+                f"repro_shard_{name}_total", shard=str(shard)
+            )
+            assert (counter.value if counter is not None else 0) == value
+            checked += value > 0
+    assert checked == 2 * 3  # both shards submitted, completed, committed
+
+
+def test_failed_sharded_replay_leaves_no_worker_alive(monkeypatch):
+    from repro.perf.workloads import sharded_replay
+
+    def explode(*_args, **_kwargs):
+        raise RuntimeError("swap start failed")
+
+    monkeypatch.setattr(SwapCoordinator, "start_swap", explode)
+    with pytest.raises(RuntimeError, match="swap start failed"):
+        sharded_replay(procs=2, **SMALL_REPLAY)
+    assert multiprocessing.active_children() == []
 
 
 def _darken(world, keep=0):
