@@ -7,9 +7,9 @@ like the paper's tables.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
-__all__ = ["AsciiTable", "format_series", "banner", "render_conflict_matrix"]
+__all__ = ["AsciiTable", "format_series", "banner"]
 
 
 class AsciiTable:
@@ -62,15 +62,3 @@ def banner(text: str) -> None:
     line = "=" * max(len(text), 8)
     print(f"\n{line}\n{text}\n{line}")
 
-
-def render_conflict_matrix(
-    labels: Sequence[str],
-    cell: Callable[[str, str], str],
-    title: Optional[str] = None,
-) -> AsciiTable:
-    """A square matrix table, e.g. the static analyzer's predicted
-    MVCC-conflict matrix (``cell(row, col)`` returns the glyph)."""
-    table = AsciiTable([""] + list(labels), title=title)
-    for row in labels:
-        table.row(row, *[cell(row, col) for col in labels])
-    return table

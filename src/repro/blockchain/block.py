@@ -96,9 +96,6 @@ class Block:
         """Wire size estimate used by the simulated transport."""
         return overhead_bytes + tx_bytes * len(self.transactions)
 
-    def tx_ids(self) -> List[str]:
-        return [tx.tx_id for tx in self.transactions]
-
 
 def make_block(
     number: int, previous_hash: str, transactions: List[Transaction], timestamp: float

@@ -72,10 +72,6 @@ class Ledger:
         return len(self._blocks)
 
     @property
-    def last_block(self) -> Block:
-        return self._blocks[-1]
-
-    @property
     def last_hash(self) -> str:
         return self._blocks[-1].digest()
 

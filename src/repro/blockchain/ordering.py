@@ -58,12 +58,6 @@ class OrderingService(Host):
         #: Typed ``Any`` — the telemetry package must stay optional here.
         self.telemetry: Any = None
 
-    def set_genesis(self, genesis: Block) -> None:
-        """Anchor the chain this orderer extends (before any block is cut)."""
-        if self._next_number != 1:
-            raise RuntimeError("cannot re-anchor after blocks were cut")
-        self._previous_hash = genesis.digest()
-
     def connect_peers(self, peers: List[Host]) -> None:
         """Register the peers that receive every cut block."""
         self._peers = list(peers)

@@ -176,10 +176,6 @@ class Peer(Host):
         self._hash_arm_at = total // 2 if config.sync_verify_ms > 0 else 0
 
     @property
-    def electorate_size(self) -> int:
-        return len(self._electorate)
-
-    @property
     def synced_height(self) -> int:
         return self._synced_height
 

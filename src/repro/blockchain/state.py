@@ -305,9 +305,6 @@ class WorldStateOverlay:
         """True iff this overlay wrote or deleted ``key``."""
         return key in self._entries or key in self._deleted
 
-    def local_keys(self) -> Set[str]:
-        return set(self._entries) | set(self._deleted)
-
     # ------------------------------------------------------------------
     # folding
 

@@ -69,7 +69,7 @@ def _catalog_main(args, parser) -> int:
     return 0 if all(p["ok"] for p in payloads) else 1
 
 
-def main(argv=None) -> int:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.chaos",
         description="Seeded chaos testing for the execute-order-validate "
@@ -129,6 +129,11 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--list", action="store_true", help="list scenarios and exit"
     )
+    return parser
+
+
+def main(argv=None) -> int:
+    parser = build_parser()
     args = parser.parse_args(argv)
 
     if args.list:

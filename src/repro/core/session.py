@@ -9,7 +9,7 @@ end of the ephemeral session (§4.2.6).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from ..blockchain.config import FabricConfig
 from ..blockchain.policy import MAJORITY
@@ -171,13 +171,6 @@ class GameSession:
 
     def stats(self, shim_index: int = 0) -> ShimStats:
         return self.shims[shim_index].stats
-
-    def combined_rejections(self) -> Dict[str, int]:
-        out: Dict[str, int] = {}
-        for shim in self.shims:
-            for code, count in shim.stats.rejections_by_code.items():
-                out[code] = out.get(code, 0) + count
-        return out
 
     def ledgers_agree(self) -> bool:
         """All reachable peers hold identical state (sanity invariant)."""

@@ -95,9 +95,6 @@ class Demo:
     def max_frequencies(self) -> Dict[str, int]:
         return {cat: self.max_frequency(cat) for cat in Category.FREQUENT}
 
-    def events_between(self, start_ms: float, end_ms: float) -> List[GameEvent]:
-        return [e for e in self.events if start_ms <= e.t_ms < end_ms]
-
     def slice(self, duration_ms: float) -> "Demo":
         """A prefix of the session (used to keep long benches tractable)."""
         return Demo(

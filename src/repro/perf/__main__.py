@@ -13,7 +13,7 @@ from . import check_against_baseline, run_suite
 from .workloads import WORKLOADS
 
 
-def main(argv=None) -> int:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.perf",
         description="Run the pinned engine workloads and record or check "
@@ -36,6 +36,11 @@ def main(argv=None) -> int:
         help="compare params and sim_metrics with the record in FILE; "
         "exit 1 on any difference or a scaling efficiency below the floor",
     )
+    return parser
+
+
+def main(argv=None) -> int:
+    parser = build_parser()
     args = parser.parse_args(argv)
 
     names = [

@@ -22,7 +22,6 @@ from .latency import (
     LatencyProfile,
     Region,
 )
-from .process import Periodic
 from .topology import Host, Topology, place_random, place_round_robin
 from .transport import HostCondition, Message, Network, NetworkCore, NetworkStats
 
@@ -46,7 +45,6 @@ __all__ = [
     "LAN_1GBPS",
     "LatencyProfile",
     "Region",
-    "Periodic",
     "Host",
     "Topology",
     "place_random",

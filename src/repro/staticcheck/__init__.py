@@ -1,11 +1,11 @@
-"""Static analysis for smart contracts: determinism linting, read/write
-set inference and pre-ordering MVCC conflict prediction.
+"""Static analysis for smart contracts: determinism linting, cheat
+taint rules and read/write set inference.
 
 The platform's core guarantee — every peer executes the same contract
 against the same state and reaches the same verdict (§4.2.2) — holds
 only for *deterministic* contracts, and its throughput behaviour
 (§6 opt. i) is fixed by *which keys* each handler touches.  This
-package checks both properties before a contract ever runs:
+package checks both before a contract ever runs:
 
 * :func:`lint_contract` / :func:`lint_source` — AST determinism linter
   (wall clocks, randomness, unordered iteration, I/O, cross-invocation
@@ -13,8 +13,6 @@ package checks both properties before a contract ever runs:
 * :func:`infer_footprints` — per-handler read/write key patterns,
   validated against the runtime ``StateView.rwset()`` ground truth by
   the differential tests.
-* :func:`predict_conflicts` — which event pairs will MVCC-conflict when
-  batched into one block, before the ordering service ever sees them.
 * :func:`taint_contract` / :func:`taint_source` — interprocedural taint
   rules (CHT001–CHT004) flagging cheat vulnerabilities: unguarded
   payload→state writes, unbounded tainted arithmetic, asset minting and
@@ -22,7 +20,7 @@ package checks both properties before a contract ever runs:
 * :func:`analyze_contract` / :func:`analyze_source` — everything at
   once, as a :class:`ContractReport`; also behind the
   ``python -m repro.staticcheck module:Class`` CLI, which additionally
-  offers ``--fuzz N --seed S`` (differential soundness harness) and
+  offers ``--fuzz N --seed S`` (footprint coverage harness) and
   ``--sarif PATH`` (SARIF 2.1.0 export).
 """
 
@@ -31,19 +29,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from .conflicts import ConflictLevel, ConflictMatrix, predict_conflicts
 from .fuzz import FuzzCase, FuzzOutcome, default_cases, fuzz_case, run_fuzz
 from .linter import StaticCheckError, gate, lint_contract, lint_source
 from .rules import Diagnostic, SEVERITY_ERROR, SEVERITY_WARNING
 from .rwset import Footprint, infer_footprints
 from .sarif import to_sarif
-from .symbols import KeyPattern, Sym, SymKind, covers_key, make_pattern, may_collide
+from .symbols import KeyPattern, Sym, SymKind, covers_key, make_pattern
 from .taint import CHT_RULES, TaintReport, taint_contract, taint_source
 
 __all__ = [
     "CHT_RULES",
-    "ConflictLevel",
-    "ConflictMatrix",
     "ContractReport",
     "Diagnostic",
     "Footprint",
@@ -66,8 +61,6 @@ __all__ = [
     "lint_contract",
     "lint_source",
     "make_pattern",
-    "may_collide",
-    "predict_conflicts",
     "run_fuzz",
     "taint_contract",
     "taint_source",
@@ -88,7 +81,6 @@ class ContractReport:
     contract: str
     diagnostics: List[Diagnostic]
     footprints: Dict[str, Footprint]
-    conflicts: ConflictMatrix
     strict: bool = True
     waived: List[Diagnostic] = field(default_factory=list)
     waivers: Dict[str, str] = field(default_factory=dict)
@@ -111,7 +103,6 @@ class ContractReport:
             "footprints": {
                 name: fp.to_json() for name, fp in sorted(self.footprints.items())
             },
-            "conflicts": self.conflicts.to_json(),
         }
 
     def render(self) -> str:
@@ -147,8 +138,6 @@ class ContractReport:
         lines.append("")
         lines.append(table.render())
         lines.append("")
-        lines.append(self.conflicts.to_table().render())
-        lines.append("")
         verdict = "PASS" if self.ok else "FAIL"
         lines.append(f"Verdict: {verdict} (strict={self.strict})")
         return "\n".join(lines)
@@ -169,7 +158,6 @@ def _analyze(
         contract=name,
         diagnostics=merged,
         footprints=footprints,
-        conflicts=predict_conflicts(footprints),
         strict=strict,
         waived=list(taint.waived),
         waivers=dict(taint.waivers),

@@ -9,14 +9,13 @@ Usage::
     python -m repro.staticcheck --fuzz 200 --seed 7
 
 With targets, runs the full analysis (determinism lint + CHT taint
-rules + footprints + conflict matrix) over each contract class.
+rules + footprints) over each contract class.
 ``--sarif PATH`` additionally writes the combined findings as a SARIF
 2.1.0 log for CI code-scanning upload.
 
-``--fuzz N`` runs the fuzz-differential soundness harness instead:
+``--fuzz N`` runs the fuzz-differential coverage harness instead:
 randomized N-event traces through every shipped contract, asserting the
-inferred footprints cover 100% of the runtime RWSet keys and the
-conflict verdicts agree with the ledger's MVCC outcomes.
+inferred footprints cover 100% of the runtime RWSet keys.
 
 Exit status 0 when every contract passes its gate (strict mode fails on
 warnings too) and every fuzz case is sound, 1 on findings or soundness
@@ -87,7 +86,7 @@ def _run_fuzz(args) -> int:
         print(
             f"{verdict} {outcome.case}: seed={outcome.seed} "
             f"events={outcome.n_events} blocks={outcome.blocks} "
-            f"keys={outcome.keys_checked} pairs={outcome.pairs_checked} "
+            f"keys={outcome.keys_checked} "
             f"codes={dict(sorted(outcome.codes.items()))}"
         )
         for violation in outcome.violations:
@@ -96,11 +95,11 @@ def _run_fuzz(args) -> int:
     return 1 if failures else 0
 
 
-def main(argv=None) -> int:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.staticcheck",
         description="Determinism linting, cheat-vulnerability taint rules, "
-        "RWSet inference and MVCC conflict prediction for smart contracts.",
+        "and RWSet inference for smart contracts.",
     )
     parser.add_argument(
         "target",
@@ -124,13 +123,17 @@ def main(argv=None) -> int:
         "--fuzz",
         type=int,
         metavar="N",
-        help="run the fuzz-differential soundness harness with N events "
+        help="run the fuzz-differential coverage harness with N events "
         "per contract instead of the static report",
     )
     parser.add_argument(
         "--seed", type=int, default=0, help="fuzz seed (default 0)"
     )
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
 
     if args.fuzz is not None:
         if args.fuzz < 1:

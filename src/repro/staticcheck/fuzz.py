@@ -1,25 +1,13 @@
-"""Fuzz-differential soundness harness for the static analyzer.
+"""Fuzz-differential coverage harness for the static analyzer.
 
-The footprints and the conflict matrix are only useful if they
-*over-approximate* what contracts actually do at runtime.  This
-module is the executable form of that soundness claim: drive randomized
-but well-formed event traces through the real contracts, execute them
-through the real ``execute_transaction`` → ``Ledger.append`` pipeline
-(with the peer's speculative-overlay read semantics), and cross-check
-every transaction against the static story:
-
-* **coverage** — every key the runtime RWSet read must be covered by
-  some inferred read pattern of the invoked handler, and every written
-  key by some write pattern;
-* **independence** — whenever the conflict matrix, resolved against the
-  two concrete creators, declares two transactions of a block
-  independent, their runtime write sets must be disjoint from each
-  other's touched sets (so no MVCC interaction is possible);
-* **conflict attribution** — every transaction the ledger downgrades to
-  ``MVCC_READ_CONFLICT`` (after a VALID execution) must have a
-  *predicted* edge to some earlier finally-VALID transaction of its
-  block: the matrix may cry wolf, but a wolf must never arrive
-  unannounced.
+The footprints are only useful if they *over-approximate* what
+contracts actually do at runtime.  This module is the executable form
+of that soundness claim: drive randomized but well-formed event traces
+through the real contracts, execute them through the real
+``execute_transaction`` → ``Ledger.append`` pipeline (with the peer's
+speculative-overlay read semantics), and check that every key the
+runtime RWSet read is covered by some inferred read pattern of the
+invoked handler, and every written key by some write pattern.
 
 Any miss is a soundness bug in the analyzer, not in the contract.
 Exposed on the CLI as ``python -m repro.staticcheck --fuzz N --seed S``.
@@ -31,7 +19,6 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from .conflicts import ConflictLevel, ConflictMatrix, predict_conflicts
 from .rwset import Footprint, infer_footprints
 from .symbols import covers_key
 
@@ -68,7 +55,7 @@ class FuzzCase:
 
 @dataclass(frozen=True)
 class FuzzViolation:
-    kind: str  # "coverage" | "independence" | "attribution"
+    kind: str  # "coverage"
     detail: str
 
 
@@ -82,7 +69,6 @@ class FuzzOutcome:
     blocks: int = 0
     codes: Dict[str, int] = field(default_factory=dict)
     keys_checked: int = 0
-    pairs_checked: int = 0
     violations: List[FuzzViolation] = field(default_factory=list)
 
     @property
@@ -97,7 +83,6 @@ class FuzzOutcome:
             "blocks": self.blocks,
             "codes": dict(sorted(self.codes.items())),
             "keys_checked": self.keys_checked,
-            "pairs_checked": self.pairs_checked,
             "ok": self.ok,
             "violations": [
                 {"kind": v.kind, "detail": v.detail} for v in self.violations
@@ -126,7 +111,7 @@ def _doom_case() -> FuzzCase:
         return {"item_id": rng.choice(item_ids), "t": t}
 
     # Walk a shared cursor around the map so most moves satisfy the speed
-    # rule (VALID traffic exercises the conflict checks); an occasional
+    # rule (VALID traffic reaches the state writes); an occasional
     # long teleport keeps the rejection path covered too.
     cursor = {"x": game_map.spawn_points[0][0], "y": game_map.spawn_points[0][1]}
 
@@ -262,7 +247,7 @@ def fuzz_case(
     seed: int,
     max_block_txs: int = 5,
 ) -> FuzzOutcome:
-    """Run one randomized trace through ``case`` and cross-check it."""
+    """Run one randomized trace through ``case`` and check its coverage."""
     from ..blockchain.block import make_block, make_genesis_block
     from ..blockchain.contracts import execute_transaction
     from ..blockchain.identity import CertificateAuthority
@@ -272,7 +257,6 @@ def fuzz_case(
     rng = random.Random(seed)
     contract = case.make()
     footprints = case.footprints()
-    matrix = predict_conflicts(footprints)
     outcome = FuzzOutcome(case=case.name, seed=seed, n_events=n_events)
 
     ledger = Ledger(make_genesis_block({"peers": list(case.players)}))
@@ -332,38 +316,13 @@ def fuzz_case(
         for code in codes:
             outcome.codes[code] = outcome.codes.get(code, 0) + 1
 
-        _check_block(outcome, matrix, contract.name, footprints, txs,
-                     executions, codes)
+        _check_coverage(outcome, footprints, txs, executions)
 
     return outcome
 
 
-def _may_conflict(matrix: ConflictMatrix, contract: str, tx_a, tx_b) -> bool:
-    """May the two transactions touch a common key?
-
-    Resolves the matrix's SAME_PLAYER verdict against the concrete
-    creators.  Sound direction: ``False`` is a proof of disjointness
-    (modulo the matrix's own soundness, which this harness checks);
-    ``True`` is merely "cannot rule it out" — as for a function the
-    analyzer never saw or a transaction addressed to another contract.
-    """
-    if tx_a.proposal.contract != contract or tx_b.proposal.contract != contract:
-        return True
-    fa = tx_a.proposal.function
-    fb = tx_b.proposal.function
-    if fa not in matrix.events or fb not in matrix.events:
-        return True
-    level = matrix.level(fa, fb)
-    if level == ConflictLevel.SAME_PLAYER:
-        return tx_a.proposal.creator == tx_b.proposal.creator
-    return level == ConflictLevel.ALWAYS
-
-
-def _check_block(outcome, matrix, contract, footprints, txs, executions,
-                 codes) -> None:
-    from ..blockchain.transaction import TxValidationCode
-
-    # 1. coverage: runtime keys ⊆ static patterns, per handler.
+def _check_coverage(outcome, footprints, txs, executions) -> None:
+    """Runtime keys ⊆ static patterns, per handler."""
     for tx, execution in zip(txs, executions):
         function = tx.proposal.function
         fp = footprints.get(function)
@@ -385,40 +344,6 @@ def _check_block(outcome, matrix, contract, footprints, txs, executions,
                 outcome.violations.append(FuzzViolation(
                     "coverage",
                     f"{function} wrote {key!r} not covered by {fp.writes}",
-                ))
-
-    touched = [set(e.rwset.touched()) for e in executions]
-    written = [set(e.rwset.write_keys()) for e in executions]
-
-    # 2. independence: predicted-independent pairs cannot interact.
-    for i in range(len(txs)):
-        for j in range(i + 1, len(txs)):
-            outcome.pairs_checked += 1
-            if _may_conflict(matrix, contract, txs[i], txs[j]):
-                continue
-            overlap = (written[i] & touched[j]) | (written[j] & touched[i])
-            if overlap:
-                outcome.violations.append(FuzzViolation(
-                    "independence",
-                    f"{txs[i].proposal.function}/{txs[j].proposal.function} "
-                    f"predicted independent but overlap on {sorted(overlap)}",
-                ))
-
-    # 3. attribution: every MVCC downgrade has a predicted cause.
-    for j, (execution, code) in enumerate(zip(executions, codes)):
-        if (execution.code == TxValidationCode.VALID
-                and code == TxValidationCode.MVCC_READ_CONFLICT):
-            explained = any(
-                codes[i] == TxValidationCode.VALID
-                and _may_conflict(matrix, contract, txs[i], txs[j])
-                for i in range(j)
-            )
-            if not explained:
-                outcome.violations.append(FuzzViolation(
-                    "attribution",
-                    f"tx {txs[j].tx_id} ({txs[j].proposal.function}) hit "
-                    "MVCC_READ_CONFLICT with no predicted edge to any "
-                    "earlier valid tx",
                 ))
 
 

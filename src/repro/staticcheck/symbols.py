@@ -5,30 +5,23 @@ of time — it sees key *expressions* (``asset_key(player, aid)``,
 f-strings, string constants).  This module models the result of
 partially evaluating such an expression: a :class:`KeyPattern` is a
 sequence of literal fragments and :class:`Sym` placeholders, each
-placeholder tagged with *where its value comes from* at runtime.
+placeholder tagged with *where its value comes from* at runtime:
 
-The provenance tag is what makes conflict prediction possible:
-
-* ``CREATOR`` — the transaction submitter's identity.  Two transactions
-  from the *same* player produce equal values; from different players,
-  different values.
-* ``NONCE`` — per-transaction unique material (nonce, tx id).  Never
-  equal across two distinct transactions, which is exactly why the
-  runtime's ``~nonce/{creator}/{nonce}`` marker is conflict-free.
-* ``ARG`` — an invocation argument (e.g. ``payload["item_id"]``).  Two
-  transactions may or may not pass the same value, so patterns built
-  from arguments *may* collide.
+* ``CREATOR`` — the transaction submitter's identity.
+* ``NONCE`` — per-transaction unique material (nonce, tx id).
+* ``ARG`` — an invocation argument (e.g. ``payload["item_id"]``); the
+  taint rules treat keys built from it as client-addressed.
 * ``UNKNOWN`` — anything the evaluator could not resolve (state reads,
-  loop variables over unresolvable iterables).  Treated like ``ARG``.
+  loop variables over unresolvable iterables).
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, Sequence, Tuple, Union
 
-__all__ = ["Sym", "KeyPattern", "SymKind", "make_pattern", "may_collide", "covers_key"]
+__all__ = ["Sym", "KeyPattern", "SymKind", "make_pattern", "covers_key"]
 
 
 class SymKind:
@@ -59,10 +52,13 @@ class KeyPattern:
     """A world-state key with zero or more symbolic fragments.
 
     ``parts`` alternates literal strings and :class:`Sym` placeholders;
-    a fully literal pattern is a concrete key.  Placeholders are assumed
-    to expand to non-empty text without ``/`` (all key helpers in this
-    codebase interpolate identifiers, asset ids and nonces, none of
-    which contain the segment separator).
+    a fully literal pattern is a concrete key.  A placeholder expands to
+    non-empty text.  Identifier-derived placeholders (``CREATOR``,
+    ``NONCE``, ``ARG``) are assumed to contain no ``/``: every key
+    helper in this codebase interpolates identifiers, asset ids and
+    nonces, none of which contain the segment separator.  An
+    ``UNKNOWN`` placeholder carries no such promise — a key read back
+    from state may be a whole ``asset/p1/2`` — so it matches any text.
     """
 
     parts: Tuple[Part, ...]
@@ -79,6 +75,8 @@ class KeyPattern:
         for part in self.parts:
             if isinstance(part, str):
                 out.append(re.escape(part))
+            elif part.kind == SymKind.UNKNOWN:
+                out.append(r".+")
             else:
                 out.append(r"[^/]+")
         return re.compile("".join(out) + r"\Z")
@@ -86,26 +84,6 @@ class KeyPattern:
     def covers(self, key: str) -> bool:
         """True if this pattern can expand to the concrete ``key``."""
         return self.regex().match(key) is not None
-
-    # ------------------------------------------------------------------
-    # segmentation (for pairwise collision analysis)
-
-    def segments(self) -> List[List[Part]]:
-        """Split on ``/`` into per-segment token lists.
-
-        Literal parts may span several segments; symbolic parts stay
-        within one (see class docstring).
-        """
-        segments: List[List[Part]] = [[]]
-        for part in self.parts:
-            if isinstance(part, Sym):
-                segments[-1].append(part)
-                continue
-            pieces = part.split("/")
-            segments[-1].append(pieces[0])
-            for piece in pieces[1:]:
-                segments.append([piece])
-        return segments
 
 
 def make_pattern(parts: Iterable[Part]) -> KeyPattern:
@@ -125,138 +103,6 @@ def _normalise(tokens: Sequence[Part]) -> List[Part]:
                 continue
         out.append(token)
     return out
-
-
-def _nfa(tokens: Sequence[Part]) -> Tuple[List[List[Tuple[Optional[str], int]]], int]:
-    """Compile one segment into a tiny NFA over single characters.
-
-    A literal contributes one state per character; a placeholder becomes
-    ``[^/]+``: one any-char edge in, then an any-char self-loop that can
-    exit.  Edges are ``(char, next_state)`` with ``char=None`` meaning
-    "any non-``/`` character".  Returns (edges per state, accept state).
-    """
-    edges: List[List[Tuple[Optional[str], int]]] = [[]]
-    for token in tokens:
-        if isinstance(token, str):
-            for ch in token:
-                edges[-1].append((ch, len(edges)))
-                edges.append([])
-        else:  # placeholder: non-empty, no '/'
-            mid = len(edges)
-            edges[-1].append((None, mid))
-            edges.append([(None, mid)])  # self-loop on the wildcard
-            # the exit edge is added below as an epsilon-free shortcut:
-            # every edge out of `mid` is also reachable once >=1 char is
-            # consumed, so we simply continue appending edges to `mid`.
-            edges.append([])
-            edges[mid].append(("", len(edges) - 1))  # epsilon exit marker
-    return edges, len(edges) - 1
-
-
-_Edges = List[List[Tuple[Optional[str], int]]]
-
-
-def _closure(states: FrozenSet[int], edges: _Edges) -> FrozenSet[int]:
-    """Follow epsilon exit markers (``char == ""``)."""
-    out = set(states)
-    stack = list(states)
-    while stack:
-        state = stack.pop()
-        for char, nxt in edges[state]:
-            if char == "" and nxt not in out:
-                out.add(nxt)
-                stack.append(nxt)
-    return frozenset(out)
-
-
-def _step(states: FrozenSet[int], char: Optional[str], edges: _Edges) -> FrozenSet[int]:
-    """All states reachable by consuming one concrete character.
-
-    ``char=None`` means a *free* character distinct from every literal
-    (only wildcard edges can consume it); a literal ``char`` is consumed
-    by its own edge or by any wildcard edge.
-    """
-    out = set()
-    for state in states:
-        for edge_char, nxt in edges[state]:
-            if edge_char == "":
-                continue  # epsilon, handled by closure
-            if edge_char is None or (char is not None and edge_char == char):
-                out.add(nxt)
-    return _closure(frozenset(out), edges)
-
-
-def _tokens_may_equal(a: Sequence[Part], b: Sequence[Part]) -> bool:
-    """Exact emptiness test for the intersection of two segment patterns.
-
-    Placeholders are modelled as ``[^/]+`` regardless of provenance (the
-    caller applies the provenance rules first), so this is a sound
-    over-approximation and *precise* on the literal structure: it rules
-    out prefix-aliasing pairs like ``asset/1`` vs ``asset/1{x}`` (the
-    placeholder must add at least one character) and ``10{x}`` vs ``1``.
-    """
-    edges_a, accept_a = _nfa(a)
-    edges_b, accept_b = _nfa(b)
-    alphabet = sorted(
-        {ch for token in [*a, *b] if isinstance(token, str) for ch in token}
-    )
-    start = (_closure(frozenset([0]), edges_a), _closure(frozenset([0]), edges_b))
-    seen = {start}
-    queue = [start]
-    while queue:
-        sa, sb = queue.pop()
-        if accept_a in sa and accept_b in sb:
-            return True
-        for char in [*alphabet, None]:
-            na = _step(sa, char, edges_a)
-            nb = _step(sb, char, edges_b)
-            if not na or not nb:
-                continue
-            nxt = (na, nb)
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    return False
-
-
-def _segments_may_equal(a: Sequence[Part], b: Sequence[Part], same_creator: bool) -> bool:
-    """Can two key segments expand to the same text?"""
-    a = _normalise(a)
-    b = _normalise(b)
-    if all(isinstance(t, str) for t in a) and all(isinstance(t, str) for t in b):
-        return "".join(a) == "".join(b)
-
-    # Single-placeholder segments get the precise provenance rules.
-    if len(a) == 1 and len(b) == 1 and isinstance(a[0], Sym) and isinstance(b[0], Sym):
-        ka, kb = a[0].kind, b[0].kind
-        if SymKind.NONCE in (ka, kb):
-            return False  # per-transaction unique material never collides
-        if ka == kb == SymKind.CREATOR:
-            return same_creator
-        return True
-
-    # Mixed segments: exact intersection test with every placeholder
-    # widened to [^/]+.  Provenance distinctions (nonce uniqueness,
-    # creator equality) only ever *remove* collisions and apply to
-    # whole-segment placeholders above; embedded placeholders stay
-    # conservative, which keeps the verdict an over-approximation.
-    return _tokens_may_equal(a, b)
-
-
-def may_collide(a: KeyPattern, b: KeyPattern, same_creator: bool) -> bool:
-    """Can patterns ``a`` and ``b`` expand to the same concrete key?
-
-    ``same_creator`` selects whether CREATOR placeholders in the two
-    patterns refer to the same player (two transactions by one player in
-    one block) or to different players.
-    """
-    seg_a = a.segments()
-    seg_b = b.segments()
-    if len(seg_a) != len(seg_b):
-        return False
-    return all(
-        _segments_may_equal(sa, sb, same_creator) for sa, sb in zip(seg_a, seg_b)
-    )
 
 
 def covers_key(patterns: Iterable[KeyPattern], key: str) -> bool:

@@ -78,6 +78,3 @@ class GameTracker:
     def average_participation(self, game: str, count: int = 500) -> float:
         rooms = self.top_rooms(game, count)
         return sum(rooms) / len(rooms)
-
-    def max_participation(self, game: str, count: int = 500) -> int:
-        return max(self.top_rooms(game, count))

@@ -110,9 +110,6 @@ class Tracer:
     # ------------------------------------------------------------------
     # queries
 
-    def trace_ids(self) -> List[str]:
-        return list(self._by_trace)
-
     def spans_for(self, trace_id: str) -> List[Span]:
         """Spans of one trace, ordered by (start time, stage order)."""
         spans = self._by_trace.get(trace_id, [])

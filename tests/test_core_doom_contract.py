@@ -2,7 +2,10 @@
 
 import pytest
 
-from repro.blockchain import TxValidationCode
+from repro.blockchain import CertificateAuthority, Proposal, Transaction, TxValidationCode
+from repro.blockchain.block import make_block, make_genesis_block
+from repro.blockchain.contracts import execute_transaction
+from repro.blockchain.ledger import Ledger, TxExecution
 from repro.core import DoomContract
 from repro.game import AssetId, DoomMap, EventType, WeaponId, asset_key
 
@@ -224,3 +227,145 @@ class TestMonolithicLayout:
         h.ok(EventType.SHOOT, {"count": 5}, creator="p1")
         record = h.state.get("player/p1")
         assert record[str(AssetId.AMMUNITION)] == 45
+
+
+# ----------------------------------------------------------------------
+# two invocations batched into one block: the ledger's MVCC outcomes
+
+
+class LedgerPairRunner:
+    """Executes two invocations against a prepared game state, batches
+    them into ONE block, and returns the ledger's validation codes."""
+
+    def __init__(self):
+        self.ca = CertificateAuthority(name="conflict-ca")
+        self._identities = {}
+        self._nonce = 0
+
+    def _identity(self, name):
+        if name not in self._identities:
+            self._identities[name] = self.ca.enroll(name)
+        return self._identities[name]
+
+    def _tx(self, contract, function, payload, creator, t=1000.0):
+        self._nonce += 1
+        identity = self._identity(creator)
+        proposal = Proposal(
+            tx_id=f"c{self._nonce}",
+            contract=contract.name,
+            function=function,
+            args=(payload,),
+            nonce=f"cn{self._nonce}",
+            creator=creator,
+            timestamp=t,
+        )
+        return Transaction(
+            proposal=proposal,
+            certificate=identity.certificate,
+            signature=identity.sign(proposal.digest()),
+        )
+
+    def run_pair(self, call_a, call_b, players=("p1", "p2")):
+        """Each call is (function, payload, creator).  Returns the two
+        validation codes after committing both txs in one block."""
+        contract = DoomContract(strict_pickups=False)
+        ledger = Ledger(make_genesis_block({"peers": ["p0"]}))
+
+        # Setup: join + start, one block per tx (no artificial conflicts).
+        for function, payload, creator in (
+            [("addPlayer", {}, p) for p in players] + [("startGame", {}, players[0])]
+        ):
+            tx = self._tx(contract, function, payload, creator)
+            execution = execute_transaction(contract, tx, ledger.state)
+            codes = ledger.append(
+                make_block(ledger.height, ledger.last_hash, [tx], 0.0),
+                [TxExecution(rwset=execution.rwset, code=execution.code)],
+            )
+            assert codes == ["VALID"], f"setup {function} failed: {codes}"
+
+        # The pair under test: both executed against the SAME snapshot,
+        # then ordered into the same block — exactly the §6 scenario.
+        txs, execs = [], []
+        for function, payload, creator in (call_a, call_b):
+            tx = self._tx(contract, function, payload, creator)
+            execution = execute_transaction(contract, tx, ledger.state)
+            assert execution.code == "VALID"
+            txs.append(tx)
+            execs.append(TxExecution(rwset=execution.rwset, code=execution.code))
+        return ledger.append(
+            make_block(ledger.height, ledger.last_hash, txs, 1000.0), execs
+        )
+
+
+@pytest.fixture()
+def runner():
+    return LedgerPairRunner()
+
+
+SHOOT = (EventType.SHOOT, {"count": 1, "t": 1000.0})
+
+
+def move_payload(creator):
+    """A legal location update: step back onto the player's own spawn."""
+    spawns = DoomMap.default_map().spawn_points
+    spawn = spawns[0] if creator == "p1" else spawns[1 % len(spawns)]
+    return {"x": spawn[0], "y": spawn[1], "t": 1000.0}
+
+
+class TestLedgerAgreement:
+    def test_same_player_shoots_conflict(self, runner):
+        # Two shots write the shooter's own ammo key: the paper's §6
+        # "two successive bullets" example.
+        codes = runner.run_pair(
+            (SHOOT[0], SHOOT[1], "p1"), (SHOOT[0], SHOOT[1], "p1")
+        )
+        assert codes == ["VALID", "MVCC_READ_CONFLICT"]
+
+    def test_shoots_by_different_players_commit(self, runner):
+        # Distinct players write distinct asset/{player}/2 keys.
+        codes = runner.run_pair(
+            (SHOOT[0], SHOOT[1], "p1"), (SHOOT[0], SHOOT[1], "p2")
+        )
+        assert codes == ["VALID", "VALID"]
+
+    def test_location_and_shoot_commit_together(self, runner):
+        # position (aid 6) vs weapon/ammo (aids 3, 2): disjoint keys.
+        for creators in (("p1", "p1"), ("p1", "p2")):
+            codes = runner.run_pair(
+                (EventType.LOCATION, move_payload(creators[0]), creators[0]),
+                (SHOOT[0], SHOOT[1], creators[1]),
+            )
+            assert codes == ["VALID", "VALID"], creators
+
+    def test_damage_on_one_victim_conflicts_across_players(self, runner):
+        # Two players damaging the same victim collide on the victim's
+        # health key even though the creators differ.
+        codes = runner.run_pair(
+            (EventType.DAMAGE, {"amount": 5, "target": "p1", "t": 1000.0}, "p1"),
+            (EventType.DAMAGE, {"amount": 5, "target": "p1", "t": 1000.0}, "p2"),
+        )
+        assert codes == ["VALID", "MVCC_READ_CONFLICT"]
+
+    def test_disjoint_key_pairs_never_conflict(self, runner):
+        """Every pair of the cheap-to-stage handlers (shoot, location,
+        weapon_change) whose footprints share no key commits together,
+        whether one player or two submit it."""
+        def stage(etype, creator):
+            if etype == EventType.LOCATION:
+                return move_payload(creator)
+            return {
+                EventType.SHOOT: {"count": 1, "t": 1000.0},
+                EventType.WEAPON_CHANGE: {"wid": 0, "t": 1000.0},
+            }[etype]
+
+        disjoint = [
+            (EventType.LOCATION, EventType.SHOOT),
+            (EventType.LOCATION, EventType.WEAPON_CHANGE),
+        ]
+        for a, b in disjoint:
+            for creators in (("p1", "p1"), ("p1", "p2")):
+                codes = runner.run_pair(
+                    (a, stage(a, creators[0]), creators[0]),
+                    (b, stage(b, creators[1]), creators[1]),
+                )
+                assert codes == ["VALID", "VALID"], (a, b, creators)

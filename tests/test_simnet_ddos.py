@@ -1,4 +1,4 @@
-"""Unit tests for attack models and the Periodic helper."""
+"""Unit tests for attack models."""
 
 import pytest
 
@@ -8,7 +8,6 @@ from repro.simnet import (
     LatencyInjectionAttack,
     LAN_1GBPS,
     Network,
-    Periodic,
     TakedownAttack,
     select_victims,
 )
@@ -111,41 +110,6 @@ def test_select_victims_deterministic():
 def test_select_victims_rejects_bad_fraction():
     with pytest.raises(ValueError):
         select_victims(["a"], 2.0)
-
-
-def test_periodic_fires_at_interval():
-    net, _ = make_net()
-    ticks = []
-    p = Periodic(net.scheduler, 10.0, lambda: ticks.append(net.now))
-    p.start()
-    net.run(until=55.0)
-    assert ticks == [10.0, 20.0, 30.0, 40.0, 50.0]
-    p.stop()
-    net.run(until=100.0)
-    assert len(ticks) == 5
-
-
-def test_periodic_fire_now():
-    net, _ = make_net()
-    ticks = []
-    Periodic(net.scheduler, 10.0, lambda: ticks.append(net.now)).start(fire_now=True)
-    net.run(until=25.0)
-    assert ticks == [0.0, 10.0, 20.0]
-
-
-def test_periodic_rejects_nonpositive_interval():
-    net, _ = make_net()
-    with pytest.raises(ValueError):
-        Periodic(net.scheduler, 0.0, lambda: None)
-
-
-def test_periodic_stop_from_within_callback():
-    net, _ = make_net()
-    ticks = []
-    p = Periodic(net.scheduler, 5.0, lambda: (ticks.append(1), p.stop()))
-    p.start()
-    net.run(until=100.0)
-    assert len(ticks) == 1
 
 
 class TestPartition:

@@ -4,6 +4,8 @@ the statically inferred key patterns cover every key the runtime
 
 import pytest
 
+from repro.blockchain import Version
+from repro.blockchain.contracts import Contract
 from repro.core import DoomContract, MonopolyContract
 from repro.game.doom import DoomMap
 from repro.game.events import EventType
@@ -88,6 +90,32 @@ class TestSourceMode:
         assert "addPlayer" in fps and "startGame" in fps
         assert fps["addPlayer"].write_covers("game/roster")
         assert fps["startGame"].write_covers("game/started")
+
+
+class PointerContract(Contract):
+    """Writes through a key it reads back from state."""
+
+    name = "pointer"
+
+    def invoke(self, ctx, function, args):
+        return getattr(self, f"on_{function}")(ctx, *args)
+
+    def on_follow(self, ctx, payload):
+        target = ctx.view.get("ptr")
+        ctx.view.put(target, 1)
+
+
+def test_unresolved_key_covers_keys_with_slashes():
+    """A key read from state is a whole key, ``/`` included; the
+    footprint must cover it."""
+    fp = infer_footprints(PointerContract)["follow"]
+    harness = ContractHarness(PointerContract())
+    harness.state.put("ptr", "asset/p1/2", Version(1, 0))
+    code, rwset = harness.call("follow", {}, creator="p1")
+    assert code == "VALID"
+    assert "asset/p1/2" in rwset.write_keys()
+    assert [k for k in rwset.write_keys() if not fp.write_covers(k)] == []
+    assert [k for k, _ in rwset.reads if not fp.read_covers(k)] == []
 
 
 # ----------------------------------------------------------------------
