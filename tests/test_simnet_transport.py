@@ -1,6 +1,7 @@
 """Unit tests for network transport, latency profiles and topology."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -213,3 +214,60 @@ def test_topology_region_lookup():
     net.register(Recorder("t1", Region.TORONTO))
     assert {h.name for h in net.topology.in_region(Region.DALLAS)} == {"d1", "d2"}
     assert len(net.topology) == 3
+
+
+def _interleaved_run(single_sends: bool, injector: bool):
+    """One scripted traffic pattern over a jittery, lossy WAN with a
+    slow receiver, a dropping receiver and a mid-run partition.  With
+    ``single_sends`` every one-destination message and every other
+    broadcast goes through ``send``; otherwise everything goes through
+    ``send_many``."""
+    profile = replace(INTERNET_US, loss_rate=0.1)
+    net = Network(profile=profile, seed=5)
+    regions = [Region.DALLAS, Region.SAN_JOSE, Region.DALLAS, Region.LAN, Region.SAN_JOSE]
+    hosts = [net.register(Recorder(f"h{i}", r)) for i, r in enumerate(regions)]
+    net.condition("h3").extra_ingress_ms = 7.5
+    net.condition("h4").ingress_drop_rate = 0.3
+    if injector:
+        def inject(msg, at):
+            # Deterministic in the message: drop, duplicate or delay some.
+            kind = msg.payload[1] % 4
+            if kind == 0:
+                return []
+            if kind == 1:
+                return [at, at + 3.0]
+            return [at + kind]
+
+        net.fault_injector = inject
+    script = random.Random(17)
+    for step in range(60):
+        src = hosts[script.randrange(len(hosts))]
+        dsts = [h for h in hosts if h is not src and script.random() < 0.6]
+        payload = (src.name, step)
+        size = script.choice((0, 128, 2500))
+        if single_sends and (len(dsts) == 1 or step % 2):
+            for dst in dsts:
+                net.send(src, dst, payload, size)
+        else:
+            net.send_many(src, dsts, payload, size)
+        if step == 20:
+            net.partition(["h0", "h1"], ["h2", "h3", "h4"])
+        if step == 40:
+            net.heal()
+        if step % 7 == 0:
+            net.run(until=net.now + script.uniform(0.0, 15.0))
+    net.run_until_idle()
+    return [h.received for h in hosts], net.stats.as_dict()
+
+
+@pytest.mark.parametrize("injector", [False, True], ids=["plain", "injected"])
+def test_send_and_send_many_interleave_bit_identically(injector):
+    """``send`` is ``send_many`` to one destination: a run mixing the two
+    equals a twin run that only broadcasts — same deliveries at the
+    same times in the same order, same statistics."""
+    mixed = _interleaved_run(single_sends=True, injector=injector)
+    broadcast_only = _interleaved_run(single_sends=False, injector=injector)
+    assert mixed == broadcast_only
+    received, stats = mixed
+    assert sum(map(len, received)) == stats["messages_delivered"] > 0
+    assert stats["messages_dropped"] > stats["messages_dropped_partition"] > 0
