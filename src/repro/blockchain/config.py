@@ -40,11 +40,6 @@ class FabricConfig:
         tx_bytes: a transaction with certificate and signature.
         block_overhead_bytes: block header/metadata.
         vote_msg_bytes / sync_msg_bytes / query_msg_bytes: control traffic.
-
-    Security switches:
-        verify_signatures: run real RSA verification of submitted
-            transactions at every peer (recommended; disable only in
-            micro-benchmarks that measure something else).
     """
 
     max_block_txs: int = 1
@@ -71,8 +66,6 @@ class FabricConfig:
     vote_msg_bytes: int = 512
     sync_msg_bytes: int = 256
     query_msg_bytes: int = 128
-
-    verify_signatures: bool = True
 
     #: Anti-entropy retransmission: a peer with unfinished consensus work
     #: (an executed-but-undecided block, an unacknowledged sync hash, or a
@@ -103,13 +96,6 @@ class FabricConfig:
     #: empty tuple keeps the paper's pure timestamp order.
     priority_functions: tuple = ()
 
-    #: Transport backend a deployment constructs when it is not handed an
-    #: existing network: ``"simnet"`` (deterministic discrete-event) or
-    #: ``"realnet"`` (asyncio TCP on a wall clock — see DESIGN.md §15).
-    #: Everything above the transport boundary is backend-agnostic; the
-    #: flag only selects which fabric ``BlockchainNetwork`` builds.
-    backend: str = "simnet"
-
     def with_options(self, **kwargs) -> "FabricConfig":
         """A copy with the given fields replaced."""
         return replace(self, **kwargs)
@@ -123,5 +109,3 @@ class FabricConfig:
             raise ValueError("swap_timeout_ms must be positive")
         if self.swap_poll_interval_ms <= 0:
             raise ValueError("swap_poll_interval_ms must be positive")
-        if self.backend not in ("simnet", "realnet"):
-            raise ValueError(f"unknown transport backend {self.backend!r}")

@@ -328,53 +328,8 @@ def reset_crypto_caches() -> Dict[str, int]:
     return sizes
 
 
-# ----------------------------------------------------------------------
-# batch verification
-
-def verify_batch(
-    items: Sequence[Tuple["PublicKey", Any, int]],
-    fresh: bool = False,
-) -> List[bool]:
-    """Verify many ``(public_key, message, signature)`` triples in one
-    amortised pass; returns one verdict per item, in order, identical to
-    calling :meth:`PublicKey.verify` in a loop.
-
-    The amortisation is structural, not mathematical: one sweep resolves
-    every item against the process-wide verdict cache, and only the
-    misses pay a modexp and a write-back.  (A randomized-product test
-    costs ~128 modular multiplications per item against the ~17 of a
-    direct check at the fleet-wide e = 65537, so there is none.)
-
-    ``fresh=True`` is the audit bypass: every item is re-verified with
-    :meth:`PublicKey.verify_uncached`, no cache reads or writes.
-    """
-    results: List[Optional[bool]] = [None] * len(items)
-    if fresh:
-        return [key.verify_uncached(message, sig) for key, message, sig in items]
-
-    # Pass 1: structural rejects + one cache sweep.
-    misses: List[int] = []
-    for i, (key, message, sig) in enumerate(items):
-        if not isinstance(sig, int) or not 0 < sig < key.n:
-            results[i] = False
-            continue
-        try:
-            cached = _VERIFY_CACHE.get((key.n, key.e, message, sig))
-        except TypeError:  # unhashable message: uncacheable, verify directly
-            results[i] = key.verify_uncached(message, sig)
-            continue
-        if cached is not None:
-            results[i] = cached
-        else:
-            misses.append(i)
-
-    # Pass 2: one modexp per cache miss, written back as it is computed.
-    if misses:
-        if len(_VERIFY_CACHE) + len(misses) > _VERIFY_CACHE_MAX:
-            _VERIFY_CACHE.clear()
-        for i in misses:
-            key, message, sig = items[i]
-            ok = results[i] = key.verify_uncached(message, sig)
-            _VERIFY_CACHE[(key.n, key.e, message, sig)] = ok
-
-    return [bool(r) for r in results]
+def verify_batch(items: Sequence[Tuple["PublicKey", Any, int]]) -> List[bool]:
+    """:meth:`PublicKey.verify` of each ``(public_key, message, signature)``
+    triple, in order.  No peer calls it; it stays importable because
+    e2ebench's frozen import surface names it."""
+    return [key.verify(message, sig) for key, message, sig in items]

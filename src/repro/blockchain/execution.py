@@ -1,24 +1,18 @@
-"""Block validation: one in-order loop, batched signatures, shared results.
+"""Block validation: one in-order loop, shared results.
 
 Every peer validates a delivered block the same way — there is no
 strategy to select and no flag to set:
 
-**Batch signature checking.**  Before execution, the block's certificate
-and endorsement signatures are resolved in one amortised
-:func:`~repro.blockchain.crypto.verify_batch` pass (one cache sweep, one
-write-back) instead of N interleaved probes; per-transaction failure
-codes (BAD_CERTIFICATE / BAD_SIGNATURE) are attributed exactly as the
-per-transaction checks would.
-
-**One loop.**  The transactions then run in block order over one
-speculative overlay: a valid transaction's writes become visible to the
-ones after it, and a transaction touching a key an earlier valid one
-wrote is voted a conflict (the ledger re-checks at commit).
+**One loop.**  The transactions run in block order over one speculative
+overlay, each through ``Peer._execute_one`` (certificate, signature,
+contract): a valid transaction's writes become visible to the ones after
+it, and a transaction touching a key an earlier valid one wrote is voted
+a conflict (the ledger re-checks at commit).
 
 **Cross-peer result sharing.**  Execution is a pure function of (block
-content, basis state, contracts, MSP roots, ``verify_signatures``) — the
-determinism the whole consensus scheme rests on — so N honest peers
-re-deriving identical executions is pure host-side waste.  A bounded
+content, basis state, contracts, MSP roots) — the determinism the whole
+consensus scheme rests on — so N honest peers re-deriving identical
+executions is pure host-side waste.  A bounded
 process-wide cache lets the first executing peer share its results; every
 other peer gets fresh per-peer :class:`TxExecution` wrappers (codes are
 mutated downstream by consensus downgrades) over the shared immutable
@@ -40,11 +34,10 @@ a simulated result.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set
+from typing import TYPE_CHECKING, Dict, List, Sequence, Set
 
-from . import crypto
 from .ledger import TxExecution
-from .transaction import RWSet, Transaction, TxValidationCode
+from .transaction import Transaction, TxValidationCode
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .block import Block
@@ -69,7 +62,6 @@ def reset_execution_stats() -> None:
         cache_hits=0,
         cache_misses=0,
         cache_bypasses=0,
-        batched_signatures=0,
     )
 
 
@@ -84,9 +76,8 @@ def execution_stats() -> Dict[str, int]:
 # ----------------------------------------------------------------------
 # cross-peer block-execution cache
 
-#: key ``(block digest, data digest, credentials, basis state hash,
-#: verify_signatures)`` → ``(msp, contract names, contract classes,
-#: [(rwset, code)...])``.
+#: key ``(block digest, data digest, credentials, basis state hash)`` →
+#: ``(msp, contract names, contract classes, [(rwset, code)...])``.
 #: The MSP and the contract classes are not content-addressable, so the
 #: entry retains them and every hit re-checks their identity.
 _EXEC_CACHE: Dict[tuple, tuple] = {}
@@ -110,51 +101,6 @@ def _is_patched(peer: "Peer") -> bool:
     return baseline is None or cls._execute_one is not baseline
 
 
-def _signature_precheck(
-    peer: "Peer", transactions: Sequence[Transaction]
-) -> Optional[List[Optional[str]]]:
-    """Resolve certificate + endorsement signatures for a whole block in
-    one amortised batch pass.
-
-    Returns one entry per transaction: a failure code
-    (``BAD_CERTIFICATE`` / ``BAD_SIGNATURE``) or None when the signature
-    checks pass — exactly the codes the per-transaction checks would
-    produce, in the same precedence order.  ``None`` (no list) when
-    signature verification is disabled.
-    """
-    if not peer.config.verify_signatures:
-        return None
-    cert_ok = peer.msp.validate_batch([tx.certificate for tx in transactions])
-    # Endorsement signatures, honouring each transaction's own memo.
-    pending: List[int] = []
-    triples = []
-    sig_ok: List[bool] = [False] * len(transactions)
-    for i, tx in enumerate(transactions):
-        memo = getattr(tx, "_sig_memo", None)
-        if memo is not None:
-            sig_ok[i] = memo
-        else:
-            pending.append(i)
-            triples.append(
-                (tx.certificate.public_key, tx.proposal.digest(), tx.signature)
-            )
-    if triples:
-        _STATS["batched_signatures"] += len(triples)
-        # Looked up on the module at call time: tracers wrap the attribute.
-        for i, ok in zip(pending, crypto.verify_batch(triples)):
-            sig_ok[i] = ok
-            transactions[i]._sig_memo = ok
-    codes: List[Optional[str]] = []
-    for i in range(len(transactions)):
-        if not cert_ok[i]:
-            codes.append(TxValidationCode.BAD_CERTIFICATE)
-        elif not sig_ok[i]:
-            codes.append(TxValidationCode.BAD_SIGNATURE)
-        else:
-            codes.append(None)
-    return codes
-
-
 class ValidationExecutor:
     """Executes one block's transactions for a peer.
 
@@ -173,7 +119,6 @@ class ValidationExecutor:
             block.data_digest(),
             block.credentials(),
             peer.ledger.state_hash(),
-            peer.config.verify_signatures,
         )
         entry = _EXEC_CACHE.get(key)
         if (
@@ -199,18 +144,12 @@ class ValidationExecutor:
     def _execute(
         self, peer: "Peer", transactions: Sequence[Transaction]
     ) -> List[TxExecution]:
-        """Batched signature pre-check, then every transaction in block
-        order over one speculative overlay."""
-        precheck = _signature_precheck(peer, transactions)
+        """Every transaction in block order over one speculative overlay."""
         overlay = peer.ledger.state.overlay()
         written: Set[str] = set()
         executions: List[TxExecution] = []
-        for i, tx in enumerate(transactions):
-            code = precheck[i] if precheck is not None else None
-            if code is not None:
-                execution = TxExecution(rwset=RWSet(), code=code)
-            else:
-                execution = peer._execute_one(tx, overlay, written, True)
+        for tx in transactions:
+            execution = peer._execute_one(tx, overlay, written)
             executions.append(execution)
             if execution.code == TxValidationCode.VALID:
                 for key, value in execution.rwset.writes:

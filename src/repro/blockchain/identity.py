@@ -11,9 +11,9 @@ MSP) validates presented certificates against trusted CA roots.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Dict
 
-from .crypto import KeyPair, PublicKey, canonical_digest, generate_keypair, verify_batch
+from .crypto import KeyPair, PublicKey, canonical_digest, generate_keypair
 
 __all__ = ["Certificate", "Identity", "CertificateAuthority", "MembershipProvider"]
 
@@ -136,24 +136,6 @@ class MembershipProvider:
         if root is None:
             return False
         return root.verify(cert.tbs(), cert.signature)
-
-    def validate_batch(self, certs: Sequence[Certificate]) -> List[bool]:
-        """:meth:`validate` for many certificates in one amortised
-        :func:`~repro.blockchain.crypto.verify_batch` pass.  Certificates
-        from untrusted issuers are rejected without touching the batch."""
-        triples = []
-        slots = []
-        results = [False] * len(certs)
-        for i, cert in enumerate(certs):
-            root = self._roots.get(cert.issuer)
-            if root is None:
-                continue
-            triples.append((root, cert.tbs(), cert.signature))
-            slots.append(i)
-        if triples:
-            for i, ok in zip(slots, verify_batch(triples)):
-                results[i] = ok
-        return results
 
     def verify_signature(self, cert: Certificate, message, signature: int) -> bool:
         """Validate the certificate chain *and* a signature under it."""

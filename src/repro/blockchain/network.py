@@ -53,24 +53,19 @@ class BlockchainNetwork:
         ca: Optional[CertificateAuthority] = None,
         name_prefix: str = "",
     ):
-        """``net``/``ca``/``name_prefix`` let several chains share one
-        network and certificate authority (the soak harness's sessions)
-        or one CA across per-shard networks (the sharded deployment,
-        ``repro.blockchain.shardworker``)."""
+        """Without ``net`` the deployment builds its own simnet
+        ``Network``; pass ``repro.realnet.make_network("realnet")`` to run
+        it on real sockets.  ``net``/``ca``/``name_prefix`` let several
+        chains share one network and certificate authority (the soak
+        harness's sessions) or one CA across per-shard networks (the
+        sharded deployment, ``repro.blockchain.shardworker``)."""
         if n_peers < 1:
             raise ValueError("need at least one peer")
         self.config = config if config is not None else FabricConfig()
         self.policy = ConsensusPolicy(policy)
-        self.net: NetworkCore
-        if net is not None:
-            self.net = net
-        elif self.config.backend == "simnet":
-            self.net = Network(profile=profile, seed=seed)
-        else:
-            # Deferred import: realnet depends on the blockchain codec.
-            from ..realnet import make_network
-
-            self.net = make_network(self.config.backend, profile=profile, seed=seed)
+        self.net: NetworkCore = (
+            net if net is not None else Network(profile=profile, seed=seed)
+        )
         self.ca = ca if ca is not None else CertificateAuthority(seed=seed)
         self.msp = MembershipProvider()
         self.msp.trust_ca(self.ca)

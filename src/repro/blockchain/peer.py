@@ -50,7 +50,7 @@ from .messages import (
 )
 from .policy import ConsensusPolicy
 from .state import WorldStateOverlay
-from .transaction import Transaction, TxValidationCode
+from .transaction import RWSet, Transaction, TxValidationCode
 
 __all__ = ["Peer"]
 
@@ -445,19 +445,18 @@ class Peer(Host):
         tx: Transaction,
         overlay: "WorldStateOverlay",
         written: Set[str],
-        sig_checked: bool = False,
     ) -> TxExecution:
-        # ``sig_checked=True`` means the executor already resolved the
-        # certificate and endorsement signatures for the whole block in
-        # one batched pass.
-        if self.config.verify_signatures and not sig_checked:
-            if not self.msp.validate(tx.certificate):
-                return TxExecution(rwset=_empty_rwset(), code=TxValidationCode.BAD_CERTIFICATE)
-            if not tx.verify_signature():
-                return TxExecution(rwset=_empty_rwset(), code=TxValidationCode.BAD_SIGNATURE)
+        # The creator's certificate, then the signature over the proposal
+        # (§4.2: SPOOF).  The one place a transaction's credentials are
+        # checked; verdicts are remembered only by content, in
+        # ``PublicKey.verify``'s process-wide cache.
+        if not self.msp.validate(tx.certificate):
+            return TxExecution(rwset=RWSet(), code=TxValidationCode.BAD_CERTIFICATE)
+        if not tx.verify_signature():
+            return TxExecution(rwset=RWSet(), code=TxValidationCode.BAD_SIGNATURE)
         contract = self.contracts.get(tx.proposal.contract)
         if contract is None:
-            return TxExecution(rwset=_empty_rwset(), code=TxValidationCode.UNKNOWN_CONTRACT)
+            return TxExecution(rwset=RWSet(), code=TxValidationCode.UNKNOWN_CONTRACT)
         execution = execute_transaction(contract, tx, self.ledger.state, overlay=overlay)
         if execution.code != TxValidationCode.VALID:
             return execution
@@ -799,9 +798,3 @@ class Peer(Host):
             code, block = TxValidationCode.PENDING, None
         reply = TxStatusReply(tx_id=query.tx_id, code=code, block=block)
         self.send(src, reply, size_bytes=self.config.query_msg_bytes)
-
-
-def _empty_rwset():
-    from .transaction import RWSet
-
-    return RWSet()

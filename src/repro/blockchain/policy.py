@@ -242,17 +242,6 @@ class ConsensusPolicy:
         atoms; ``peer(name)`` atoms need the real electorate).
         """
         if all_voters is None:
-            n_missing = max(total - len(votes), 0)
-        else:
-            n_missing = sum(1 for v in all_voters if v not in votes)
-        if type(self._root) is _Majority:
-            # Fast path for the default policy (the overwhelmingly common
-            # case, evaluated once per vote per tx per peer): counting is
-            # enough — no need to materialise optimistic/pessimistic vote
-            # dicts and re-walk the tree twice.
-            yes = sum(1 for v in votes.values() if v)
-            return self.decided_counts(yes, len(votes), total)
-        if all_voters is None:
             missing = [f"_absent{i}" for i in range(total - len(votes))]
         else:
             missing = [v for v in all_voters if v not in votes]

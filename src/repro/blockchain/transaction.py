@@ -164,17 +164,14 @@ class Transaction:
     def verify_signature(self) -> bool:
         """True iff the creator's signature covers the proposal.
 
-        The verdict is memoised on the transaction (and the underlying
-        modexp process-wide, see ``crypto._VERIFY_CACHE``): all peers
-        validating the same gossiped transaction pay the cost once.
+        The verdict is remembered only by content, in the process-wide
+        cache of :meth:`~repro.blockchain.crypto.PublicKey.verify`: all
+        peers validating the same gossiped transaction pay the modexp
+        once, and a signature changed in place is checked afresh.
         """
-        cached = getattr(self, "_sig_memo", None)
-        if cached is None:
-            cached = self.certificate.public_key.verify(
-                self.proposal.digest(), self.signature
-            )
-            self._sig_memo = cached
-        return cached
+        return self.certificate.public_key.verify(
+            self.proposal.digest(), self.signature
+        )
 
 
 @dataclass

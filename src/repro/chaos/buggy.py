@@ -32,8 +32,8 @@ def install_mvcc_bypass(peer) -> None:
     )
     original_execute_one = peer._execute_one
 
-    def execute_one(tx, overlay, written, sig_checked=False):
-        execution = original_execute_one(tx, overlay, written, sig_checked)
+    def execute_one(tx, overlay, written):
+        execution = original_execute_one(tx, overlay, written)
         if execution.code == TxValidationCode.MVCC_READ_CONFLICT:
             execution.code = TxValidationCode.VALID
         return execution

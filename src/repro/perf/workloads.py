@@ -149,12 +149,7 @@ def sharded_replay(
     with BridgedShardEngine(
         n_peers=n_peers,
         n_shards=n_shards,
-        config=FabricConfig(
-            max_block_txs=10,
-            # Signature checks are host-side CPU with no simulated cost;
-            # at 100k-player scale they only slow the host down.
-            verify_signatures=False,
-        ),
+        config=FabricConfig(max_block_txs=10),
         seed=seed,
         procs=procs,
         lookahead_ms=lookahead_ms,

@@ -12,9 +12,10 @@ inherit:
   whose ``send`` writes length-prefixed :mod:`repro.blockchain.codec`
   frames to per-channel TCP connections.
 
-:func:`make_network` is the backend factory the deployment constructors
-use; ``FabricConfig(backend="realnet")`` routes through it.  DESIGN.md
-§15 documents which determinism guarantees survive the move to real
+:func:`make_network` builds a backend by name; a deployment runs on
+real sockets when it is handed one
+(``BlockchainNetwork(n, net=make_network("realnet"))``).  DESIGN.md §15
+documents which determinism guarantees survive the move to real
 sockets (none of the *safety* invariants depend on determinism — the
 chaos :class:`~repro.chaos.invariants.InvariantMonitor` runs unchanged
 on either backend).

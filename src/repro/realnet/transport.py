@@ -274,7 +274,6 @@ class RealNetwork(NetworkCore):
         bind_host: str = "127.0.0.1",
     ) -> None:
         super().__init__(clock if clock is not None else WallClock(), profile, seed)
-        self.backend = "realnet"
         self._bind_host = bind_host
         self._endpoints: Dict[str, _Endpoint] = {}
         #: name -> (host, port): where frames for that name connect to.

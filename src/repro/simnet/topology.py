@@ -47,20 +47,12 @@ class Host:
         self.network.send(self, dst, payload, size_bytes)
 
     def send_many(self, dsts, payload: Any, size_bytes: int = 256) -> None:
-        """Send ``payload`` to every host in ``dsts`` (broadcast fast path).
-
-        Equivalent to calling :meth:`send` per destination, in order —
-        same RNG draws, same delivery times.  When ``send`` itself has
-        been instance- or subclass-patched (byzantine/chaos fixtures
-        tamper with outgoing messages there), the broadcast must keep
-        routing through it, so the fast path stands aside.
-        """
+        """Send ``payload`` to every host in ``dsts``: the network's
+        ``send_many``, equivalent to :meth:`send` per destination, in
+        order.  A fixture that tampers with outgoing messages installs
+        the network's ``fault_injector``, which sees every copy."""
         if self.network is None:
             raise RuntimeError(f"host {self.name!r} is not attached to a network")
-        if "send" in self.__dict__ or type(self).send is not Host.send:
-            for dst in dsts:
-                self.send(dst, payload, size_bytes=size_bytes)
-            return
         self.network.send_many(self, dsts, payload, size_bytes)
 
     def handle_message(self, src: "Host", payload: Any) -> None:

@@ -295,92 +295,8 @@ class Network(NetworkCore):
     # sending
 
     def send(self, src: Host, dst: Host, payload: Any, size_bytes: int = 256) -> None:
-        """Send ``payload`` from ``src`` to ``dst``.
-
-        Messages to or from a *down* host are silently dropped — the
-        application-level protocols are responsible for timeouts, exactly
-        as over a real network.
-        """
-        stats = self.stats
-        profile = self.profile
-        src_name = src.name
-        dst_name = dst.name
-        scheduler = self.scheduler
-        now = scheduler.now
-        stats.messages_sent += 1
-        stats.bytes_sent += size_bytes
-
-        src_cond = src._condition
-        dst_cond = dst._condition
-        if src_cond.down or dst_cond.down:
-            stats.messages_dropped += 1
-            return
-        if self._partition_of is not None:
-            if self._partition_of.get(src_name) != self._partition_of.get(dst_name):
-                stats.messages_dropped += 1
-                stats.messages_dropped_partition += 1
-                return
-        if profile.loss_rate and self.rng.random() < profile.loss_rate:
-            stats.messages_dropped += 1
-            return
-        if dst_cond.ingress_drop_rate and self.rng.random() < dst_cond.ingress_drop_rate:
-            stats.messages_dropped += 1
-            return
-
-        # FIFO egress serialisation at the sender's NIC.
-        egress_free = self._egress_free_at
-        egress_start = egress_free[src_name]
-        if now > egress_start:
-            egress_start = now
-        if size_bytes > 0:  # LatencyProfile.serialization, inlined
-            egress_done = egress_start + size_bytes * 8.0 / (
-                profile.bandwidth_mbps * 1000.0
-            )
-        else:
-            egress_done = egress_start
-        egress_free[src_name] = egress_done
-
-        # LatencyProfile.one_way_delay(src, dst, 0, rng), inlined: same
-        # terms in the same order (one RNG draw, jitter last) so delivery
-        # times are bit-identical, minus two Python calls per message.
-        if profile.jitter_ms > 0.0:
-            jitter = profile.jitter_ms * self.rng.random()
-        else:
-            jitter = 0.0
-        src_region = src.region
-        dst_region = dst.region
-        if src_region == dst_region:
-            propagation = profile.intra_region_ms
-        else:
-            propagation = profile.propagation_ms.get(
-                (src_region, dst_region), profile.default_propagation_ms
-            )
-        flight = propagation + profile.overhead_ms + jitter
-        deliver_at = egress_done + flight + dst_cond.extra_ingress_ms
-
-        # Channels are FIFO per (src, dst) pair: Fabric's gRPC transport runs
-        # over TCP, so jitter cannot reorder messages within one connection.
-        clear_by_dst = self._channel_clear_at.get(src_name)
-        if clear_by_dst is None:
-            clear_by_dst = self._channel_clear_at[src_name] = {}
-        clear_at = clear_by_dst.get(dst_name, 0.0)
-        if clear_at > deliver_at:
-            deliver_at = clear_at
-        clear_by_dst[dst_name] = deliver_at
-
-        if self._fault_injector is not None:
-            # The injector API takes a Message; allocate one only on this
-            # (chaos) path and read the payload back afterwards so a
-            # tampering injector's mutations are honoured.
-            msg = Message(src_name, dst_name, payload, size_bytes, now)
-            for when in self._apply_injector(msg, deliver_at):
-                scheduler.call_at_anon(
-                    max(when, now), self._deliver, dst, src, msg.payload, now
-                )
-            return
-        # Fast path: no Message allocation — the delivery event carries
-        # the payload and send time directly.
-        scheduler.call_at_anon(deliver_at, self._deliver, dst, src, payload, now)
+        """:meth:`send_many` to the one destination ``dst``."""
+        self._send_each(src, (dst,), payload, size_bytes)
 
     def send_many(
         self, src: Host, dsts: Sequence[Host], payload: Any, size_bytes: int = 256
@@ -389,10 +305,23 @@ class Network(NetworkCore):
 
         Exactly equivalent to calling :meth:`send` once per destination in
         order — same RNG draw sequence, same FIFO egress accumulation,
-        same delivery times, same statistics — with every sender-side
-        lookup hoisted out of the loop.  Vote and state-hash broadcasts
-        dominate a 32-peer replay's message count, so this loop is the
-        hottest code in the transport.
+        same delivery times, same statistics — because both are
+        :meth:`_send_each`.
+        """
+        self._send_each(src, dsts, payload, size_bytes)
+
+    def _send_each(
+        self, src: Host, dsts: Sequence[Host], payload: Any, size_bytes: int
+    ) -> None:
+        """The one per-destination send loop behind both public names
+        (private, so a wrapper on either never wraps the other).
+
+        Messages to or from a *down* host are silently dropped — the
+        application-level protocols are responsible for timeouts, exactly
+        as over a real network.  Every sender-side lookup is hoisted out
+        of the loop: vote and state-hash broadcasts dominate a 32-peer
+        replay's message count, so this is the hottest code in the
+        transport.
         """
         stats = self.stats
         profile = self.profile
@@ -452,6 +381,9 @@ class Network(NetworkCore):
             egress_done = egress_cursor + egress_ser
             egress_cursor = egress_done
 
+            # LatencyProfile.one_way_delay(src, dst, 0, rng), inlined: same
+            # terms in the same order (one RNG draw, jitter last) so
+            # delivery times are bit-identical, minus two calls a message.
             if jitter_ms > 0.0:
                 jitter = jitter_ms * rng_random()
             else:
@@ -466,12 +398,17 @@ class Network(NetworkCore):
             flight = propagation + overhead_ms + jitter
             deliver_at = egress_done + flight + dst_cond.extra_ingress_ms
 
+            # Channels are FIFO per (src, dst) pair: Fabric's gRPC transport
+            # runs over TCP, so jitter cannot reorder one connection.
             clear_at = clear_by_dst.get(dst_name, 0.0)
             if clear_at > deliver_at:
                 deliver_at = clear_at
             clear_by_dst[dst_name] = deliver_at
 
             if fault_injector is not None:
+                # The injector API takes a Message; allocate one only on
+                # this (chaos) path and read the payload back afterwards
+                # so a tampering injector's replacement is honoured.
                 msg = Message(src_name, dst_name, payload, size_bytes, now)
                 for when in self._apply_injector(msg, deliver_at):
                     call_at_anon(max(when, now), deliver, dst, src, msg.payload, now)

@@ -42,7 +42,6 @@ from collections import Counter
 from dataclasses import asdict, dataclass
 from typing import Any, Dict, List, Optional
 
-from ..blockchain.config import FabricConfig
 from ..blockchain.identity import CertificateAuthority
 from ..blockchain.network import BlockchainNetwork
 from ..chaos.faults import FaultSchedule
@@ -131,7 +130,7 @@ def _build_schedule(config: SoakConfig, chain: BlockchainNetwork, index: int) ->
 
 
 def run_soak(
-    config: SoakConfig,
+    soak: SoakConfig,
     metrics_snapshot_path: Optional[str] = None,
     progress=None,
 ) -> Dict[str, Any]:
@@ -144,23 +143,21 @@ def run_soak(
     """
     say = progress if progress is not None else (lambda msg: None)
     started_wall = time.time()
-    duration_ms = config.wall_s * 1000.0
-    backend = config.backend
+    duration_ms = soak.wall_s * 1000.0
+    backend = soak.backend
 
-    say(f"building {config.sessions} session(s) x {config.peers} peers on {backend}")
-    net = make_network(backend, seed=config.seed)
+    say(f"building {soak.sessions} session(s) x {soak.peers} peers on {backend}")
+    net = make_network(backend, seed=soak.seed)
     if backend == "realnet":
         net.start()
-    ca = CertificateAuthority(seed=config.seed)
-    fabric = FabricConfig(backend=backend)
+    ca = CertificateAuthority(seed=soak.seed)
 
     chains: List[BlockchainNetwork] = []
     workloads: List[CounterWorkload] = []
-    for index in range(config.sessions):
+    for index in range(soak.sessions):
         chain = BlockchainNetwork(
-            config.peers,
-            config=fabric,
-            seed=config.seed + index,
+            soak.peers,
+            seed=soak.seed + index,
             net=net,
             ca=ca,
             name_prefix=f"s{index}.",
@@ -169,10 +166,10 @@ def run_soak(
         workloads.append(CounterWorkload(
             chain,
             duration_ms=duration_ms,
-            interval_ms=config.tick_ms,
-            seed=config.seed + index,
-            poll_timeout_ms=min(20_000.0, config.settle_s * 1000.0),
-            max_inflight=config.max_inflight,
+            interval_ms=soak.tick_ms,
+            seed=soak.seed + index,
+            poll_timeout_ms=min(20_000.0, soak.settle_s * 1000.0),
+            max_inflight=soak.max_inflight,
         ).install())
         chains.append(chain)
     telemetry = chains[0].telemetry
@@ -180,7 +177,7 @@ def run_soak(
     record: Dict[str, Any] = {
         "schema": SCHEMA,
         "backend": backend,
-        "config": asdict(config),
+        "config": asdict(soak),
         "samples": [],
         "settle_timeouts": [],
         "faults": [],
@@ -196,10 +193,10 @@ def run_soak(
             "committed_heights": [c.peers[0].committed_height for c in chains],
         })
 
-    t = config.sample_s * 1000.0
+    t = soak.sample_s * 1000.0
     while t < duration_ms:
         net.scheduler.call_at(t, sample)
-        t += config.sample_s * 1000.0
+        t += soak.sample_s * 1000.0
 
     # Live /metrics endpoint + mid-run self-scrape (realnet only).
     close = []
@@ -209,7 +206,7 @@ def run_soak(
         from ..realnet.metrics_http import MetricsServer, scrape
 
         metrics_server = MetricsServer(
-            telemetry, net.scheduler, port=config.metrics_port
+            telemetry, net.scheduler, port=soak.metrics_port
         ).start()
         close = [metrics_server.stop, net.close]
         record["metrics_url"] = metrics_server.url
@@ -229,14 +226,14 @@ def run_soak(
         net.scheduler.call_at(0.6 * duration_ms, live_scrape)
         # One wall budget for the run and both settle periods (a
         # simulated run needs none: it ends when its events do).
-        max_wall_s = config.wall_s + 2 * config.settle_s
+        max_wall_s = soak.wall_s + 2 * soak.settle_s
         # Construction burned wall time; restart the clock so tick 1 of
         # the schedules above is "now", not a stale burst.
         net.scheduler.rebase()
 
-    say(f"running workload for {config.wall_s:.0f}s ({backend} time), "
+    say(f"running workload for {soak.wall_s:.0f}s ({backend} time), "
         "then settling and probing")
-    schedules = [_build_schedule(config, chain, i) for i, chain in enumerate(chains)]
+    schedules = [_build_schedule(soak, chain, i) for i, chain in enumerate(chains)]
     run = run_worlds(
         net.scheduler,
         [(chain, s if s.events else None) for chain, s in zip(chains, schedules)],

@@ -1,6 +1,7 @@
 """Byzantine-behaviour tests: lying voters, duplicate deliveries,
 stale queries — the adversarial corners of the peer protocol."""
 
+from dataclasses import replace
 
 from repro.blockchain import (
     BlockchainNetwork,
@@ -28,19 +29,20 @@ def submit(chain, client, function, args, touched=("ctr/m",)):
 
 
 def make_liar(peer):
-    """Wrap a peer's send so every outgoing vote is inverted."""
-    original_send = peer.send
+    """Invert every vote ``peer`` puts on the wire: the network's fault
+    injector swaps the payload of each outgoing copy, after (and
+    chaining) any injector already installed."""
+    net = peer.network
+    previous = net.fault_injector
 
-    def lying_send(dst, payload, size_bytes=256):
-        if isinstance(payload, VoteMsg):
-            payload = VoteMsg(
-                block_number=payload.block_number,
-                voter=payload.voter,
-                votes=tuple(not v for v in payload.votes),
+    def lying(msg, at):
+        if msg.src == peer.name and isinstance(msg.payload, VoteMsg):
+            msg.payload = replace(
+                msg.payload, votes=tuple(not v for v in msg.payload.votes)
             )
-        original_send(dst, payload, size_bytes=size_bytes)
+        return previous(msg, at) if previous is not None else [at]
 
-    peer.send = lying_send
+    net.fault_injector = lying
 
 
 class TestLyingVoters:

@@ -98,6 +98,15 @@ class TestDecided:
         policy = ConsensusPolicy("majority")
         assert policy.decided(votes(0, 3), total=5) is False
 
+    def test_non_elector_votes_are_not_votes_cast(self):
+        """A vote from outside the electorate neither counts nor stands
+        in for a missing elector: two electors are still to vote."""
+        electorate = ["a", "b", "c"]
+        votes = {"a": False, "x": False}
+        for expression in ("majority", "majority and majority"):
+            policy = ConsensusPolicy(expression)
+            assert policy.decided(votes, 3, all_voters=electorate) is None
+
     def test_decided_with_explicit_electorate(self):
         policy = ConsensusPolicy("peer(p3)")
         electorate = [f"p{i}" for i in range(4)]

@@ -417,7 +417,7 @@ def test_local_port_roundtrips_frames_through_codec():
     """The in-process placement must exercise the same wire format."""
     from repro.blockchain.config import FabricConfig
 
-    specs = shard_specs(2, 1, FabricConfig(verify_signatures=False), seed=3)
+    specs = shard_specs(2, 1, FabricConfig(), seed=3)
     port = LocalShardGroupPort(specs)
     port.begin_epoch(50.0, {})
     events, stats = port.finish_epoch()

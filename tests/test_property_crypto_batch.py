@@ -1,10 +1,12 @@
-"""Property-based tests: batch signature verification.
+"""Property-based tests: the one signature check.
 
-:func:`repro.blockchain.verify_batch` is the amortised pass the peers'
-block-validation path uses; its contract is verdict-for-verdict
-equivalence with calling :meth:`PublicKey.verify` in a loop, for every
-mix of valid, corrupted and structurally-bogus signatures, with and
-without the process-wide verdict cache (``fresh=True``).
+:meth:`PublicKey.verify` is the only place a verdict is remembered, in
+a process-wide cache keyed by content ``(n, e, message, signature)``.
+Its contract: a cold call, a warm call and :meth:`PublicKey.verify_uncached`
+agree for every mix of valid, corrupted and structurally-bogus
+signatures, and a warm honest verdict never answers for a corrupted
+copy.  :func:`repro.blockchain.verify_batch` stays importable as the
+loop over it.
 """
 
 from __future__ import annotations
@@ -28,9 +30,9 @@ messages = st.text(max_size=32)
 
 @st.composite
 def signed_batches(draw):
-    """A batch of (key, message, signature) triples plus the expected
-    loop-verification verdicts: a random mix of honestly signed items,
-    bit-corrupted signatures, cross-key replays, and structural junk."""
+    """A batch of (key, message, signature) triples: a random mix of
+    honestly signed items, bit-corrupted signatures, cross-key replays,
+    and structural junk."""
     n = draw(st.integers(min_value=0, max_value=12))
     items = []
     for _ in range(n):
@@ -61,37 +63,24 @@ def _loop_verdicts(items):
     return [key.verify(message, sig) for key, message, sig in items]
 
 
+def _uncached_verdicts(items):
+    return [key.verify_uncached(message, sig) for key, message, sig in items]
+
+
 class TestBatchEquivalence:
     @settings(max_examples=60, deadline=None)
     @given(signed_batches())
     def test_batch_equals_loop(self, items):
         assert verify_batch(items) == _loop_verdicts(items)
 
-    @settings(max_examples=40, deadline=None)
-    @given(signed_batches())
-    def test_fresh_bypass_equals_loop(self, items):
-        before = dict(_VERIFY_CACHE)
-        assert verify_batch(items, fresh=True) == _loop_verdicts(items)
-        # The audit bypass must leave the memo untouched for the items
-        # it saw (the loop above may add entries; fresh itself may not).
-        for key, message, sig in items:
-            try:
-                cache_key = (key.n, key.e, message, sig)
-            except AttributeError:
-                continue
-            if not isinstance(sig, int):
-                continue
-            if cache_key not in before:
-                assert _VERIFY_CACHE.get(cache_key) in (None, True, False)
-
     @settings(max_examples=30, deadline=None)
     @given(signed_batches())
     def test_cold_and_warm_cache_agree(self, items):
-        # Warm run may be served entirely from the verdict cache; it must
-        # still agree with a fully fresh pass.
-        warm = verify_batch(items)
-        assert verify_batch(items) == warm
-        assert verify_batch(items, fresh=True) == warm
+        _VERIFY_CACHE.clear()
+        cold = _loop_verdicts(items)
+        # The warm pass is served from the verdict cache.
+        assert _loop_verdicts(items) == cold
+        assert _uncached_verdicts(items) == cold
 
 
 class TestCorruptionAttribution:
@@ -101,11 +90,13 @@ class TestCorruptionAttribution:
         st.data(),
     )
     def test_minority_corruption_attributed_exactly(self, n, data):
-        """Corrupting a strict minority of an all-one-key batch must
-        flag exactly the corrupted indices, cached pass or fresh."""
+        """With every honest verdict already cached, corrupting a strict
+        minority of the signatures flags exactly the corrupted indices:
+        a verdict is remembered for its content, never for a copy."""
         pair = keypairs[0]
         msgs = [f"msg-{i}" for i in range(n)]
         items = [(pair.public, m, pair.sign(m)) for m in msgs]
+        assert all(_loop_verdicts(items))
         n_bad = data.draw(st.integers(1, max(1, n // 2)))
         bad = sorted(
             data.draw(
@@ -115,12 +106,10 @@ class TestCorruptionAttribution:
         for i in bad:
             key, m, sig = items[i]
             items[i] = (key, m, sig ^ (1 << data.draw(st.integers(0, KEY_BITS - 2))))
-        for fresh in (True, False):
-            verdicts = verify_batch(items, fresh=fresh)
-            flagged = [i for i, ok in enumerate(verdicts) if not ok]
-            # A corrupted signature is invalid with overwhelming
-            # probability; equality both ways pins exact attribution.
-            assert flagged == bad
+        # A corrupted signature is invalid with overwhelming probability;
+        # equality both ways pins exact attribution.
+        for verdicts in (_loop_verdicts(items), _uncached_verdicts(items)):
+            assert [i for i, ok in enumerate(verdicts) if not ok] == bad
 
     @settings(max_examples=20, deadline=None)
     @given(st.data())
@@ -129,8 +118,7 @@ class TestCorruptionAttribution:
         message = data.draw(messages)
         sig = pair.sign(message)
         assert verify_batch([(pair.public, message, sig)]) == [True]
-        assert verify_batch([(pair.public, message, sig)], fresh=True) == [True]
+        assert pair.public.verify_uncached(message, sig)
 
     def test_empty_batch(self):
         assert verify_batch([]) == []
-        assert verify_batch([], fresh=True) == []

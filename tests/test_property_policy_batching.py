@@ -26,7 +26,28 @@ def electorates(draw):
     return names, votes
 
 
+@st.composite
+def electorates_with_strangers(draw):
+    """An electorate's partial votes plus votes from non-electors."""
+    names, votes = draw(electorates())
+    for i in range(draw(st.integers(1, 4))):
+        votes[f"x{i}"] = draw(st.booleans())
+    return names, votes
+
+
 class TestPolicyProperties:
+    @given(electorates_with_strangers())
+    def test_majority_decides_like_its_compound_twin(self, electorate):
+        """``majority`` has no path of its own: on any vote set, votes
+        from non-electors included, it decides like ``majority and
+        majority``."""
+        names, votes = electorate
+        plain = ConsensusPolicy("majority")
+        twin = ConsensusPolicy("majority and majority")
+        assert plain.decided(votes, len(names), all_voters=names) == twin.decided(
+            votes, len(names), all_voters=names
+        )
+
     @given(policies, electorates())
     def test_decided_is_sound(self, expression, electorate):
         """If decided() returns a verdict on partial votes, then *every*

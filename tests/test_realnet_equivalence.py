@@ -21,6 +21,8 @@ from repro.blockchain.execution import (
 from repro.blockchain.messages import SyncHashMsg, VoteMsg
 from repro.blockchain.network import BlockchainNetwork
 from repro.chaos.workload import ChaosCounterContract
+from repro.realnet import RealNetwork, make_network
+from repro.simnet.latency import INTERNET_US
 
 PEERS = 8
 
@@ -42,7 +44,7 @@ SCRIPT_UPDATES = [
 
 
 def _drain(chain):
-    if chain.config.backend == "realnet":
+    if isinstance(chain.net, RealNetwork):
         chain.net.run_until_idle(max_wall_ms=30_000)
     else:
         chain.net.run_until_idle()
@@ -87,11 +89,14 @@ def _duplicate(chain, counts):
 def _run_session(backend: str, starve: bool = False, duplicate: bool = False):
     clear_execution_cache()
     reset_execution_stats()
-    config = FabricConfig(max_block_txs=1, backend=backend)
+    config = FabricConfig(max_block_txs=1)
     if starve:
         # Two retry rounds per block (vote, then hash) on a wall clock.
         config = config.with_options(anti_entropy_ms=60.0)
-    chain = BlockchainNetwork(PEERS, config=config, seed=11)
+    chain = BlockchainNetwork(
+        PEERS, config=config, seed=11,
+        net=make_network(backend, profile=INTERNET_US, seed=11),
+    )
     if backend == "realnet":
         chain.net.start()
     gossip = {"retries": 0, "replies": 0, "duplicated": 0}

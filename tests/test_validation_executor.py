@@ -1,7 +1,7 @@
 """Block validation: the one loop and the content-keyed result cache.
 
 Unit tests pin the executor mechanics on hand-crafted blocks — in-block
-conflict votes, batched signature attribution, and the cross-peer
+conflict votes, signature attribution, and the cross-peer
 cache's hit / miss / bypass behaviour, including block *copies* (a
 decoded frame hits; a tampered transaction list, signature or
 certificate misses).  The
@@ -116,21 +116,21 @@ class TestLoop:
             TxValidationCode.BAD_SIGNATURE,
         ]
         assert executions[1].rwset.writes == []
-        assert execution_stats()["batched_signatures"] == 2
 
     def test_buggy_fixture_runs_through_the_same_loop(self, chain):
-        """The chaos MVCC-bypass wrapper forwards ``sig_checked``, so a
-        patched peer takes the one loop (batched pre-check included) and
-        its patch still sees every executed transaction."""
+        """A patched peer takes the one loop, signature checks included,
+        and its patch still sees every executed transaction."""
         net, client = chain
         peer = net.peers[1]
         install_mvcc_bypass(peer)
-        block = _craft_block(net, client, CONFLICTING)
+        block = _craft_block(net, client, CONFLICTING + [("add", ("b", 2))])
+        block.transactions[2].signature ^= 1
         executions = ValidationExecutor().execute_block(peer, block)
-        assert [e.code for e in executions] == [TxValidationCode.VALID] * 2
-        stats = execution_stats()
-        assert stats["cache_bypasses"] == 1
-        assert stats["batched_signatures"] == 2
+        valid = TxValidationCode.VALID
+        assert [e.code for e in executions] == [
+            valid, valid, TxValidationCode.BAD_SIGNATURE,
+        ]
+        assert execution_stats()["cache_bypasses"] == 1
 
 
 # ----------------------------------------------------------------------
@@ -190,6 +190,9 @@ class TestExecutionCache:
         with pytest.raises(LedgerError, match="data hash"):
             net.peers[1].ledger.append(forged, executions)
 
+    @pytest.mark.parametrize(
+        "checked_first", [False, True], ids=["fresh", "tampered-after-a-check"]
+    )
     @pytest.mark.parametrize("forged_first", [False, True])
     @pytest.mark.parametrize(
         "tamper, code",
@@ -199,17 +202,22 @@ class TestExecutionCache:
         ],
     )
     def test_forged_credentials_never_share_a_verdict(
-        self, chain, tamper, code, forged_first
+        self, chain, tamper, code, forged_first, checked_first
     ):
         """No digest covers a transaction's signature or its certificate
         body, so a decoded copy with one of them altered keeps both block
         digests.  It must still miss: in one order it would otherwise be
         waved through unchecked, in the other its rejection would be
-        handed to every honest peer."""
+        handed to every honest peer.  A transaction whose credentials
+        were checked once and then changed in place is checked afresh:
+        no verdict is remembered on the object."""
         net, client = chain
         honest = _craft_block(net, client, INDEPENDENT)
         forged = codec.decode(codec.encode(honest))
         tx = forged.transactions[1]
+        if checked_first:
+            assert net.peers[0].msp.validate(tx.certificate)
+            assert tx.verify_signature()
         if tamper == "signature":
             tx.signature ^= 1
         else:
@@ -229,6 +237,7 @@ class TestExecutionCache:
         assert [e.code for e in results[id(honest)]] == [valid, valid]
         assert [e.code for e in results[id(forged)]] == [valid, code]
         assert results[id(forged)][1].rwset.writes == []
+        assert tx.verify_signature() is (tamper != "signature")
         # An honest copy still shares with the honest block.
         executor.execute_block(net.peers[1], codec.decode(codec.encode(honest)))
         assert execution_stats()["cache_hits"] == 1
