@@ -38,7 +38,7 @@ def replay_with_faults(demo, n_peers: int, fraction: float) -> float:
     session.run_until_idle()
     stats = session.stats()
     assert stats.events_acked == stats.events_received, "events went unanswered"
-    throughput = stats.throughput_events_per_s()
+    throughput = stats.throughput_events_per_s
     session.teardown()
     return throughput
 

@@ -1,8 +1,8 @@
 """The client-server baseline: a trusted game server.
 
 This is the architecture the paper compares against throughout: the
-server holds definitive state, validates every client event against the
-same game rules the smart contract encodes, and acknowledges per event.
+server holds definitive state, validates every client event by running
+the smart contract itself on that state, and acknowledges per event.
 It detects the same cheat class ("reported client state inconsistent
 with the observed state at the server") but is a central point of
 failure under DDoS (§2.2, §7.2.4(3)).
@@ -13,9 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ..game.assets import AssetId
-from ..game.doom import DoomMap, DoomRules, RuleViolation, WEAPONS, initial_assets
-from ..game.events import EventType, GameEvent
+from ..blockchain.contracts import ContractError, apply_invocation
+from ..blockchain.state import WorldState
+from ..core.doom_contract import DoomContract
+from ..game.doom import DoomMap
+from ..game.events import GameEvent
 from ..simnet.latency import Region
 from ..simnet.topology import Host
 
@@ -35,13 +37,13 @@ class AckMsg:
 
 
 class GameServer(Host):
-    """A trusted C/S game server running the Doom rules.
+    """A trusted C/S game server running the Doom contract.
 
-    Server-side validation mirrors ``repro.core.doom_contract`` exactly
-    (both call into :class:`~repro.game.doom.DoomRules`), so cheat
-    coverage is identical by construction — the paper's claim that the
-    blockchain approach "does no worse cheat detection than the standard
-    C/S architecture" (§4) is checked test-by-test in
+    The server runs :class:`~repro.core.doom_contract.DoomContract`
+    directly on its own world state (no consensus, no MVCC), so its
+    validation is the contract's, not a copy of it — the paper's claim
+    that the blockchain approach "does no worse cheat detection than the
+    standard C/S architecture" (§4) is checked test-by-test in
     ``tests/test_baselines.py``.
     """
 
@@ -54,12 +56,9 @@ class GameServer(Host):
         strict_pickups: bool = True,
     ):
         super().__init__(name, region)
-        self.map = game_map if game_map is not None else DoomMap.default_map()
         self.compute_ms = compute_ms_per_event
-        self.strict_pickups = strict_pickups
-        self.players: Dict[str, Dict[int, object]] = {}
-        self.items_taken: Dict[str, Dict] = {}
-        self.started = False
+        self.contract = DoomContract(game_map=game_map, strict_pickups=strict_pickups)
+        self.state = WorldState()
         self.events_validated = 0
         self.events_rejected = 0
         self._cpu_free_at = 0.0
@@ -68,13 +67,13 @@ class GameServer(Host):
     # lifecycle
 
     def add_player(self, player: str) -> None:
-        if player in self.players:
-            raise ValueError(f"player {player} already joined")
-        if len(self.players) >= 4:
-            raise ValueError("Doom supports at most four players")
-        spawn = self.map.spawn_points[len(self.players) % len(self.map.spawn_points)]
-        self.players[player] = initial_assets(spawn)
-        self.started = True
+        """Join ``player``; the first join also starts the game."""
+        try:
+            apply_invocation(self.contract, self.state, player, "addPlayer", (), 0.0)
+            if not self.state.get("game/started"):
+                apply_invocation(self.contract, self.state, player, "startGame", (), 0.0)
+        except ContractError as err:
+            raise ValueError(err.reason) from None
 
     # ------------------------------------------------------------------
     # message handling
@@ -94,100 +93,19 @@ class GameServer(Host):
                   size_bytes=64)
 
     # ------------------------------------------------------------------
-    # validation (same rules as the smart contract)
+    # validation (the contract's rules)
 
     def validate_and_apply(self, event: GameEvent) -> Tuple[bool, str]:
         try:
-            self._apply(event)
-        except RuleViolation as violation:
+            apply_invocation(
+                self.contract, self.state, event.player, event.etype,
+                (event.payload,), event.t_ms,
+            )
+        except ContractError as err:
             self.events_rejected += 1
-            return False, str(violation)
+            return False, err.reason
         self.events_validated += 1
         return True, ""
-
-    def _apply(self, event: GameEvent) -> None:
-        state = self.players.get(event.player)
-        if state is None:
-            raise RuleViolation(f"unknown player {event.player}")
-        payload, t = event.payload, event.t_ms
-        etype = event.etype
-        if etype == EventType.LOCATION:
-            state[AssetId.POSITION] = DoomRules.validate_move(
-                state[AssetId.POSITION], payload["x"], payload["y"],
-                payload.get("t", t), self.map,
-            )
-        elif etype == EventType.SHOOT:
-            state[AssetId.AMMUNITION] = DoomRules.validate_shoot(
-                state[AssetId.WEAPON], state[AssetId.AMMUNITION],
-                payload.get("count", 1),
-            )
-        elif etype == EventType.WEAPON_CHANGE:
-            state[AssetId.WEAPON] = DoomRules.validate_weapon_change(
-                state[AssetId.WEAPON], payload["wid"]
-            )
-        elif etype == EventType.DAMAGE:
-            target = self.players.get(payload.get("target", event.player))
-            if target is None:
-                raise RuleViolation("damage target not in this game")
-            health, armor, _ = DoomRules.apply_damage(
-                target[AssetId.HEALTH], target[AssetId.ARMOR],
-                payload["amount"], payload.get("t", t),
-            )
-            target[AssetId.HEALTH] = health
-            target[AssetId.ARMOR] = armor
-        elif etype.startswith("pickup_"):
-            self._apply_pickup(state, event)
-        else:
-            raise RuleViolation(f"unknown event type {etype}")
-
-    def _apply_pickup(self, state: Dict, event: GameEvent) -> None:
-        payload, t = event.payload, event.payload.get("t", event.t_ms)
-        item_id = payload.get("item_id")
-        if item_id is None:
-            if self.strict_pickups:
-                raise RuleViolation("pickup does not name a map item")
-        else:
-            item = self.map.item(item_id)
-            DoomRules.validate_pickup(
-                item, self.items_taken.get(item_id), state[AssetId.POSITION], t
-            )
-            self.items_taken[item_id] = {"taken_at": t}
-        etype = event.etype
-        if etype == EventType.PICKUP_CLIP:
-            state[AssetId.AMMUNITION] = DoomRules.add_ammo(
-                state[AssetId.AMMUNITION], DoomRules.CLIP_AMMO
-            )
-        elif etype == EventType.PICKUP_MEDKIT:
-            state[AssetId.HEALTH] = DoomRules.heal(
-                state[AssetId.HEALTH], DoomRules.MEDKIT_HEAL
-            )
-        elif etype == EventType.PICKUP_WEAPON:
-            wid = payload["wid"]
-            if wid not in WEAPONS:
-                raise RuleViolation(f"no such weapon {wid}")
-            weapon = dict(state[AssetId.WEAPON])
-            owned = list(weapon.get("owned", []))
-            if wid not in owned:
-                owned.append(wid)
-            weapon["owned"] = owned
-            weapon["current"] = wid
-            state[AssetId.WEAPON] = weapon
-            state[AssetId.AMMUNITION] = DoomRules.add_ammo(
-                state[AssetId.AMMUNITION], DoomRules.WEAPON_PICKUP_AMMO
-            )
-        elif etype == EventType.PICKUP_RADSUIT:
-            state[AssetId.RADIATION_SUIT] = t + DoomRules.POWERUP_DURATION_MS
-        elif etype == EventType.PICKUP_INVIS:
-            state[AssetId.INVISIBILITY] = t + DoomRules.POWERUP_DURATION_MS
-        elif etype == EventType.PICKUP_INVULN:
-            health = dict(state[AssetId.HEALTH])
-            health["invuln_until"] = t + DoomRules.POWERUP_DURATION_MS
-            state[AssetId.HEALTH] = health
-        elif etype == EventType.PICKUP_BERSERK:
-            state[AssetId.BERSERK] = t + DoomRules.POWERUP_DURATION_MS
-            state[AssetId.HEALTH] = DoomRules.heal(state[AssetId.HEALTH], 100)
-        else:
-            raise RuleViolation(f"unknown pickup {etype}")
 
 
 class CSClient(Host):

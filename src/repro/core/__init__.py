@@ -2,7 +2,7 @@
 shim, session orchestration, cheat injection, discovery and anonymity."""
 
 from .anonymity import AnonymityDirectory, AnonymityError, build_directory
-from .batching import BatchingReport, count_delays
+from .batching import count_delays
 from .cheats import (
     DOOM_CHEATS,
     PROTOCOL_CHEATS,
@@ -41,7 +41,6 @@ __all__ = [
     "AnonymityDirectory",
     "AnonymityError",
     "build_directory",
-    "BatchingReport",
     "count_delays",
     "DOOM_CHEATS",
     "PROTOCOL_CHEATS",

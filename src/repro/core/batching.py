@@ -3,77 +3,23 @@
 The paper's batching study (Figs. 3d/3e, Table 4) counts events that
 "could not be batched in the current time window and thus experienced a
 delay", where the window corresponds to "the average validation latency
-for the setup".  This module replays a trace through exactly the shim's
-lane/batch state machine with a fixed service window per dispatched
-batch — an O(n) model that lets the full 25-session dataset be analysed
-at every peer configuration without simulating millions of blockchain
-messages.  Its semantics are unit-tested against the live shim
-(``tests/test_core_shim.py``).
+for the setup".  :func:`count_delays` is the fixed-window replay of a
+trace through the shim's own :class:`~repro.core.shim.Dispatcher` (the
+same lanes, batches and delay rule): an O(n) model that analyses the
+full 25-session dataset at every peer configuration without simulating
+millions of blockchain messages.  A live shim whose validator answers
+every batch exactly ``window_ms`` after dispatch fills the same
+counters (``tests/test_core_shim.py``).
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
-from typing import Deque, Dict, Iterable, Optional
+from typing import Dict, Iterable, Tuple
 
-from ..game.events import GameEvent, affected_assets
-from .shim import MERGEABLE_EVENTS
+from ..game.events import GameEvent
+from .shim import Batch, Dispatcher, ShimConfig, ShimStats
 
-__all__ = ["BatchingReport", "count_delays"]
-
-
-@dataclass
-class BatchingReport:
-    """Aggregate results of one windowed replay."""
-
-    window_ms: float
-    batching: bool
-    multithreaded: bool
-    total_events: int = 0
-    delayed_events: int = 0
-    dispatched_txs: int = 0
-    batched_events: int = 0
-    batches: int = 0
-    max_batch_size: int = 0
-    first_arrival_ms: Optional[float] = None
-    last_completion_ms: float = 0.0
-
-    @property
-    def avg_batch_size(self) -> float:
-        return self.batched_events / self.batches if self.batches else 0.0
-
-    @property
-    def throughput_tx_per_s(self) -> float:
-        span = self._span_s()
-        return self.dispatched_txs / span if span > 0 else 0.0
-
-    @property
-    def throughput_events_per_s(self) -> float:
-        span = self._span_s()
-        return self.total_events / span if span > 0 else 0.0
-
-    def _span_s(self) -> float:
-        if self.first_arrival_ms is None:
-            return 0.0
-        return (self.last_completion_ms - self.first_arrival_ms) / 1000.0
-
-
-class _ModelBatch:
-    __slots__ = ("etype", "last_seq", "size")
-
-    def __init__(self, etype: str, seq: int):
-        self.etype = etype
-        self.last_seq = seq
-        self.size = 1
-
-
-class _ModelLane:
-    __slots__ = ("free_at", "queue")
-
-    def __init__(self) -> None:
-        self.free_at = float("-inf")
-        self.queue: Deque[_ModelBatch] = deque()
+__all__ = ["count_delays"]
 
 
 def count_delays(
@@ -82,75 +28,48 @@ def count_delays(
     batching: bool = True,
     multithreaded: bool = True,
     max_batch: int = 64,
-) -> BatchingReport:
-    """Replay ``events`` through the shim's dispatch model.
+) -> ShimStats:
+    """Replay ``events`` through the shim's dispatcher.
 
     ``window_ms`` is the per-batch validation time (the measured average
-    event-validation latency of the peer setup under study).
+    event-validation latency of the peer setup under study).  Each
+    lane's batch in flight completes, VALID, at its start plus the
+    window; queued batches start back to back; and a lane finishes every
+    batch that completes at or before an arrival on it before that
+    arrival is offered.  Returns the :class:`ShimStats` the live shim
+    would fill, with every event acknowledged.
     """
     if window_ms <= 0:
         raise ValueError("window_ms must be positive")
-    report = BatchingReport(
-        window_ms=window_ms, batching=batching, multithreaded=multithreaded
+    stats = ShimStats()
+    dispatcher = Dispatcher(
+        ShimConfig(multithreaded=multithreaded, batching=batching, max_batch=max_batch),
+        stats,
     )
-    lanes: Dict[object, _ModelLane] = {}
+    #: lane -> (completion time, batch) of the batch in flight
+    inflight: Dict[object, Tuple[float, Batch]] = {}
 
-    def dispatch(lane: _ModelLane, batch: _ModelBatch, start: float) -> None:
-        lane.free_at = start + window_ms
-        report.dispatched_txs += 1
-        report.last_completion_ms = max(report.last_completion_ms, lane.free_at)
-        if batch.etype in MERGEABLE_EVENTS or batch.size > 1:
-            report.batches += 1
-            report.batched_events += batch.size
-            report.max_batch_size = max(report.max_batch_size, batch.size)
+    def complete(lane: object) -> None:
+        done, batch = inflight.pop(lane)
+        stats.accepted_events += len(batch.events)
+        if stats.last_ack_at is None or done > stats.last_ack_at:
+            stats.last_ack_at = done
+        following = dispatcher.finish(batch)
+        if following is not None:
+            inflight[lane] = (done + window_ms, following)
 
     for event in events:
         t = event.t_ms
-        report.total_events += 1
-        if report.first_arrival_ms is None:
-            report.first_arrival_ms = t
+        if stats.first_event_at is None:
+            stats.first_event_at = t
+        lane = dispatcher.lane(event.etype)
+        while lane in inflight and inflight[lane][0] <= t:
+            complete(lane)
+        batch = dispatcher.offer(event)
+        if batch is not None:
+            inflight[lane] = (t + window_ms, batch)
 
-        if multithreaded:
-            assets = affected_assets(event.etype)
-            key: object = assets[0] if assets else event.etype
-        else:
-            key = "single"
-        lane = lanes.get(key)
-        if lane is None:
-            lane = lanes[key] = _ModelLane()
-
-        # Between arrivals, queued batches dispatched back-to-back.
-        while lane.queue and lane.free_at <= t:
-            dispatch(lane, lane.queue.popleft(), lane.free_at)
-
-        if lane.free_at <= t and not lane.queue:
-            dispatch(lane, _ModelBatch(event.etype, event.seq), t)
-            continue
-
-        # Delay accounting matches the live shim: an event is delayed
-        # when it cannot dispatch, cannot join a batch, and cannot even
-        # start the next batch in line — it opens an additional batch
-        # behind an existing backlog.
-        open_batch = lane.queue[-1] if lane.queue else None
-        if (
-            batching
-            and open_batch is not None
-            and open_batch.etype == event.etype
-            and event.etype in MERGEABLE_EVENTS
-            and event.seq == open_batch.last_seq + 1
-            and open_batch.size < max_batch
-        ):
-            open_batch.last_seq = event.seq
-            open_batch.size += 1
-            continue
-
-        if lane.queue:
-            report.delayed_events += 1
-        lane.queue.append(_ModelBatch(event.etype, event.seq))
-
-    # Drain every lane.
-    for lane in lanes.values():
-        while lane.queue:
-            dispatch(lane, lane.queue.popleft(), lane.free_at)
-
-    return report
+    for lane in list(inflight):
+        while lane in inflight:
+            complete(lane)
+    return stats

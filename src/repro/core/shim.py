@@ -19,13 +19,16 @@ Both shim-side optimisations of §6 are first-class configuration:
   the open batch.
 
 An event that can neither dispatch immediately nor join the open batch
-is *delayed* — the metric of Figs. 3d/3e and Table 4.
+is *delayed* — the metric of Figs. 3d/3e and Table 4.  These rules live
+in :class:`Dispatcher`, which the offline model
+(:func:`~repro.core.batching.count_delays`) drives too.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from ..blockchain.client import BlockchainClient
 from ..blockchain.config import FabricConfig
@@ -38,7 +41,7 @@ from ..game.events import EventType, GameEvent, affected_assets
 from .doom_contract import item_key
 
 __all__ = [
-    "ShimConfig", "ShimStats", "Batch", "Shim", "ShardRouter",
+    "ShimConfig", "ShimStats", "Batch", "Dispatcher", "Shim", "ShardRouter",
     "MERGEABLE_EVENTS",
 ]
 
@@ -88,17 +91,20 @@ class ShimStats:
     def events_acked(self) -> int:
         return self.accepted_events + self.rejected_events
 
+    @property
     def throughput_tx_per_s(self) -> float:
-        if self.first_event_at is None or self.last_ack_at is None:
-            return 0.0
-        span_s = (self.last_ack_at - self.first_event_at) / 1000.0
-        return self.txs_dispatched / span_s if span_s > 0 else 0.0
+        return self._per_s(self.txs_dispatched)
 
+    @property
     def throughput_events_per_s(self) -> float:
+        return self._per_s(self.events_acked)
+
+    def _per_s(self, count: int) -> float:
+        """``count`` over the span from the first event to the last ack."""
         if self.first_event_at is None or self.last_ack_at is None:
             return 0.0
         span_s = (self.last_ack_at - self.first_event_at) / 1000.0
-        return self.events_acked / span_s if span_s > 0 else 0.0
+        return count / span_s if span_s > 0 else 0.0
 
 
 @dataclass
@@ -108,20 +114,13 @@ class Batch:
     etype: str
     events: List[GameEvent]
 
-    @property
-    def last_seq(self) -> int:
-        return self.events[-1].seq
-
     def can_merge(self, event: GameEvent, max_batch: int) -> bool:
         return (
             event.etype == self.etype
             and self.etype in MERGEABLE_EVENTS
-            and event.seq == self.last_seq + 1
+            and event.seq == self.events[-1].seq + 1
             and len(self.events) < max_batch
         )
-
-    def merge(self, event: GameEvent) -> None:
-        self.events.append(event)
 
     def payload(self) -> Dict[str, Any]:
         """The merged query-object payload for this batch."""
@@ -140,7 +139,76 @@ class _Lane:
 
     def __init__(self) -> None:
         self.inflight: Optional[Batch] = None
-        self.queue: List[Batch] = []
+        self.queue: Deque[Batch] = deque()
+
+
+class Dispatcher:
+    """The shim's dispatch policy, without a clock.
+
+    It picks each event's lane, merges the event into the lane's open
+    batch where §4.2.5 allows, counts delays, and hands out batches to
+    start: one in flight per lane, the rest queued in arrival order.
+    The live :class:`Shim` drives it with ``invoke`` as the validator;
+    :func:`~repro.core.batching.count_delays` drives it with a fixed
+    validation window.  Dispatch counters go to ``stats``.
+    """
+
+    def __init__(self, config: ShimConfig, stats: ShimStats):
+        self.config = config
+        self.stats = stats
+        self.lanes: Dict[Any, _Lane] = {}
+        self._lane_of: Dict[str, _Lane] = {}  # etype -> its lane
+
+    def lane(self, etype: str) -> _Lane:
+        """One lane per asset type (an event's first asset), or one lane."""
+        lane = self._lane_of.get(etype)
+        if lane is None:
+            assets = affected_assets(etype)
+            key = "single" if not self.config.multithreaded else assets[0] if assets else etype
+            lane = self._lane_of[etype] = self.lanes.setdefault(key, _Lane())
+        return lane
+
+    def offer(self, event: GameEvent) -> Optional[Batch]:
+        """Take one event; returns the batch to start now, if any."""
+        self.stats.events_received += 1
+        lane = self.lane(event.etype)
+        if lane.inflight is None and not lane.queue:
+            return self._start(lane, Batch(etype=event.etype, events=[event]))
+        # An event is *delayed* when it "could not be batched in the
+        # current time window" (§7.2.4): it neither dispatches
+        # immediately, nor joins a batch, nor starts the next batch in
+        # line — it has to open an additional batch behind an existing
+        # backlog (e.g. after an interleaved event broke sequence
+        # continuity, the paper's two-SHOOT-batches example).
+        if (
+            self.config.batching
+            and lane.queue
+            and lane.queue[-1].can_merge(event, self.config.max_batch)
+        ):
+            lane.queue[-1].events.append(event)
+            return None
+        if lane.queue:
+            self.stats.delayed_events += 1
+        lane.queue.append(Batch(etype=event.etype, events=[event]))
+        return None
+
+    def finish(self, batch: Batch) -> Optional[Batch]:
+        """``batch`` has its verdict; returns its lane's next batch to
+        start, if any."""
+        lane = self.lane(batch.etype)
+        lane.inflight = None
+        return self._start(lane, lane.queue.popleft()) if lane.queue else None
+
+    def _start(self, lane: _Lane, batch: Batch) -> Batch:
+        lane.inflight = batch
+        stats = self.stats
+        stats.txs_dispatched += 1
+        size = len(batch.events)
+        if size > 1 or batch.etype in MERGEABLE_EVENTS:
+            stats.batches_dispatched += 1
+            stats.batched_events += size
+            stats.max_batch_size = max(stats.max_batch_size, size)
+        return batch
 
 
 AckCallback = Callable[[GameEvent, bool, str, float], None]
@@ -180,7 +248,7 @@ class Shim(BlockchainClient):
         self.contract_name = contract_name
         self.on_ack = on_ack
         self.stats = ShimStats()
-        self._lanes: Dict[Any, _Lane] = {}
+        self._dispatcher = Dispatcher(shim_config, self.stats)
         self._arrival_ms: Dict[int, float] = {}  # seq -> arrival time
         self.closed = False
 
@@ -197,62 +265,24 @@ class Shim(BlockchainClient):
         if self.closed:
             raise RuntimeError("shim torn down: game session has ended")
         now = self.network.scheduler.now
-        self.stats.events_received += 1
         if self.stats.first_event_at is None:
             self.stats.first_event_at = now
         self._arrival_ms[event.seq] = now
-
-        lane = self._lane_for(event)
-        if lane.inflight is None and not lane.queue:
-            batch = Batch(etype=event.etype, events=[event])
-            self._dispatch(lane, batch)
-            return
-        # An event is *delayed* when it "could not be batched in the
-        # current time window" (§7.2.4): it neither dispatches
-        # immediately, nor joins a batch, nor starts the next batch in
-        # line — it has to open an additional batch behind an existing
-        # backlog (e.g. after an interleaved event broke sequence
-        # continuity, the paper's two-SHOOT-batches example).
-        if self.shim_config.batching:
-            open_batch = lane.queue[-1] if lane.queue else None
-            if open_batch is not None and open_batch.can_merge(
-                event, self.shim_config.max_batch
-            ):
-                open_batch.merge(event)
-                return
-        if lane.queue:
-            self.stats.delayed_events += 1
-        lane.queue.append(Batch(etype=event.etype, events=[event]))
-
-    def _lane_for(self, event: GameEvent) -> _Lane:
-        if self.shim_config.multithreaded:
-            assets = affected_assets(event.etype)
-            key: Any = assets[0] if assets else event.etype
-        else:
-            key = "single"
-        lane = self._lanes.get(key)
-        if lane is None:
-            lane = self._lanes[key] = _Lane()
-        return lane
+        batch = self._dispatcher.offer(event)
+        if batch is not None:
+            self._dispatch(batch)
 
     # ------------------------------------------------------------------
     # dispatch
 
-    def _dispatch(self, lane: _Lane, batch: Batch) -> None:
-        lane.inflight = batch
+    def _dispatch(self, batch: Batch) -> None:
         payload = batch.payload()
-        touched = self._touched_keys(batch.etype, payload)
-        self.stats.txs_dispatched += 1
-        if len(batch.events) > 1 or batch.etype in MERGEABLE_EVENTS:
-            self.stats.batches_dispatched += 1
-            self.stats.batched_events += len(batch.events)
-            self.stats.max_batch_size = max(self.stats.max_batch_size, len(batch.events))
         self.invoke(
             self.contract_name,
             batch.etype,
             (payload,),
-            touched_keys=touched,
-            on_complete=lambda result, _lat: self._on_batch_complete(lane, batch, result),
+            touched_keys=self._touched_keys(batch.etype, payload),
+            on_complete=lambda result, _lat: self._on_batch_complete(batch, result),
         )
 
     #: Assets an event *reads* besides the ones it writes: a shoot needs
@@ -289,7 +319,7 @@ class Shim(BlockchainClient):
     # ------------------------------------------------------------------
     # feedback loop (§4.2.5(1))
 
-    def _on_batch_complete(self, lane: _Lane, batch: Batch, result: TxResult) -> None:
+    def _on_batch_complete(self, batch: Batch, result: TxResult) -> None:
         now = self.network.scheduler.now
         accepted = result.code == TxValidationCode.VALID
         batch_latencies: List[float] = []
@@ -313,9 +343,9 @@ class Shim(BlockchainClient):
                 self.name, result.tx_id, accepted, result.code,
                 batch_latencies, len(batch.events),
             )
-        lane.inflight = None
-        if lane.queue and not self.closed:
-            self._dispatch(lane, lane.queue.pop(0))
+        following = self._dispatcher.finish(batch)
+        if following is not None:
+            self._dispatch(following)
 
     # ------------------------------------------------------------------
     # lifecycle helpers
@@ -337,7 +367,7 @@ class Shim(BlockchainClient):
     def teardown(self) -> None:
         """End of session: the blockchain is ephemeral (§4.2.6)."""
         self.closed = True
-        for lane in self._lanes.values():
+        for lane in self._dispatcher.lanes.values():
             lane.queue.clear()
         if self._poll_timer is not None:
             self._poll_timer.cancel()
@@ -347,7 +377,7 @@ class Shim(BlockchainClient):
         return sum(
             (len(lane.inflight.events) if lane.inflight else 0)
             + sum(len(b.events) for b in lane.queue)
-            for lane in self._lanes.values()
+            for lane in self._dispatcher.lanes.values()
         )
 
 

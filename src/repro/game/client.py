@@ -15,9 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from .assets import AssetId
-from .doom import DoomMap, DoomRules, RuleViolation, initial_assets
-from .events import EventType, GameEvent
+from .assets import AssetId, asset_key
+from .doom import DoomMap
+from .events import GameEvent
 
 __all__ = ["PredictionStats", "DoomClient"]
 
@@ -39,30 +39,53 @@ class PredictionStats:
 class DoomClient:
     """One player's client-side state machine.
 
-    The client keeps two copies of its assets: ``predicted`` (rendered to
-    the player immediately) and ``confirmed`` (the last state every ack
-    agreed on).  ``apply_event`` advances the prediction; ``acknowledge``
-    either confirms or rolls back.
+    The client keeps two world states: ``predicted`` (rendered to the
+    player immediately) and ``confirmed`` (the last state every ack
+    agreed on).  Both advance by running the Doom contract on the
+    client's own state, so a prediction obeys exactly the rules the
+    peers will apply.  ``apply_event`` advances the prediction;
+    ``acknowledge`` either confirms or rolls back.
     """
 
-    def __init__(
-        self,
-        player: str,
-        game_map: Optional[DoomMap] = None,
-        tickrate: int = DoomRules.TICRATE,
-    ):
+    def __init__(self, player: str, game_map: Optional[DoomMap] = None):
+        # Imported here so that importing repro.game does not import the
+        # platform (repro.core itself imports repro.game).
+        from ..blockchain.contracts import ContractError, apply_invocation
+        from ..blockchain.state import WorldState
+        from ..core.doom_contract import DoomContract
+
         self.player = player
-        self.map = game_map if game_map is not None else DoomMap.default_map()
-        self.tickrate = tickrate
-        spawn = self.map.spawn_points[0]
-        self.confirmed: Dict[int, object] = initial_assets(spawn)
-        self.predicted: Dict[int, object] = initial_assets(spawn)
+        # Pickups that name no map item are still predicted.
+        contract = DoomContract(game_map=game_map, strict_pickups=False)
+
+        def run(state, function: str, payload: Dict, t_ms: float) -> None:
+            try:
+                apply_invocation(contract, state, player, function, (payload,), t_ms)
+            except ContractError:
+                # A locally-invalid prediction is simply not applied; the
+                # authoritative verdict arrives via acknowledge().
+                pass
+
+        self._run = run
+        self._confirmed = WorldState()
+        run(self._confirmed, "addPlayer", {}, 0.0)
+        run(self._confirmed, "startGame", {}, 0.0)
+        self._predicted = self._confirmed.copy()
         self._inflight: Dict[int, GameEvent] = {}  # seq -> event
         self.stats = PredictionStats()
 
     @property
-    def tick_ms(self) -> float:
-        return 1000.0 / self.tickrate
+    def predicted(self) -> Dict[int, object]:
+        """The predicted assets as ``{AssetId: value}``."""
+        return self._assets(self._predicted)
+
+    @property
+    def confirmed(self) -> Dict[int, object]:
+        """The confirmed assets as ``{AssetId: value}``."""
+        return self._assets(self._confirmed)
+
+    def _assets(self, state) -> Dict[int, object]:
+        return {aid: state.get(asset_key(self.player, aid)) for aid in AssetId.ALL}
 
     # ------------------------------------------------------------------
     # outbound events
@@ -71,7 +94,7 @@ class DoomClient:
         """Optimistically apply the player's own event to predicted state."""
         if event.player != self.player:
             raise ValueError(f"event belongs to {event.player}, not {self.player}")
-        self._apply(self.predicted, event)
+        self._run(self._predicted, event.etype, event.payload, event.t_ms)
         self._inflight[event.seq] = event
         self.stats.predicted += 1
 
@@ -84,87 +107,13 @@ class DoomClient:
         if event is None:
             return
         if accepted:
-            self._apply(self.confirmed, event)
+            self._run(self._confirmed, event.etype, event.payload, event.t_ms)
             self.stats.confirmed += 1
         else:
+            # Server reconciliation: reset prediction to the confirmed
+            # state and re-apply surviving in-flight events in order.
             self.stats.rolled_back += 1
-            self._rollback()
-
-    def _rollback(self) -> None:
-        """Server reconciliation: reset prediction to confirmed state and
-        re-apply surviving in-flight events in order."""
-        self.predicted = {k: _copy_value(v) for k, v in self.confirmed.items()}
-        for seq in sorted(self._inflight):
-            self._apply(self.predicted, self._inflight[seq])
-
-    # ------------------------------------------------------------------
-    # state transition (mirrors the smart contract's update logic)
-
-    def _apply(self, state: Dict[int, object], event: GameEvent) -> None:
-        etype, payload, t = event.etype, event.payload, event.t_ms
-        try:
-            if etype == EventType.LOCATION:
-                state[AssetId.POSITION] = DoomRules.validate_move(
-                    state[AssetId.POSITION], payload["x"], payload["y"], t, self.map
-                )
-            elif etype == EventType.SHOOT:
-                state[AssetId.AMMUNITION] = DoomRules.validate_shoot(
-                    state[AssetId.WEAPON],
-                    state[AssetId.AMMUNITION],
-                    payload.get("count", 1),
-                )
-            elif etype == EventType.WEAPON_CHANGE:
-                state[AssetId.WEAPON] = DoomRules.validate_weapon_change(
-                    state[AssetId.WEAPON], payload["wid"]
-                )
-            elif etype == EventType.DAMAGE:
-                health, armor, _ = DoomRules.apply_damage(
-                    state[AssetId.HEALTH],
-                    state[AssetId.ARMOR],
-                    payload["amount"],
-                    t,
-                )
-                state[AssetId.HEALTH] = health
-                state[AssetId.ARMOR] = armor
-            elif etype == EventType.PICKUP_MEDKIT:
-                state[AssetId.HEALTH] = DoomRules.heal(
-                    state[AssetId.HEALTH], DoomRules.MEDKIT_HEAL
-                )
-            elif etype == EventType.PICKUP_CLIP:
-                state[AssetId.AMMUNITION] = DoomRules.add_ammo(
-                    state[AssetId.AMMUNITION], DoomRules.CLIP_AMMO
-                )
-            elif etype == EventType.PICKUP_WEAPON:
-                weapon = dict(state[AssetId.WEAPON])
-                owned = list(weapon.get("owned", []))
-                if payload["wid"] not in owned:
-                    owned.append(payload["wid"])
-                weapon["owned"] = owned
-                weapon["current"] = payload["wid"]
-                state[AssetId.WEAPON] = weapon
-                state[AssetId.AMMUNITION] = DoomRules.add_ammo(
-                    state[AssetId.AMMUNITION], DoomRules.WEAPON_PICKUP_AMMO
-                )
-            elif etype == EventType.PICKUP_RADSUIT:
-                state[AssetId.RADIATION_SUIT] = t + DoomRules.POWERUP_DURATION_MS
-            elif etype == EventType.PICKUP_INVIS:
-                state[AssetId.INVISIBILITY] = t + DoomRules.POWERUP_DURATION_MS
-            elif etype == EventType.PICKUP_INVULN:
-                health = dict(state[AssetId.HEALTH])
-                health["invuln_until"] = t + DoomRules.POWERUP_DURATION_MS
-                state[AssetId.HEALTH] = health
-            elif etype == EventType.PICKUP_BERSERK:
-                state[AssetId.BERSERK] = t + DoomRules.POWERUP_DURATION_MS
-                state[AssetId.HEALTH] = DoomRules.heal(state[AssetId.HEALTH], 100)
-        except RuleViolation:
-            # A locally-invalid prediction is simply not applied; the
-            # authoritative verdict arrives via acknowledge().
-            pass
-
-
-def _copy_value(value):
-    if isinstance(value, dict):
-        return dict(value)
-    if isinstance(value, list):
-        return list(value)
-    return value
+            self._predicted = self._confirmed.copy()
+            for seq in sorted(self._inflight):
+                pending = self._inflight[seq]
+                self._run(self._predicted, pending.etype, pending.payload, pending.t_ms)

@@ -17,7 +17,7 @@ from repro.baselines import (
     matrix_lookup,
     our_approach_matches_cs,
 )
-from repro.game import EventType, GameEvent, generate_session
+from repro.game import AssetId, EventType, GameEvent, asset_key, generate_session
 from repro.simnet import (
     INTERNET_US,
     LAN_1GBPS,
@@ -92,6 +92,39 @@ class TestClientServer:
         client.send_event(shoot(1, player="ghost"))
         net.run_until_idle()
         assert client.rejected == 1
+
+    @staticmethod
+    def stand_on(server, item_id, t):
+        """Walk p1 onto a map item in one legal (slow enough) move."""
+        item = server.contract.map.item(item_id)
+        event = GameEvent(t, "p1", EventType.LOCATION, {"x": item.x, "y": item.y}, 1)
+        assert server.validate_and_apply(event) == (True, "")
+
+    def test_medkit_pickup_must_name_a_medkit(self):
+        """item5 on the default map is a clip: standing on it does not
+        make a medkit pickup legal, and the player is not healed."""
+        _net, server, _client = make_cs()
+        self.stand_on(server, "item5", t=3_000.0)
+        hurt = GameEvent(3_000.0, "p1", EventType.DAMAGE, {"amount": 50}, 2)
+        assert server.validate_and_apply(hurt) == (True, "")
+        medkit = GameEvent(3_000.0, "p1", EventType.PICKUP_MEDKIT,
+                           {"item_id": "item5"}, 3)
+        assert server.validate_and_apply(medkit) == (
+            False, "item item5 is a clip, not a medkit"
+        )
+        assert server.state.get(asset_key("p1", AssetId.HEALTH))["hp"] == 50
+
+    def test_rejected_weapon_pickup_leaves_the_item_on_the_map(self):
+        """A pickup rejected for an unknown weapon id consumes nothing:
+        the same item can still be picked up legally right after."""
+        _net, server, _client = make_cs()
+        self.stand_on(server, "item3", t=3_000.0)  # weapon:6
+        bogus = GameEvent(3_000.0, "p1", EventType.PICKUP_WEAPON,
+                          {"wid": 999, "item_id": "item3"}, 2)
+        assert server.validate_and_apply(bogus) == (False, "no such weapon 999")
+        legal = GameEvent(3_000.0, "p1", EventType.PICKUP_WEAPON,
+                          {"wid": 6, "item_id": "item3"}, 3)
+        assert server.validate_and_apply(legal) == (True, "")
 
 
 class TestLockstep:

@@ -3,7 +3,7 @@ and equivalence between the live shim and the offline windowed model."""
 
 import pytest
 
-from repro.blockchain import FabricConfig, TxValidationCode
+from repro.blockchain import FabricConfig, TxResult, TxValidationCode
 from repro.core import GameSession, ShimConfig, count_delays
 from repro.game import EventType, GameEvent, generate_session
 from repro.simnet import LAN_1GBPS
@@ -168,10 +168,15 @@ class TestLanes:
         ))
         shim.on_game_event(ev(session, 2))
         # One lane only: the shoot waits behind the location update.
-        assert len(shim._lanes) == 1
+        assert len(shim._dispatcher.lanes) == 1
         assert shim.pending_events() == 2
         session.run_until_idle()
         assert shim.stats.accepted_events == 2
+
+
+@pytest.fixture(scope="module")
+def modelcheck():
+    return generate_session("modelcheck", duration_ms=120_000.0, seed=5)
 
 
 class TestReplayEndToEnd:
@@ -208,10 +213,62 @@ class TestReplayEndToEnd:
 
         window = live.avg_latency_ms
         model = count_delays(demo.events, window_ms=window, batching=True)
-        assert model.total_events == live.events_received
+        assert model.events_received == live.events_received
         # The live pipeline's latency varies per batch while the model
         # uses a fixed window, so allow a coarse tolerance.
         assert model.delayed_events == pytest.approx(live.delayed_events, rel=0.5)
+
+    @pytest.mark.parametrize("window,n_events", [  # 2010 events: the whole trace
+        (29.0, 1000), (83.0, 2010), (143.0, 500), (143.0, 2010),
+    ])
+    @pytest.mark.parametrize("shim_config", [
+        ShimConfig(),
+        ShimConfig(batching=False),
+        ShimConfig(multithreaded=False),
+        ShimConfig(max_batch=3),
+    ], ids=["default", "no-batching", "single-lane", "max-batch-3"])
+    def test_model_equals_shim_with_a_fixed_window_validator(
+        self, modelcheck, shim_config, window, n_events
+    ):
+        """With a validator that answers every batch VALID exactly
+        ``window`` after dispatch, the live shim and the offline model
+        fill the same dispatch and delay counters."""
+        session = make_session(shim_config=shim_config)
+        shim, scheduler = session.shims[0], session.scheduler
+        completions = []
+
+        def validate(contract, function, args, touched_keys=(), on_complete=None):
+            done = scheduler.now + window
+            completions.append(done)
+            result = TxResult(tx_id=f"stub-{len(completions)}",
+                              code=TxValidationCode.VALID)
+            scheduler.call_at(done, on_complete, result, window)
+            return result.tx_id
+
+        shim.invoke = validate
+        offset = session.now
+        events = [
+            GameEvent(offset + e.t_ms, e.player, e.etype, e.payload, e.seq)
+            for e in modelcheck.events[:n_events]
+        ]
+        for event in events:
+            scheduler.call_at(event.t_ms, shim.on_game_event, event)
+        session.run_until_idle()
+        # Ties between an arrival and a completion are ordered by the
+        # scheduler, not by the policy; the prefixes here have none.
+        assert not {e.t_ms for e in events} & set(completions)
+
+        model = count_delays(
+            events, window, batching=shim_config.batching,
+            multithreaded=shim_config.multithreaded,
+            max_batch=shim_config.max_batch,
+        )
+        for counter in (
+            "events_received", "txs_dispatched", "batches_dispatched",
+            "batched_events", "max_batch_size", "delayed_events",
+            "accepted_events", "first_event_at", "last_ack_at",
+        ):
+            assert getattr(shim.stats, counter) == getattr(model, counter), counter
 
     def test_model_batching_reduces_delays_by_orders_of_magnitude(self):
         demo = generate_session("modelcheck2", duration_ms=120_000.0, seed=6)

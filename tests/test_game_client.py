@@ -103,3 +103,18 @@ class TestTransitions:
     def test_confirmed_state_isolated_from_prediction(self, client):
         client.apply_event(GameEvent(0.0, "p1", EventType.DAMAGE, {"amount": 40}, 1))
         assert client.confirmed[AssetId.HEALTH]["hp"] == 100
+
+    def test_damage_to_a_player_not_in_the_game_is_not_predicted(self, client):
+        client.apply_event(GameEvent(
+            0.0, "p1", EventType.DAMAGE, {"target": "p2", "amount": 20}, 1
+        ))
+        assert client.predicted[AssetId.HEALTH]["hp"] == 100
+
+    def test_pickup_of_unknown_weapon_is_not_predicted(self, client):
+        client.apply_event(
+            GameEvent(0.0, "p1", EventType.PICKUP_WEAPON, {"wid": 999}, 1)
+        )
+        weapon = client.predicted[AssetId.WEAPON]
+        assert weapon["current"] == WeaponId.PISTOL
+        assert 999 not in weapon["owned"]
+        assert client.predicted[AssetId.AMMUNITION] == 50

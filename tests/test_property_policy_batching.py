@@ -103,9 +103,9 @@ class TestBatchingModelProperties:
     @given(event_streams(), st.floats(1.0, 500.0))
     def test_every_event_dispatched_exactly_once(self, events, window):
         report = count_delays(events, window, batching=True)
-        assert report.total_events == len(events)
+        assert report.events_received == len(events)
         # Dispatched batches cover every event: singles + batched events.
-        singles = report.dispatched_txs - report.batches
+        singles = report.txs_dispatched - report.batches_dispatched
         assert singles + report.batched_events == len(events)
 
     @given(event_streams(), st.floats(1.0, 500.0))
@@ -118,8 +118,8 @@ class TestBatchingModelProperties:
     def test_batching_never_increases_txs(self, events, window):
         with_b = count_delays(events, window, batching=True)
         without = count_delays(events, window, batching=False)
-        assert with_b.dispatched_txs <= without.dispatched_txs
-        assert without.dispatched_txs == len(events)
+        assert with_b.txs_dispatched <= without.txs_dispatched
+        assert without.txs_dispatched == len(events)
 
     @given(event_streams(), st.floats(1.0, 200.0), st.floats(1.5, 4.0))
     def test_wider_window_never_reduces_delays_without_batching(
@@ -145,4 +145,4 @@ class TestBatchingModelProperties:
         ]
         report = count_delays(spaced, window_ms=1e-9, batching=True)
         assert report.delayed_events == 0
-        assert report.dispatched_txs == len(events)
+        assert report.txs_dispatched == len(events)

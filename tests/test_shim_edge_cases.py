@@ -62,15 +62,15 @@ class TestShimAccounting:
         for seq in range(1, 6):
             shim.on_game_event(shoot(session, seq))
         session.run_until_idle()
-        assert shim.stats.throughput_tx_per_s() > 0
-        assert shim.stats.throughput_events_per_s() > 0
+        assert shim.stats.throughput_tx_per_s > 0
+        assert shim.stats.throughput_events_per_s > 0
 
     def test_empty_stats_safe(self):
         session = make_session()
         stats = session.stats()
         assert stats.avg_latency_ms == 0.0
         assert stats.avg_batch_size == 0.0
-        assert stats.throughput_tx_per_s() == 0.0
+        assert stats.throughput_tx_per_s == 0.0
 
     def test_shim_for_lookup(self):
         session = make_session()
