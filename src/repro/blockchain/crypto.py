@@ -233,9 +233,11 @@ class KeyPair:
 #: Memoised key pairs.  ``generate_keypair`` is a pure function of
 #: ``(seed, bits)`` and the produced objects are immutable, so identical
 #: requests can share one key pair.  Re-creating a session (the
-#: differential replays, golden tests, repeated benchmarks) re-enrolls
-#: the same identities; the prime search is by far the most expensive
-#: part of session setup, so the memo pays for itself immediately.
+#: differential replays, golden tests, repeated benchmarks) derives the
+#: same keys again; a prime search costs ~25 ms at 512 bits, so the memo
+#: pays for itself at the second session.  Only the CA and the principals
+#: that sign (clients) derive a key: identities are lazy
+#: (:class:`~repro.blockchain.identity.Identity`).
 _KEYPAIR_CACHE: Dict[Tuple[str, int], KeyPair] = {}
 _KEYPAIR_CACHE_MAX = 512
 

@@ -6,11 +6,17 @@ shim" (§4.2.1).  The certificates here are real: a session
 :class:`CertificateAuthority` signs ``(subject, public key, serial)``
 tuples with its own RSA key, and a :class:`MembershipProvider` (Fabric's
 MSP) validates presented certificates against trusted CA roots.
+
+Enrolment is cheap: it reserves a subject and a serial number, and the
+RSA key pair and certificate are derived on first use.  Peers and the
+orderer never sign, so a session pays a prime search only for its CA
+and its clients.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict
 
 from .crypto import KeyPair, PublicKey, canonical_digest, generate_keypair
@@ -48,13 +54,29 @@ class Certificate:
         return digest
 
 
-@dataclass
 class Identity:
-    """A named principal: key pair plus CA-issued certificate."""
+    """A named principal: key pair plus CA-issued certificate.
 
-    name: str
-    keypair: KeyPair
-    certificate: Certificate
+    :meth:`CertificateAuthority.enroll` reserves the subject and its
+    serial number; the key pair and certificate are derived on first
+    use.  Both are pure functions of the CA, the subject and that
+    serial, so a principal that never signs (a peer, the orderer) never
+    pays for a prime search, and one that does gets the same key and
+    certificate whenever it first asks.
+    """
+
+    def __init__(self, name: str, ca: CertificateAuthority, serial: int):
+        self.name = name
+        self._ca = ca
+        self._serial = serial
+
+    @cached_property
+    def keypair(self) -> KeyPair:
+        return self._ca._derive_keypair(self.name)
+
+    @cached_property
+    def certificate(self) -> Certificate:
+        return self._ca._certify(self.name, self.keypair.public, self._serial)
 
     def sign(self, message) -> int:
         return self.keypair.sign(message)
@@ -77,40 +99,49 @@ class CertificateAuthority:
         self._seed = seed
         self._keypair = generate_keypair(("ca", name, seed))
         self._serial = 0
-        self._issued: Dict[str, Certificate] = {}
+        #: Serial number reserved for each enrolled or issued subject.
+        self._serials: Dict[str, int] = {}
 
     @property
     def public_key(self) -> PublicKey:
         return self._keypair.public
 
+    def _reserve(self, subject: str) -> int:
+        self._serial += 1
+        self._serials[subject] = self._serial
+        return self._serial
+
     def enroll(self, subject: str) -> Identity:
-        """Generate a key pair for ``subject`` and issue a certificate."""
-        if subject in self._issued:
+        """Reserve ``subject`` and its serial number; the identity's key
+        pair and certificate are derived when first read."""
+        if subject in self._serials:
             raise ValueError(f"subject {subject!r} already enrolled")
-        keypair = generate_keypair(("id", self.name, self._seed, subject))
-        cert = self.issue(subject, keypair.public)
-        return Identity(name=subject, keypair=keypair, certificate=cert)
+        return Identity(name=subject, ca=self, serial=self._reserve(subject))
 
     def issue(self, subject: str, public_key: PublicKey) -> Certificate:
         """Issue a certificate over an externally generated public key."""
-        self._serial += 1
+        return self._certify(subject, public_key, self._reserve(subject))
+
+    def _derive_keypair(self, subject: str) -> KeyPair:
+        return generate_keypair(("id", self.name, self._seed, subject))
+
+    def _certify(self, subject: str, public_key: PublicKey, serial: int) -> Certificate:
+        """The certificate over ``(subject, public_key, serial)``; the CA
+        signature is deterministic, so signing late changes no bit."""
         unsigned = Certificate(
             subject=subject,
             public_key=public_key,
             issuer=self.name,
-            serial=self._serial,
+            serial=serial,
             signature=0,
         )
-        signature = self._keypair.sign(unsigned.tbs())
-        cert = Certificate(
+        return Certificate(
             subject=subject,
             public_key=public_key,
             issuer=self.name,
-            serial=self._serial,
-            signature=signature,
+            serial=serial,
+            signature=self._keypair.sign(unsigned.tbs()),
         )
-        self._issued[subject] = cert
-        return cert
 
     def verify(self, cert: Certificate) -> bool:
         return cert.issuer == self.name and self._keypair.public.verify(

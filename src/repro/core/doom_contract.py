@@ -15,6 +15,7 @@ to the game client (§7.2.2).
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..blockchain.contracts import Contract, ContractError, InvocationContext
@@ -28,6 +29,23 @@ __all__ = ["DoomContract", "item_key"]
 def item_key(item_id: str) -> str:
     """World-state key tracking a map item's pickup state."""
     return f"item/{item_id}"
+
+
+_REQUIRED = object()
+
+
+def _field(payload: Dict, field: str, default: Any = _REQUIRED, kind: Any = (int, float)):
+    """``payload[field]`` (or ``default``), checked to be of ``kind``.
+
+    The payload is whatever a client signed: a missing or wrong-typed
+    field must reject the invocation, not raise out of the peer.
+    """
+    value = payload.get(field, default)
+    if value is _REQUIRED:
+        raise ContractError(f"payload has no {field!r}")
+    if not isinstance(value, kind):
+        raise ContractError(f"payload field {field!r} has the wrong type: {value!r}")
+    return value
 
 
 class DoomContract(Contract):
@@ -81,6 +99,8 @@ class DoomContract(Contract):
     # dispatch
 
     def invoke(self, ctx: InvocationContext, function: str, args: Tuple[Any, ...]):
+        if args and not isinstance(args[0], Mapping):
+            raise ContractError(f"payload is not a mapping: {args[0]!r}")
         payload: Dict[str, Any] = dict(args[0]) if args else {}
         handler = self._HANDLERS.get(function)
         if handler is None:
@@ -127,8 +147,10 @@ class DoomContract(Contract):
         self._require_started(ctx)
         player = ctx.creator
         old = self._get(ctx, player, AssetId.POSITION)
-        t = payload.get("t", ctx.timestamp)
-        new = DoomRules.validate_move(old, payload["x"], payload["y"], t, self.map)
+        t = _field(payload, "t", ctx.timestamp)
+        new = DoomRules.validate_move(
+            old, _field(payload, "x"), _field(payload, "y"), t, self.map
+        )
         self._put(ctx, player, AssetId.POSITION, new)
 
     def on_shoot(self, ctx: InvocationContext, payload: Dict) -> None:
@@ -136,7 +158,7 @@ class DoomContract(Contract):
         player = ctx.creator
         weapon = self._get(ctx, player, AssetId.WEAPON)
         ammo = self._get(ctx, player, AssetId.AMMUNITION)
-        remaining = DoomRules.validate_shoot(weapon, ammo, payload.get("count", 1))
+        remaining = DoomRules.validate_shoot(weapon, ammo, _field(payload, "count", 1))
         self._put(ctx, player, AssetId.AMMUNITION, remaining)
 
     def on_weapon_change(self, ctx: InvocationContext, payload: Dict) -> None:
@@ -145,7 +167,7 @@ class DoomContract(Contract):
         weapon = self._get(ctx, player, AssetId.WEAPON)
         self._put(
             ctx, player, AssetId.WEAPON,
-            DoomRules.validate_weapon_change(weapon, payload["wid"]),
+            DoomRules.validate_weapon_change(weapon, _field(payload, "wid", kind=int)),
         )
 
     def on_damage(self, ctx: InvocationContext, payload: Dict) -> None:
@@ -154,12 +176,11 @@ class DoomContract(Contract):
         roster = ctx.view.get("game/roster") or []
         if target not in roster:
             raise ContractError(f"damage target {target!r} not in this game")
-        t = payload.get("t", ctx.timestamp)
+        t = _field(payload, "t", ctx.timestamp)
+        amount = _field(payload, "amount")
         health = self._get(ctx, target, AssetId.HEALTH)
         armor = self._get(ctx, target, AssetId.ARMOR)
-        new_health, new_armor, _ = DoomRules.apply_damage(
-            health, armor, payload["amount"], t
-        )
+        new_health, new_armor, _ = DoomRules.apply_damage(health, armor, amount, t)
         self._put(ctx, target, AssetId.HEALTH, new_health)
         if new_armor != armor:
             self._put(ctx, target, AssetId.ARMOR, new_armor)
@@ -177,7 +198,7 @@ class DoomContract(Contract):
                 raise ContractError("pickup does not name a map item")
             return None
         item = self.map.item(item_id)
-        t = payload.get("t", ctx.timestamp)
+        t = _field(payload, "t", ctx.timestamp)
         taken = ctx.view.get(item_key(item_id))
         pos = self._get(ctx, ctx.creator, AssetId.POSITION)
         DoomRules.validate_pickup(item, taken, pos, t)
@@ -191,7 +212,7 @@ class DoomContract(Contract):
     def on_pickup_weapon(self, ctx: InvocationContext, payload: Dict) -> None:
         self._require_started(ctx)
         player = ctx.creator
-        wid = payload["wid"]
+        wid = _field(payload, "wid", kind=int)
         if wid not in WEAPONS:
             raise ContractError(f"no such weapon {wid}")
         self._validate_item(ctx, payload, f"weapon:{wid}")
@@ -233,7 +254,7 @@ class DoomContract(Contract):
     ) -> float:
         self._require_started(ctx)
         self._validate_item(ctx, payload, kind)
-        t = payload.get("t", ctx.timestamp)
+        t = _field(payload, "t", ctx.timestamp)
         expiry = t + DoomRules.POWERUP_DURATION_MS
         self._put(ctx, ctx.creator, aid, expiry)
         return expiry
@@ -248,7 +269,7 @@ class DoomContract(Contract):
         self._require_started(ctx)
         self._validate_item(ctx, payload, "invuln")
         player = ctx.creator
-        t = payload.get("t", ctx.timestamp)
+        t = _field(payload, "t", ctx.timestamp)
         health = dict(self._get(ctx, player, AssetId.HEALTH))
         health["invuln_until"] = t + DoomRules.POWERUP_DURATION_MS
         self._put(ctx, player, AssetId.HEALTH, health)
@@ -257,7 +278,7 @@ class DoomContract(Contract):
         self._require_started(ctx)
         self._validate_item(ctx, payload, "berserk")
         player = ctx.creator
-        t = payload.get("t", ctx.timestamp)
+        t = _field(payload, "t", ctx.timestamp)
         self._put(ctx, player, AssetId.BERSERK, t + DoomRules.POWERUP_DURATION_MS)
         health = self._get(ctx, player, AssetId.HEALTH)
         self._put(ctx, player, AssetId.HEALTH, DoomRules.heal(health, 100))

@@ -87,12 +87,12 @@ class WallClock(ClockCore):
     def rebase(self) -> None:
         """Reset ``now`` to zero.
 
-        Deployment construction (RSA enrollment, socket binds) burns
-        real time before a workload's first scheduled tick; rebasing
-        afterwards makes schedules anchored at clock time 0 start *now*
-        instead of firing their early ticks as one stale burst.  Queued
-        entries keep their absolute deadlines — on the rebased clock
-        they are simply further in the future.
+        Deployment construction (client RSA key derivation, socket
+        binds) burns real time before a workload's first scheduled tick;
+        rebasing afterwards makes schedules anchored at clock time 0
+        start *now* instead of firing their early ticks as one stale
+        burst.  Queued entries keep their absolute deadlines — on the
+        rebased clock they are simply further in the future.
         """
         self._origin = time.monotonic()
 
