@@ -15,8 +15,9 @@ server, a client predicting its own events).
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple, Type
 
 from .state import GENESIS_VERSION, WorldState, WorldStateOverlay
 from .transaction import RWSet, Transaction, TxValidationCode
@@ -27,6 +28,7 @@ __all__ = [
     "StateView",
     "InvocationContext",
     "Contract",
+    "check_payload",
     "execute_transaction",
     "apply_invocation",
     "nonce_key",
@@ -55,26 +57,12 @@ class StateView:
     in order against a consistent prefix.
     """
 
-    def __init__(
-        self,
-        state: WorldState,
-        overlay: Optional[object] = None,
-    ):
+    def __init__(self, state: WorldState, overlay: Optional[WorldStateOverlay] = None):
         self._state = state
         self._reads: List[Tuple[str, Optional[Tuple[int, int]]]] = []
         self._writes: Dict[str, Any] = {}
-        # The overlay may be a WorldStateOverlay (the peer's speculative
-        # view over committed state — reads fall through automatically) or
-        # a plain {key: value} dict (legacy/test convenience).
-        if overlay is None:
-            self._lookup = state.get
-        elif isinstance(overlay, WorldStateOverlay):
-            self._lookup = overlay.get
-        else:
-            def lookup(key: str, _d: Dict[str, Any] = overlay) -> Optional[Any]:
-                return _d[key] if key in _d else state.get(key)
-
-            self._lookup = lookup
+        # The overlay's reads fall through to committed state.
+        self._lookup = state.get if overlay is None else overlay.get
 
     def get(self, key: str) -> Optional[Any]:
         if key in self._writes:
@@ -112,22 +100,58 @@ class InvocationContext:
     tx_id: str
 
 
+#: A handler's declared payload: ``{field: (accepted types, required)}``.
+#: Keys a shape does not name are accepted and ignored.
+PayloadShape = Dict[str, Tuple[Tuple[type, ...], bool]]
+
+
+def check_payload(shape: PayloadShape, payload: Any) -> None:
+    """Raise :class:`ContractError` unless ``payload`` fits ``shape``.
+
+    The payload is whatever a client signed: a non-mapping, a missing
+    required field or a field of the wrong type is a rejection.
+    """
+    if not isinstance(payload, Mapping):
+        raise ContractError(f"payload is not a mapping: {type(payload).__name__}")
+    for field, (types, required) in shape.items():
+        if field in payload:
+            if not isinstance(payload[field], types):
+                kind = type(payload[field]).__name__
+                raise ContractError(f"payload field {field!r} has the wrong type: {kind}")
+        elif required:
+            raise ContractError(f"payload has no {field!r}")
+
+
 class Contract:
     """Base class for smart contracts.
 
-    Subclasses (hand-written or generated by ``repro.core.codegen``)
-    implement :meth:`invoke`, dispatching on ``function`` and raising
-    :class:`ContractError` to reject an illegal transition.
+    A contract declares ``HANDLERS`` (API name → ``handler(self, ctx,
+    payload)``) and ``PAYLOADS`` (API name → :data:`PayloadShape`).
+    :meth:`invoke` checks the payload before the handler reads any
+    state and turns the game rules' ``RULE_ERRORS`` into
+    :class:`ContractError`: no other exception leaves it.  A contract
+    whose functions take positional args overrides :meth:`invoke`.
     """
 
     name: str = "contract"
+    HANDLERS: Dict[str, Callable[..., Any]] = {}
+    PAYLOADS: Dict[str, PayloadShape] = {}
+    RULE_ERRORS: Tuple[Type[Exception], ...] = ()
 
     def invoke(self, ctx: InvocationContext, function: str, args: Tuple[Any, ...]) -> Any:
-        raise NotImplementedError
+        handler = self.HANDLERS.get(function)
+        if handler is None:
+            raise ContractError(f"unknown function {function!r}")
+        payload = args[0] if args else {}
+        check_payload(self.PAYLOADS.get(function, {}), payload)
+        try:
+            return handler(self, ctx, payload)
+        except self.RULE_ERRORS as violation:
+            raise ContractError(str(violation)) from None
 
     def functions(self) -> List[str]:
         """Publicly visible API names (informational)."""
-        return []
+        return list(self.HANDLERS)
 
 
 def nonce_key(creator: str, nonce: str) -> str:
@@ -143,7 +167,7 @@ def execute_transaction(
     contract: Contract,
     tx: Transaction,
     state: WorldState,
-    overlay: Optional[object] = None,
+    overlay: Optional[WorldStateOverlay] = None,
 ) -> TxExecution:
     """Execute one transaction's contract call against ``state``.
 
@@ -168,7 +192,7 @@ def execute_transaction(
     )
     try:
         contract.invoke(ctx, proposal.function, proposal.args)
-    except ContractError as err:
+    except ContractError:
         return TxExecution(
             rwset=view.rwset(), code=TxValidationCode.CONTRACT_REJECTED
         )

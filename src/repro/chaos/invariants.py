@@ -175,11 +175,8 @@ class MonopolyConservation(AssetInvariant):
                 replay["players"] += 1
                 replay["location"][creator] = 0
             elif function == "roll":
-                payload = dict(tx.proposal.args[0]) if tx.proposal.args else {}
-                dice = tuple(payload.get("dice", ()))
-                if len(dice) != 2:
-                    continue
-                steps = sum(dice)
+                # A VALID roll carries two integer dice faces.
+                steps = sum(tx.proposal.args[0]["dice"])
                 old = replay["location"].get(creator, 0)
                 new = (old + steps) % BOARD_SIZE
                 if new < old:

@@ -11,20 +11,24 @@ it.  The generated contract contains exactly the boilerplate §4.1.2 and
 §6(ii) describe:
 
 1. publicly visible APIs: ``addPlayer``, ``startGame`` and one handler
-   per specified event;
+   per specified event, listed in ``HANDLERS``;
 2. per-player per-asset KVS definitions (``split_kvs=True``, §6 opt. i)
    or the conflict-prone one-key-per-player layout (``False``) for the
    ablation;
-3. the replay verifier — the per-transaction nonce is checked against
+3. the query-object check: an event that affects the player its payload
+   names (``pId="*"``) declares a required ``target`` string in
+   ``PAYLOADS``, which ``Contract.invoke`` checks;
+4. the replay verifier — the per-transaction nonce is checked against
    previously observed nonces by the contract runtime that wraps every
-   generated invoke (``repro.blockchain.contracts.execute_transaction``).
+   invocation (``repro.blockchain.contracts.execute_transaction``).
 
 Asset updates are applied through the spec's power modes, with bound
 checks (Table 1's ``value ∈ R≥0`` plus optional min/max) — so the
 generated contract already rejects, e.g., shooting with an empty
 magazine.  Game-specific logic beyond the constraint language ("any
-additional logic must be added by the developer himself") is layered on
-by subclassing, as ``repro.core.doom_contract`` does.
+additional logic must be added by the developer himself") is not
+generated: ``repro.core.doom_contract`` is a separate, hand-written
+contract that shares only the contract runtime with the generated one.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from __future__ import annotations
 from typing import Dict, Optional, Type
 
 from ..blockchain.contracts import Contract
-from .spec import GameSpec, SpecError
+from .spec import ANY, GameSpec, SpecError
 
 __all__ = ["generate_contract_source", "compile_contract_source", "generate_contract"]
 
@@ -127,10 +131,7 @@ def generate_contract_source(
         "        if pid == 'self':",
         "            return ctx.creator",
         "        if pid == '*':",
-        "            target = args.get('target') if isinstance(args, dict) else None",
-        "            if target is None:",
-        "                raise ContractError('event requires a target player')",
-        "            return target",
+        "            return args['target']",
         "        roster = ctx.view.get('game/roster') or []",
         "        index = int(pid) - 1",
         "        if index >= len(roster):",
@@ -173,6 +174,7 @@ def generate_contract_source(
     ]
 
     handler_names: Dict[str, str] = {}
+    targeted = []  # events whose payload names the player they affect
     for event in sorted(spec.events.values(), key=lambda e: e.eid):
         handler = f"on_{_identifier(event.name).lower()}"
         handler_names[event.name] = handler
@@ -181,6 +183,8 @@ def generate_contract_source(
         lines.append("        self._require_started(ctx)")
         if not event.affects:
             lines.append("        pass")
+        if any(affects.pid == ANY for affects in event.affects):
+            targeted.append(event.name)
         for affects in event.affects:
             pid = affects.pid if isinstance(affects.pid, int) else repr(affects.pid)
             lines.append(
@@ -199,20 +203,10 @@ def generate_contract_source(
     ]
     for event_name, handler in handler_names.items():
         lines.append(f"        {event_name!r}: {handler},")
-    lines += [
-        "    }",
-        "",
-        "    def invoke(self, ctx, function, args):",
-        "        handler = self.HANDLERS.get(function)",
-        "        if handler is None:",
-        "            raise ContractError(f'unknown function {function!r}')",
-        "        call_args = args[0] if args else {}",
-        "        return handler(self, ctx, call_args)",
-        "",
-        "    def functions(self):",
-        "        return list(self.HANDLERS)",
-        "",
-    ]
+    lines += ["    }", "    PAYLOADS = {"]
+    for event_name in targeted:
+        lines.append(f"        {event_name!r}: {{'target': ((str,), True)}},")
+    lines += ["    }", ""]
     return "\n".join(lines)
 
 

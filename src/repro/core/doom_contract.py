@@ -15,8 +15,7 @@ to the game client (§7.2.2).
 
 from __future__ import annotations
 
-from collections.abc import Mapping
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Dict, Optional
 
 from ..blockchain.contracts import Contract, ContractError, InvocationContext
 from ..game.assets import AssetId, asset_key
@@ -31,21 +30,9 @@ def item_key(item_id: str) -> str:
     return f"item/{item_id}"
 
 
-_REQUIRED = object()
-
-
-def _field(payload: Dict, field: str, default: Any = _REQUIRED, kind: Any = (int, float)):
-    """``payload[field]`` (or ``default``), checked to be of ``kind``.
-
-    The payload is whatever a client signed: a missing or wrong-typed
-    field must reject the invocation, not raise out of the peer.
-    """
-    value = payload.get(field, default)
-    if value is _REQUIRED:
-        raise ContractError(f"payload has no {field!r}")
-    if not isinstance(value, kind):
-        raise ContractError(f"payload field {field!r} has the wrong type: {value!r}")
-    return value
+_NUMBER = (int, float)  # the accepted types of a numeric payload field
+#: A pickup may name the map item it collects, and the time it did so.
+_PICKUP = {"item_id": ((str,), False), "t": (_NUMBER, False)}
 
 
 class DoomContract(Contract):
@@ -96,24 +83,6 @@ class DoomContract(Contract):
             ctx.view.put(f"player/{player}", record)
 
     # ------------------------------------------------------------------
-    # dispatch
-
-    def invoke(self, ctx: InvocationContext, function: str, args: Tuple[Any, ...]):
-        if args and not isinstance(args[0], Mapping):
-            raise ContractError(f"payload is not a mapping: {args[0]!r}")
-        payload: Dict[str, Any] = dict(args[0]) if args else {}
-        handler = self._HANDLERS.get(function)
-        if handler is None:
-            raise ContractError(f"unknown function {function!r}")
-        try:
-            return handler(self, ctx, payload)
-        except RuleViolation as violation:
-            raise ContractError(str(violation)) from None
-
-    def functions(self) -> List[str]:
-        return list(self._HANDLERS)
-
-    # ------------------------------------------------------------------
     # lifecycle
 
     def add_player(self, ctx: InvocationContext, payload: Dict) -> None:
@@ -147,10 +116,8 @@ class DoomContract(Contract):
         self._require_started(ctx)
         player = ctx.creator
         old = self._get(ctx, player, AssetId.POSITION)
-        t = _field(payload, "t", ctx.timestamp)
-        new = DoomRules.validate_move(
-            old, _field(payload, "x"), _field(payload, "y"), t, self.map
-        )
+        t = payload.get("t", ctx.timestamp)
+        new = DoomRules.validate_move(old, payload["x"], payload["y"], t, self.map)
         self._put(ctx, player, AssetId.POSITION, new)
 
     def on_shoot(self, ctx: InvocationContext, payload: Dict) -> None:
@@ -158,7 +125,7 @@ class DoomContract(Contract):
         player = ctx.creator
         weapon = self._get(ctx, player, AssetId.WEAPON)
         ammo = self._get(ctx, player, AssetId.AMMUNITION)
-        remaining = DoomRules.validate_shoot(weapon, ammo, _field(payload, "count", 1))
+        remaining = DoomRules.validate_shoot(weapon, ammo, payload.get("count", 1))
         self._put(ctx, player, AssetId.AMMUNITION, remaining)
 
     def on_weapon_change(self, ctx: InvocationContext, payload: Dict) -> None:
@@ -167,7 +134,7 @@ class DoomContract(Contract):
         weapon = self._get(ctx, player, AssetId.WEAPON)
         self._put(
             ctx, player, AssetId.WEAPON,
-            DoomRules.validate_weapon_change(weapon, _field(payload, "wid", kind=int)),
+            DoomRules.validate_weapon_change(weapon, payload["wid"]),
         )
 
     def on_damage(self, ctx: InvocationContext, payload: Dict) -> None:
@@ -176,8 +143,8 @@ class DoomContract(Contract):
         roster = ctx.view.get("game/roster") or []
         if target not in roster:
             raise ContractError(f"damage target {target!r} not in this game")
-        t = _field(payload, "t", ctx.timestamp)
-        amount = _field(payload, "amount")
+        t = payload.get("t", ctx.timestamp)
+        amount = payload["amount"]
         health = self._get(ctx, target, AssetId.HEALTH)
         armor = self._get(ctx, target, AssetId.ARMOR)
         new_health, new_armor, _ = DoomRules.apply_damage(health, armor, amount, t)
@@ -198,7 +165,7 @@ class DoomContract(Contract):
                 raise ContractError("pickup does not name a map item")
             return None
         item = self.map.item(item_id)
-        t = _field(payload, "t", ctx.timestamp)
+        t = payload.get("t", ctx.timestamp)
         taken = ctx.view.get(item_key(item_id))
         pos = self._get(ctx, ctx.creator, AssetId.POSITION)
         DoomRules.validate_pickup(item, taken, pos, t)
@@ -212,7 +179,7 @@ class DoomContract(Contract):
     def on_pickup_weapon(self, ctx: InvocationContext, payload: Dict) -> None:
         self._require_started(ctx)
         player = ctx.creator
-        wid = _field(payload, "wid", kind=int)
+        wid = payload["wid"]
         if wid not in WEAPONS:
             raise ContractError(f"no such weapon {wid}")
         self._validate_item(ctx, payload, f"weapon:{wid}")
@@ -254,7 +221,7 @@ class DoomContract(Contract):
     ) -> float:
         self._require_started(ctx)
         self._validate_item(ctx, payload, kind)
-        t = _field(payload, "t", ctx.timestamp)
+        t = payload.get("t", ctx.timestamp)
         expiry = t + DoomRules.POWERUP_DURATION_MS
         self._put(ctx, ctx.creator, aid, expiry)
         return expiry
@@ -269,7 +236,7 @@ class DoomContract(Contract):
         self._require_started(ctx)
         self._validate_item(ctx, payload, "invuln")
         player = ctx.creator
-        t = _field(payload, "t", ctx.timestamp)
+        t = payload.get("t", ctx.timestamp)
         health = dict(self._get(ctx, player, AssetId.HEALTH))
         health["invuln_until"] = t + DoomRules.POWERUP_DURATION_MS
         self._put(ctx, player, AssetId.HEALTH, health)
@@ -278,12 +245,12 @@ class DoomContract(Contract):
         self._require_started(ctx)
         self._validate_item(ctx, payload, "berserk")
         player = ctx.creator
-        t = _field(payload, "t", ctx.timestamp)
+        t = payload.get("t", ctx.timestamp)
         self._put(ctx, player, AssetId.BERSERK, t + DoomRules.POWERUP_DURATION_MS)
         health = self._get(ctx, player, AssetId.HEALTH)
         self._put(ctx, player, AssetId.HEALTH, DoomRules.heal(health, 100))
 
-    _HANDLERS = {
+    HANDLERS = {
         "addPlayer": add_player,
         "startGame": start_game,
         EventType.LOCATION: on_location,
@@ -298,3 +265,20 @@ class DoomContract(Contract):
         EventType.PICKUP_INVULN: on_pickup_invuln,
         EventType.PICKUP_BERSERK: on_pickup_berserk,
     }
+
+    PAYLOADS = {
+        EventType.LOCATION: {"x": (_NUMBER, True), "y": (_NUMBER, True), "t": (_NUMBER, False)},
+        EventType.SHOOT: {"count": (_NUMBER, False)},
+        EventType.WEAPON_CHANGE: {"wid": ((int,), True)},
+        EventType.DAMAGE: {
+            "amount": (_NUMBER, True), "target": ((str,), False), "t": (_NUMBER, False),
+        },
+        EventType.PICKUP_WEAPON: {"wid": ((int,), True), **_PICKUP},
+        EventType.PICKUP_CLIP: _PICKUP,
+        EventType.PICKUP_MEDKIT: _PICKUP,
+        EventType.PICKUP_RADSUIT: _PICKUP,
+        EventType.PICKUP_INVIS: _PICKUP,
+        EventType.PICKUP_INVULN: _PICKUP,
+        EventType.PICKUP_BERSERK: _PICKUP,
+    }
+    RULE_ERRORS = (RuleViolation,)

@@ -10,7 +10,7 @@ non-repudiation property the case study demonstrates.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Tuple
+from typing import Dict
 
 from ..blockchain.contracts import Contract, ContractError, InvocationContext
 from ..game.monopoly import (
@@ -40,19 +40,6 @@ class MonopolyContract(Contract):
 
     name = "monopoly"
     MAX_PLAYERS = 8
-
-    def invoke(self, ctx: InvocationContext, function: str, args: Tuple[Any, ...]):
-        payload: Dict[str, Any] = dict(args[0]) if args else {}
-        handler = self._HANDLERS.get(function)
-        if handler is None:
-            raise ContractError(f"unknown function {function!r}")
-        try:
-            return handler(self, ctx, payload)
-        except MonopolyError as err:
-            raise ContractError(str(err)) from None
-
-    def functions(self) -> List[str]:
-        return list(self._HANDLERS)
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -100,10 +87,8 @@ class MonopolyContract(Contract):
         """
         self._require_started(ctx)
         player = ctx.creator
-        dice = tuple(payload.get("dice", ()))
-        round_id = payload.get("round")
-        if round_id is None:
-            raise ContractError("roll must reference its RNG round")
+        dice = tuple(payload["dice"])
+        round_id = payload["round"]
         steps = MonopolyRules.validate_roll(dice)
         log_key = f"mp/roll/{player}/{round_id}"
         if ctx.view.get(log_key) is not None:
@@ -142,10 +127,12 @@ class MonopolyContract(Contract):
         ctx.view.put(player_key(visitor_name), new_visitor)
         ctx.view.put(player_key(owner_name), new_owner)
 
-    _HANDLERS = {
+    HANDLERS = {
         "addPlayer": add_player,
         "startGame": start_game,
         "roll": roll,
         "buy": buy,
         "payRent": pay_rent,
     }
+    PAYLOADS = {"roll": {"dice": ((list, tuple), True), "round": ((int,), True)}}
+    RULE_ERRORS = (MonopolyError,)

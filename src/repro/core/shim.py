@@ -32,13 +32,14 @@ from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from ..blockchain.client import BlockchainClient
 from ..blockchain.config import FabricConfig
+from ..blockchain.contracts import ContractError, check_payload
 from ..blockchain.identity import Identity
 from ..blockchain.ordering import OrderingService
 from ..blockchain.peer import Peer
 from ..blockchain.transaction import TxResult, TxValidationCode
 from ..game.assets import asset_key
 from ..game.events import EventType, GameEvent, affected_assets
-from .doom_contract import item_key
+from .doom_contract import DoomContract, item_key
 
 __all__ = [
     "ShimConfig", "ShimStats", "Batch", "Dispatcher", "Shim", "ShardRouter",
@@ -267,6 +268,13 @@ class Shim(BlockchainClient):
         now = self.network.scheduler.now
         if self.stats.first_event_at is None:
             self.stats.first_event_at = now
+        try:
+            check_payload(DoomContract.PAYLOADS.get(event.etype, {}), event.payload)
+        except ContractError:
+            # Every peer would reject it: refuse it before it is batched.
+            self.stats.events_received += 1
+            self._ack(event, False, TxValidationCode.CONTRACT_REJECTED, 0.0)
+            return
         self._arrival_ms[event.seq] = now
         batch = self._dispatcher.offer(event)
         if batch is not None:
@@ -324,20 +332,9 @@ class Shim(BlockchainClient):
         accepted = result.code == TxValidationCode.VALID
         batch_latencies: List[float] = []
         for event in batch.events:
-            arrival = self._arrival_ms.pop(event.seq, now)
-            latency = now - arrival
-            self.stats.latencies_ms.append(latency)
+            latency = now - self._arrival_ms.pop(event.seq, now)
             batch_latencies.append(latency)
-            self.stats.last_ack_at = now
-            if accepted:
-                self.stats.accepted_events += 1
-            else:
-                self.stats.rejected_events += 1
-                self.stats.rejections_by_code[result.code] = (
-                    self.stats.rejections_by_code.get(result.code, 0) + 1
-                )
-            if self.on_ack is not None:
-                self.on_ack(event, accepted, result.code, latency)
+            self._ack(event, accepted, result.code, latency)
         if self.telemetry is not None:
             self.telemetry.shim_ack(
                 self.name, result.tx_id, accepted, result.code,
@@ -346,6 +343,18 @@ class Shim(BlockchainClient):
         following = self._dispatcher.finish(batch)
         if following is not None:
             self._dispatch(following)
+
+    def _ack(self, event: GameEvent, accepted: bool, code: str, latency: float) -> None:
+        stats = self.stats
+        stats.latencies_ms.append(latency)
+        stats.last_ack_at = self.network.scheduler.now
+        if accepted:
+            stats.accepted_events += 1
+        else:
+            stats.rejected_events += 1
+            stats.rejections_by_code[code] = stats.rejections_by_code.get(code, 0) + 1
+        if self.on_ack is not None:
+            self.on_ack(event, accepted, code, latency)
 
     # ------------------------------------------------------------------
     # lifecycle helpers

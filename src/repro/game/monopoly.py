@@ -88,6 +88,8 @@ class MonopolyRules:
 
     @staticmethod
     def validate_roll(dice: Tuple[int, int]) -> int:
+        if len(dice) != 2 or not all(isinstance(face, int) for face in dice):
+            raise MonopolyError("a roll is two integer dice faces")
         d1, d2 = dice
         if not (1 <= d1 <= 6 and 1 <= d2 <= 6):
             raise MonopolyError(f"impossible dice roll {dice}")

@@ -37,11 +37,11 @@ class FuzzCase:
     """One contract under differential test.
 
     ``payloads`` maps every fuzzable public function to a generator
-    ``(rng, players, t) -> payload dict``.  Generators must always
-    supply the keys the handler unconditionally subscripts (missing
-    *optional* validation is the contract's business; a ``KeyError``
-    would escape ``execute_transaction``, which only catches
-    ``ContractError``).  Semantically invalid values are fair game —
+    ``(rng, players, t) -> payload dict``.  Generators should supply
+    every field the handler's ``PAYLOADS`` entry requires, with its
+    declared type: ``Contract.invoke`` rejects a payload that does not
+    fit before the handler reads any state, so such a payload exercises
+    only that refusal.  Semantically invalid values are fair game —
     a ``CONTRACT_REJECTED`` is a prevented cheat, and its RWSet still
     participates in the coverage check.
     """

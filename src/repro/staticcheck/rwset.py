@@ -966,7 +966,7 @@ def _discover_handlers(info: _ClassInfo) -> Dict[str, str]:
             isinstance(stmt, ast.Assign)
             and len(stmt.targets) == 1
             and isinstance(stmt.targets[0], ast.Name)
-            and stmt.targets[0].id in ("HANDLERS", "_HANDLERS")
+            and stmt.targets[0].id == "HANDLERS"
             and isinstance(stmt.value, ast.Dict)
         ):
             table: Dict[str, str] = {}

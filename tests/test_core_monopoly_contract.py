@@ -74,6 +74,16 @@ class TestRolls:
                 creator="alice",
             )
 
+    @pytest.mark.parametrize(
+        "payload",
+        [{"dice": 5, "round": 1}, [1, 2], {"dice": [1, "x"], "round": 2}],
+        ids=["int-dice", "list-payload", "str-face"],
+    )
+    def test_malformed_roll_rejected_not_raised(self, harness, payload):
+        code, _ = harness.call("roll", payload, creator="alice")
+        assert code == REJECTED
+        harness.ok("roll", {"dice": [3, 4], "round": 3}, creator="alice")
+
 
 class TestPurchasesAndRent:
     def test_buy_on_unowned_property(self, harness):

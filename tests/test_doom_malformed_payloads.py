@@ -66,6 +66,21 @@ def test_shim_event_with_missing_field_is_rejected():
     _assert_valid_event_still_accepted(session, shim)
 
 
+def test_shim_refuses_a_malformed_event_locally():
+    session, shim = _session()
+    acks = []
+    shim.on_ack = lambda event, accepted, code, _latency: acks.append((event.seq, accepted, code))
+    dispatched = shim.stats.txs_dispatched
+    shim.on_game_event(GameEvent(session.now, shim.player, EventType.SHOOT, {"count": "3"}, 1))
+    session.run_until_idle()
+    assert acks == [(1, False, TxValidationCode.CONTRACT_REJECTED)]
+    assert shim.stats.rejected_events == 1
+    assert shim.stats.txs_dispatched == dispatched  # never reached the network
+    shim.on_game_event(GameEvent(session.now, shim.player, EventType.SHOOT, {"count": 1}, 2))
+    session.run_until_idle()
+    assert acks[-1] == (2, True, TxValidationCode.VALID)
+
+
 @pytest.mark.parametrize("function,payload", MALFORMED)
 def test_cs_server_answers_false(function, payload):
     server = GameServer()

@@ -26,7 +26,7 @@ def doom_footprints():
 
 class TestDoomFootprints:
     def test_all_handlers_discovered(self, doom_footprints):
-        assert set(doom_footprints) == set(DoomContract._HANDLERS)
+        assert set(doom_footprints) == set(DoomContract.HANDLERS)
 
     def test_location_touches_only_own_position(self, doom_footprints):
         fp = doom_footprints[EventType.LOCATION]
