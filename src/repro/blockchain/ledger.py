@@ -45,7 +45,15 @@ class TxExecution:
 
 
 class Ledger:
-    """One peer's copy of the chain and world state."""
+    """One peer's copy of the chain and world state.
+
+    What it keeps per committed block: the block (shared with the other
+    peers of a process), its verdict tuple (``_codes``, one object per
+    distinct tuple), the block number of each tx id, and the state
+    entries of the VALID writes.  Those entries come prepared from the
+    transaction's ``RWSet`` (:meth:`RWSet.entries`), so peers that share
+    an execution also share the frozen entries and their digests.
+    """
 
     def __init__(self, genesis: Block):
         if genesis.number != 0:
@@ -57,7 +65,9 @@ class Ledger:
         self._codes: List[Tuple[str, ...]] = [()]
         self._distinct_codes: Dict[Tuple[str, ...], Tuple[str, ...]] = {}
         self.state = WorldState()
-        self._tx_index: Dict[str, Tuple[str, int]] = {}  # tx_id -> (code, block number)
+        #: tx_id -> number of the last block that carries it; the code is
+        #: read from ``_codes`` (see :meth:`tx_status`).
+        self._tx_index: Dict[str, int] = {}
         #: Observer called after every successful append with
         #: ``(block, executions, codes)`` — the chaos invariant monitor
         #: hooks here to re-check MVCC and cross-peer consistency.
@@ -111,12 +121,11 @@ class Ledger:
             if code == TxValidationCode.VALID:
                 code = self._mvcc_check(execution.rwset, written_this_block)
             if code == TxValidationCode.VALID:
-                version = Version(block.number, idx)
-                for key, value in execution.rwset.writes:
-                    self.state.put(key, value, version)
-                    written_this_block.add(key)
+                for prepared in execution.rwset.entries(Version(block.number, idx)):
+                    self.state.insert(prepared)
+                    written_this_block.add(prepared[0])
             codes.append(code)
-            self._tx_index[tx.tx_id] = (code, block.number)
+            self._tx_index[tx.tx_id] = block.number
 
         block.validation_codes = codes
         self._blocks.append(block)
@@ -144,10 +153,17 @@ class Ledger:
 
     def tx_status(self, tx_id: str) -> Tuple[str, Optional[int]]:
         """(validation code, block number) for a transaction, or
-        (PENDING, None) when not yet committed."""
-        if tx_id in self._tx_index:
-            return self._tx_index[tx_id]
-        return (TxValidationCode.PENDING, None)
+        (PENDING, None) when not yet committed.  A tx id carried more than
+        once reports its last occurrence: the last block, and the last
+        position within that block."""
+        number = self._tx_index.get(tx_id)
+        if number is None:
+            return (TxValidationCode.PENDING, None)
+        transactions = self._blocks[number].transactions
+        for idx in range(len(transactions) - 1, -1, -1):
+            if transactions[idx].tx_id == tx_id:
+                return (self._codes[number][idx], number)
+        raise LedgerError(f"block {number} no longer carries tx {tx_id!r}")
 
     def validation_codes(self, number: int) -> List[str]:
         """This ledger's per-transaction codes for block ``number``."""

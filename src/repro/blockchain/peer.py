@@ -603,6 +603,7 @@ class Peer(Host):
         if self.telemetry is not None:
             self.telemetry.block_committed(self.name, block, codes)
         self._pending_blocks.pop(block.number, None)
+        self._executions.pop(block.number, None)
         self._votes.pop(block.number, None)
         self._vote_tally.pop(block.number, None)
         self._votes_seen.pop(block.number, None)

@@ -25,6 +25,14 @@ not change any *simulated* result):
 Stored values are treated as immutable: mutate-in-place without a
 ``put()`` is undefined behaviour (the contract determinism linter
 enforces the copy-before-mutate discipline at the source level).
+
+A committed entry is built once, by :func:`prepare_entry`: the key, a
+frozen :class:`VersionedValue`, its bucket and its digest.  ``put`` goes
+through it, and the ledger inserts the entry that the shared ``RWSet``
+already prepared (:meth:`~repro.blockchain.transaction.RWSet.entries`),
+so the peers of one process hold one ``VersionedValue`` and one digest
+string per committed write, not one each.  Only immutable objects are
+shared this way.
 """
 
 from __future__ import annotations
@@ -35,7 +43,14 @@ from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
 
 from .crypto import canonical_digest, sha256_hex
 
-__all__ = ["Version", "VersionedValue", "WorldState", "WorldStateOverlay"]
+__all__ = [
+    "PreparedEntry",
+    "Version",
+    "VersionedValue",
+    "WorldState",
+    "WorldStateOverlay",
+    "prepare_entry",
+]
 
 #: Number of hash buckets the incremental state digest spreads keys over.
 #: Fixed scheme-wide: two states are equal iff their roots are equal, so
@@ -58,10 +73,15 @@ class Version:
 GENESIS_VERSION = Version(0, 0)
 
 
-@dataclass
+@dataclass(frozen=True)
 class VersionedValue:
     value: Any
     version: Version
+
+
+#: ``(key, entry, bucket index, entry digest)`` — one committed write,
+#: ready for :meth:`WorldState.insert`.
+PreparedEntry = Tuple[str, VersionedValue, int, str]
 
 
 def _bucket_of(key: str) -> int:
@@ -71,6 +91,13 @@ def _bucket_of(key: str) -> int:
 def _entry_digest(key: str, entry: VersionedValue) -> str:
     version = entry.version.to_tuple() if entry.version is not None else None
     return canonical_digest([key, entry.value, version])
+
+
+def prepare_entry(key: str, value: Any, version: Version) -> PreparedEntry:
+    """The one way to build a committed entry: its digest binds
+    ``(key, value, version)``."""
+    entry = VersionedValue(value=value, version=version)
+    return (key, entry, _bucket_of(key), _entry_digest(key, entry))
 
 
 class WorldState:
@@ -138,11 +165,15 @@ class WorldState:
             self._shared = False
 
     def put(self, key: str, value: Any, version: Version) -> None:
+        self.insert(prepare_entry(key, value, version))
+
+    def insert(self, prepared: PreparedEntry) -> None:
+        """Store an entry from :func:`prepare_entry`.  The entry and its
+        digest are immutable, so states may share them."""
         self._ensure_private()
-        entry = VersionedValue(value=value, version=version)
+        key, entry, bucket, digest = prepared
         self._data[key] = entry
-        bucket = _bucket_of(key)
-        self._buckets[bucket][key] = _entry_digest(key, entry)
+        self._buckets[bucket][key] = digest
         self._dirty.add(bucket)
         self._root = None
 

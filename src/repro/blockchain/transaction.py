@@ -15,6 +15,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from .crypto import canonical_digest
 from .identity import Certificate
+from .state import PreparedEntry, Version, prepare_entry
 
 __all__ = [
     "TxValidationCode",
@@ -132,6 +133,19 @@ class RWSet:
         for k in self.read_keys() + self.write_keys():
             seen.setdefault(k)
         return list(seen)
+
+    def entries(self, version: Version) -> Tuple[PreparedEntry, ...]:
+        """The writes as committed state entries at ``version``, built
+        once and remembered: the execution cache hands one RWSet to every
+        peer of a process, so those peers commit the same entry objects."""
+        memo = getattr(self, "_entries_memo", None)
+        if memo is None or memo[0] != version:
+            memo = (
+                version,
+                tuple(prepare_entry(k, v, version) for k, v in self.writes),
+            )
+            self._entries_memo = memo
+        return memo[1]
 
 
 @dataclass

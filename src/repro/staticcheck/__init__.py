@@ -14,9 +14,10 @@ package checks both before a contract ever runs:
   validated against the runtime ``StateView.rwset()`` ground truth by
   the differential tests.
 * :func:`taint_contract` / :func:`taint_source` — interprocedural taint
-  rules (CHT001–CHT004) flagging cheat vulnerabilities: unguarded
-  payload→state writes, unbounded tainted arithmetic, asset minting and
-  client-addressed keys.
+  rules (CHT001–CHT005) flagging cheat vulnerabilities: unguarded
+  payload→state writes, unbounded tainted arithmetic, asset minting,
+  client-addressed keys, and payload fields read but not declared in
+  the handler's ``PAYLOADS`` entry.
 * :func:`analyze_contract` / :func:`analyze_source` — everything at
   once, as a :class:`ContractReport`; also behind the
   ``python -m repro.staticcheck module:Class`` CLI, which additionally

@@ -68,6 +68,8 @@ class FuzzOutcome:
     n_events: int
     blocks: int = 0
     codes: Dict[str, int] = field(default_factory=dict)
+    #: VALID transactions per handler: which handlers reached the writes.
+    valid_by_function: Dict[str, int] = field(default_factory=dict)
     keys_checked: int = 0
     violations: List[FuzzViolation] = field(default_factory=list)
 
@@ -82,6 +84,7 @@ class FuzzOutcome:
             "n_events": self.n_events,
             "blocks": self.blocks,
             "codes": dict(sorted(self.codes.items())),
+            "valid_by_function": dict(sorted(self.valid_by_function.items())),
             "keys_checked": self.keys_checked,
             "ok": self.ok,
             "violations": [
@@ -101,7 +104,7 @@ def _doom_case() -> FuzzCase:
     game_map = DoomContract().map
     item_ids = [item.item_id for item in game_map.items]
     weapon_items = [
-        (item.item_id, item.kind.split(":", 1)[1])
+        (item.item_id, int(item.kind.split(":", 1)[1]))
         for item in game_map.items
         if item.kind.startswith("weapon:")
     ]
@@ -109,6 +112,15 @@ def _doom_case() -> FuzzCase:
 
     def pickup(rng, players, t):
         return {"item_id": rng.choice(item_ids), "t": t}
+
+    def pickup_weapon(rng, players, t):
+        # One map item per payload, so the item and the weapon agree and
+        # the VALID path (weapon and ammunition writes) is reachable.
+        if weapon_items:
+            item_id, wid = rng.choice(weapon_items)
+        else:
+            item_id, wid = rng.choice(item_ids), rng.choice(wids)
+        return {"item_id": item_id, "wid": wid, "t": t}
 
     # Walk a shared cursor around the map so most moves satisfy the speed
     # rule (VALID traffic reaches the state writes); an occasional
@@ -135,11 +147,7 @@ def _doom_case() -> FuzzCase:
             "amount": rng.randint(1, 60),
             "t": t,
         },
-        "pickup_weapon": lambda rng, players, t: dict(
-            pickup(rng, players, t),
-            wid=rng.choice(weapon_items)[1] if weapon_items else rng.choice(wids),
-            item_id=rng.choice(weapon_items)[0] if weapon_items else rng.choice(item_ids),
-        ),
+        "pickup_weapon": pickup_weapon,
         "pickup_clip": pickup,
         "pickup_medkit": pickup,
         "pickup_radsuit": pickup,
@@ -313,8 +321,13 @@ def fuzz_case(
         block = make_block(ledger.height, ledger.last_hash, txs, timestamp=t)
         codes = ledger.append(block, executions)
         outcome.blocks += 1
-        for code in codes:
+        for tx, code in zip(txs, codes):
             outcome.codes[code] = outcome.codes.get(code, 0) + 1
+            if code == TxValidationCode.VALID:
+                function = tx.proposal.function
+                outcome.valid_by_function[function] = (
+                    outcome.valid_by_function.get(function, 0) + 1
+                )
 
         _check_coverage(outcome, footprints, txs, executions)
 

@@ -959,32 +959,40 @@ def _const_eval(node: ast.AST, env: Optional[dict]) -> Tuple[bool, Any]:
     return False, None
 
 
-def _discover_handlers(info: _ClassInfo) -> Dict[str, str]:
-    """Map public function name → method name for every handler."""
+def _class_table(info: _ClassInfo, name: str) -> Optional[ast.Dict]:
+    """The dict display assigned to ``name`` in the class body, if any."""
     for stmt in info.node.body:
         if (
             isinstance(stmt, ast.Assign)
             and len(stmt.targets) == 1
             and isinstance(stmt.targets[0], ast.Name)
-            and stmt.targets[0].id == "HANDLERS"
+            and stmt.targets[0].id == name
             and isinstance(stmt.value, ast.Dict)
         ):
-            table: Dict[str, str] = {}
-            for key_node, value_node in zip(stmt.value.keys, stmt.value.values):
-                if key_node is None:
-                    continue
-                ok, key = _const_eval(key_node, info.env)
-                if not ok or not isinstance(key, str):
-                    continue
-                if isinstance(value_node, ast.Name) and value_node.id in info.methods:
-                    table[key] = value_node.id
-                elif (
-                    isinstance(value_node, ast.Attribute)
-                    and value_node.attr in info.methods
-                ):
-                    table[key] = value_node.attr
-            if table:
-                return table
+            return stmt.value
+    return None
+
+
+def _discover_handlers(info: _ClassInfo) -> Dict[str, str]:
+    """Map public function name → method name for every handler."""
+    handlers = _class_table(info, "HANDLERS")
+    if handlers is not None:
+        table: Dict[str, str] = {}
+        for key_node, value_node in zip(handlers.keys, handlers.values):
+            if key_node is None:
+                continue
+            ok, key = _const_eval(key_node, info.env)
+            if not ok or not isinstance(key, str):
+                continue
+            if isinstance(value_node, ast.Name) and value_node.id in info.methods:
+                table[key] = value_node.id
+            elif (
+                isinstance(value_node, ast.Attribute)
+                and value_node.attr in info.methods
+            ):
+                table[key] = value_node.attr
+        if table:
+            return table
     # Fallback: lifecycle + on_* naming convention.
     table = {}
     if "add_player" in info.methods:

@@ -1,4 +1,4 @@
-"""Interprocedural taint rules for cheat vulnerabilities (CHT001–CHT004).
+"""Interprocedural taint rules for cheat vulnerabilities (CHT001–CHT005).
 
 The determinism rules (:mod:`repro.staticcheck.rules`) keep contracts
 *replayable*; these rules keep them *honest*.  Every handler receives an
@@ -41,6 +41,12 @@ Rules
             written (acting on another principal's state) with no
             validation at all — the handler is reachable without any
             roster/auth/existence check on the target.
+    CHT005  *(error)* — a handler listed in ``HANDLERS`` reads
+            ``payload["f"]`` or ``payload.get("f")`` (itself or in a
+            helper it calls) and ``f`` is not declared in its
+            ``PAYLOADS`` entry.  ``Contract.invoke`` checks only declared
+            fields, so an undeclared one reaches the handler unchecked:
+            a client can crash it with a missing key or a wrong type.
 
 False positives are treated as bugs: every shipped contract (Doom,
 Monopoly, the codegen output) must pass clean — see the fixture suite in
@@ -67,6 +73,8 @@ from .rwset import (
     _UNKNOWN,
     _UnionV,
     _build_class_info,
+    _class_table,
+    _const_eval,
     _discover_handlers,
     _find_class,
     make_pattern,
@@ -90,6 +98,7 @@ CHT_RULES: Dict[str, str] = {
     "CHT002": "tainted arithmetic written to state without a bounds check",
     "CHT003": "asset credit from untrusted input without a matching debit",
     "CHT004": "state key addressed by unvalidated untrusted input",
+    "CHT005": "payload field read but not declared in the handler's PAYLOADS",
 }
 
 
@@ -260,6 +269,21 @@ class _TaintAnalyzer(_Analyzer):
         #: source name → set of guard kinds observed anywhere on the path
         self.guards: Dict[str, Set[str]] = {}
         self.write_recs: List[_WriteRec] = []
+        #: payload field → line of its first read (CHT005)
+        self.fields_read: Dict[str, int] = {}
+
+    def _eval_Subscript(self, node: ast.Subscript, bind, env) -> Any:
+        result = super()._eval_Subscript(node, bind, env)
+        if isinstance(result, _SymV) and result.sym.name.startswith("arg:"):
+            self.fields_read.setdefault(result.sym.name[4:], node.lineno)
+        return result
+
+    def _eval_payload_call(self, attr: str, node: ast.Call, bind, env) -> Any:
+        if attr == "get" and node.args:
+            ok, name = _const_eval(node.args[0], self.info.env)
+            if ok and isinstance(name, str):
+                self.fields_read.setdefault(name, node.lineno)
+        return super()._eval_payload_call(attr, node, bind, env)
 
     # -- sources and sinks ---------------------------------------------
 
@@ -530,6 +554,70 @@ def _emit_handler_diags(
     return diags
 
 
+def _field_names(node: ast.AST, env: Optional[dict]) -> Optional[Set[str]]:
+    """Field names of one ``PAYLOADS`` entry: a dict display (``**``
+    splats included) or a module-level dict.  None if unresolvable."""
+    if isinstance(node, ast.Name):
+        value = (env or {}).get(node.id)
+        return set(value) if isinstance(value, dict) else None
+    if not isinstance(node, ast.Dict):
+        return None
+    names: Set[str] = set()
+    for key_node, value_node in zip(node.keys, node.values):
+        if key_node is None:
+            splat = _field_names(value_node, env)
+            if splat is None:
+                return None
+            names |= splat
+            continue
+        ok, key = _const_eval(key_node, env)
+        if not ok or not isinstance(key, str):
+            return None
+        names.add(key)
+    return names
+
+
+def _declared_fields(info) -> Optional[Dict[str, Optional[Set[str]]]]:
+    """Handler → the payload fields its ``PAYLOADS`` entry declares
+    (empty when it has no entry; None when an entry is unresolvable).
+    None for a class with no ``HANDLERS`` table: CHT005 concerns the
+    dispatch of :meth:`Contract.invoke` only."""
+    if _class_table(info, "HANDLERS") is None:
+        return None
+    declared: Dict[str, Optional[Set[str]]] = {}
+    table = _class_table(info, "PAYLOADS")
+    if table is not None:
+        for key_node, value_node in zip(table.keys, table.values):
+            ok, handler = _const_eval(key_node, info.env) if key_node else (False, None)
+            if ok and isinstance(handler, str):
+                declared[handler] = _field_names(value_node, info.env)
+    return declared
+
+
+def _undeclared_field_diags(
+    handler: str, analyzer: _TaintAnalyzer, declared: Optional[Set[str]]
+) -> List[Diagnostic]:
+    if declared is None:
+        return []
+    return [
+        Diagnostic(
+            code="CHT005",
+            message=(
+                f"handler {handler!r} reads payload[{name!r}], which its "
+                "PAYLOADS entry does not declare — Contract.invoke lets "
+                "it through unchecked, so a client can send it missing "
+                "or of any type"
+            ),
+            line=line,
+            col=0,
+            severity=SEVERITY_ERROR,
+            context=handler,
+        )
+        for name, line in sorted(analyzer.fields_read.items())
+        if name not in declared
+    ]
+
+
 # ----------------------------------------------------------------------
 # public API
 
@@ -562,10 +650,16 @@ def _taint_class(info) -> TaintReport:
         dict(raw_waivers) if isinstance(raw_waivers, dict) else {}
     )
     report = TaintReport(contract=info.name, waivers=waivers)
+    declared = _declared_fields(info)
     for public_name, method_name in sorted(_discover_handlers(info).items()):
         analyzer = _TaintAnalyzer(info)
         analyzer.run_handler(info.methods[method_name])
-        for diag in _emit_handler_diags(public_name, analyzer):
+        diags = _emit_handler_diags(public_name, analyzer)
+        if declared is not None:
+            diags += _undeclared_field_diags(
+                public_name, analyzer, declared.get(public_name, set())
+            )
+        for diag in diags:
             if diag.code in waivers:
                 report.waived.append(diag)
             else:

@@ -160,6 +160,43 @@ class UnauthTargetContract:
 
 
 # ----------------------------------------------------------------------
+# CHT005 — a payload field read but not declared.  ``Contract.invoke``
+# checks each handler's payload against its ``PAYLOADS`` entry; a field
+# left out of the entry reaches the handler unchecked, so one signed
+# event with the field missing (KeyError) or a string in it (TypeError)
+# crashes every peer that executes it.
+
+_UNDECLARED_FIELD = VulnFixture(
+    name="undeclared-field",
+    rule="CHT005",
+    cheats=(),
+    class_name="UndeclaredFieldContract",
+    source='''
+class UndeclaredFieldContract:
+    """VULNERABLE: reads a payload field its declaration omits."""
+
+    name = "vuln-undeclared"
+
+    def _burst(self, payload):
+        return payload["burst"]  # not in PAYLOADS: unchecked
+
+    def on_shoot(self, ctx, payload):
+        count = payload.get("count", 1)
+        burst = self._burst(payload)
+        if count < 1 or burst < 1:
+            raise ValueError("bad shot")
+        ammo = ctx.view.get(f"asset/{ctx.creator}/2") or 0
+        if ammo < count * burst:
+            raise ValueError("out of ammunition")
+        ctx.view.put(f"asset/{ctx.creator}/2", ammo - count * burst)
+
+    HANDLERS = {"shoot": on_shoot}
+    PAYLOADS = {"shoot": {"count": ((int,), False)}}
+''',
+)
+
+
+# ----------------------------------------------------------------------
 # Waiver exercise: the same mint as above, but carrying an explicit
 # STATICCHECK_WAIVERS entry — the finding must move to the waived list,
 # never be silently dropped.
@@ -194,6 +231,7 @@ FIXTURES: Tuple[VulnFixture, ...] = (
     _TELEPORT_NO_BOUNDS,
     _AMMO_MINT,
     _UNAUTH_TARGET,
+    _UNDECLARED_FIELD,
     _WAIVED_MINT,
 )
 

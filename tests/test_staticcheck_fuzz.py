@@ -28,6 +28,16 @@ class TestFuzzSoundness:
         assert outcome.codes.get("CONTRACT_REJECTED", 0) > 0
         assert outcome.keys_checked > 0
 
+    def test_doom_trace_reaches_a_valid_weapon_pickup(self):
+        # Each fuzzed pickup names one map weapon item and its integer
+        # weapon id, so the handler's weapon and ammunition writes run.
+        doom = next(c for c in CASES if c.name == "doom")
+        assert any(
+            fuzz_case(doom, n_events=N_EVENTS, seed=seed)
+            .valid_by_function.get("pickup_weapon", 0) > 0
+            for seed in SEEDS
+        )
+
     def test_traces_hit_mvcc_conflicts(self):
         # Batched blocks must produce MVCC downgrades, so coverage is
         # also checked on RWSets read through in-block speculative writes.

@@ -1,10 +1,15 @@
-"""Taint rules (CHT001–CHT004): seeded-vulnerable fixtures must flag
+"""Taint rules (CHT001–CHT005): seeded-vulnerable fixtures must flag
 their intended rule, shipped contracts must stay finding-free, and the
 waiver mechanism must report-not-drop."""
 
+import importlib.util
+import inspect
+import pathlib
+
 import pytest
 
-from repro.core import DoomContract, MonopolyContract
+from repro.core import DoomContract, MonopolyContract, parse_spec
+from repro.core import monopoly_contract
 from repro.core.cheats import relevant_cheats
 from repro.core.codegen import generate_contract_source
 from repro.core.doomspec import doom_spec
@@ -73,6 +78,25 @@ class TestSeededVulnerabilities:
         assert "CHT004" in rule_codes(report)
 
 
+    def test_undeclared_field_read_in_a_helper_is_an_error(self):
+        fixture = FIXTURE_BY_NAME["undeclared-field"]
+        report = taint_source(fixture.source, class_name=fixture.class_name)
+        cht5 = [d for d in report.diagnostics if d.code == "CHT005"]
+        assert [d.severity for d in cht5] == [SEVERITY_ERROR]
+        assert "'burst'" in cht5[0].message  # "count" is declared
+
+    def test_monopoly_roll_without_round_declared_trips_cht005(self):
+        source = inspect.getsource(monopoly_contract).replace(
+            ', "round": ((int,), True)', ""
+        )
+        report = taint_source(source, class_name="MonopolyContract")
+        assert [
+            (d.context, d.message.split(",")[0])
+            for d in report.diagnostics
+            if d.code == "CHT005"
+        ] == [("roll", "handler 'roll' reads payload['round']")]
+
+
 # ----------------------------------------------------------------------
 # zero false positives on every shipped contract
 
@@ -89,6 +113,17 @@ class TestShippedContractsAreClean:
     @pytest.mark.parametrize("split_kvs", [True, False])
     def test_generated_contract_clean(self, split_kvs):
         source = generate_contract_source(doom_spec(), split_kvs=split_kvs)
+        report = taint_source(source)
+        assert report.diagnostics == [], [str(d) for d in report.diagnostics]
+
+    def test_modded_spec_contract_clean(self):
+        path = pathlib.Path(__file__).parent.parent / "examples" / "custom_weapon_mod.py"
+        spec = importlib.util.spec_from_file_location("custom_weapon_mod", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        source = generate_contract_source(
+            parse_spec(module.MODDED_SPEC), class_name="ModdedDoomContract"
+        )
         report = taint_source(source)
         assert report.diagnostics == [], [str(d) for d in report.diagnostics]
 
