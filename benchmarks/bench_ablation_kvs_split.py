@@ -29,7 +29,7 @@ def run_layout(split: bool):
         n_peers=PEERS,
         profile=INTERNET_US,
         fabric_config=FabricConfig(max_block_txs=5, mutually_exclusive_blocks=False),
-        shim_config=ShimConfig(multithreaded=True, batching=False, split_kvs=split),
+        shim_config=ShimConfig(multithreaded=True, batching=False),
         game_map=game_map,
         contract_factory=lambda: DoomContract(
             game_map=game_map, split_kvs=split, strict_pickups=False

@@ -28,6 +28,7 @@ __all__ = [
     "StateView",
     "InvocationContext",
     "Contract",
+    "check_args",
     "check_payload",
     "execute_transaction",
     "apply_invocation",
@@ -122,6 +123,19 @@ def check_payload(shape: PayloadShape, payload: Any) -> None:
             raise ContractError(f"payload has no {field!r}")
 
 
+def check_args(signature: Tuple[Any, ...], args: Any) -> None:
+    """Raise :class:`ContractError` unless ``args`` fits ``signature``,
+    the accepted type (or types) of each positional argument in order:
+    the positional counterpart of :func:`check_payload`."""
+    if not isinstance(args, (tuple, list)):
+        raise ContractError(f"args are not a sequence: {type(args).__name__}")
+    if len(args) != len(signature):
+        raise ContractError(f"expected {len(signature)} args, got {len(args)}")
+    for index, (types, value) in enumerate(zip(signature, args)):
+        if not isinstance(value, types):
+            raise ContractError(f"arg {index} has the wrong type: {type(value).__name__}")
+
+
 class Contract:
     """Base class for smart contracts.
 
@@ -130,7 +144,8 @@ class Contract:
     :meth:`invoke` checks the payload before the handler reads any
     state and turns the game rules' ``RULE_ERRORS`` into
     :class:`ContractError`: no other exception leaves it.  A contract
-    whose functions take positional args overrides :meth:`invoke`.
+    whose functions take positional args overrides :meth:`invoke` and
+    checks each call with :func:`check_args`.
     """
 
     name: str = "contract"

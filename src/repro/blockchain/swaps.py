@@ -44,7 +44,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from .contracts import Contract, ContractError, InvocationContext
+from .contracts import Contract, ContractError, InvocationContext, check_args
 from .transaction import TxResult, TxValidationCode
 
 __all__ = [
@@ -79,18 +79,28 @@ class ShardAssetContract(Contract):
 
     name = "shardasset"
 
+    #: Function -> the types of its positional args, as the
+    #: coordinator, the session router and the workloads send them.
+    SIGNATURES = {
+        "mint": (str, str, int),
+        "transfer": (str, str),
+        "session_event": (str, str, int),
+        "swap_prepare_out": (str, str),
+        "swap_prepare_in": (str, str, str, int),
+        "swap_commit_out": (str, str),
+        "swap_commit_in": (str, str),
+        "swap_abort": (str, str),
+    }
+
     def invoke(self, ctx: InvocationContext, function: str, args: Tuple) -> Any:
-        handler = getattr(self, f"_fn_{function}", None)
-        if handler is None:
+        signature = self.SIGNATURES.get(function)
+        if signature is None:
             raise ContractError(f"unknown function {function!r}")
-        return handler(ctx, *args)
+        check_args(signature, args)
+        return getattr(self, f"_fn_{function}")(ctx, *args)
 
     def functions(self) -> List[str]:
-        return [
-            "mint", "transfer", "session_event",
-            "swap_prepare_out", "swap_prepare_in",
-            "swap_commit_out", "swap_commit_in", "swap_abort",
-        ]
+        return list(self.SIGNATURES)
 
     # -- plain session / asset operations ------------------------------
 

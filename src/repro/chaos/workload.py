@@ -14,7 +14,7 @@ import random
 from collections import Counter
 from typing import Dict, List, Optional
 
-from ..blockchain.contracts import Contract, ContractError
+from ..blockchain.contracts import Contract, ContractError, check_args
 
 __all__ = ["ChaosCounterContract", "CounterWorkload"]
 
@@ -31,13 +31,20 @@ class ChaosCounterContract(Contract):
     def key(counter: str) -> str:
         return f"ctr/{counter}"
 
+    #: Function -> the types of its positional args.
+    SIGNATURES = {"init": (str,), "add": (str, int), "sub": (str, int)}
+
     def invoke(self, ctx, function, args):
+        signature = self.SIGNATURES.get(function)
+        if signature is None:
+            raise ContractError(f"unknown function {function}")
+        check_args(signature, args)
         if function == "init":
             (counter,) = args
             if ctx.view.get(self.key(counter)) is not None:
                 raise ContractError(f"counter {counter} already exists")
             ctx.view.put(self.key(counter), 0)
-        elif function in ("add", "sub"):
+        else:
             counter, delta = args
             delta = int(delta) if function == "add" else -int(delta)
             key = self.key(counter)
@@ -47,11 +54,9 @@ class ChaosCounterContract(Contract):
             if value + delta < 0:
                 raise ContractError("counter would go negative")
             ctx.view.put(key, value + delta)
-        else:
-            raise ContractError(f"unknown function {function}")
 
     def functions(self):
-        return ["init", "add", "sub"]
+        return list(self.SIGNATURES)
 
 
 class CounterWorkload:

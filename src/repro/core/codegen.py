@@ -5,40 +5,133 @@ provide a template for developers to easily specify constraints on game
 events and assets, and a code generator that reads the specification to
 generate boilerplate contract code." (§4.1)
 
+The boilerplate of §4.1.2 and §6 is written once, as :class:`SpecContract`:
+the per-player per-asset KVS (§6 opt. i; ``split_kvs = False`` is the
+one-record-per-player ablation), ``addPlayer`` and ``startGame``, and
+the power modes with bound checks (Table 1's ``value ∈ R≥0`` plus
+optional min/max), so a generated contract already rejects, e.g.,
+shooting with an empty magazine.  The replay verifier is the contract
+runtime's (``repro.blockchain.contracts.execute_transaction``).
+
 :func:`generate_contract_source` emits real Python source (the paper's
-generator emits Go via Jennifer); :func:`compile_contract_source` loads
-it.  The generated contract contains exactly the boilerplate §4.1.2 and
-§6(ii) describe:
-
-1. publicly visible APIs: ``addPlayer``, ``startGame`` and one handler
-   per specified event, listed in ``HANDLERS``;
-2. per-player per-asset KVS definitions (``split_kvs=True``, §6 opt. i)
-   or the conflict-prone one-key-per-player layout (``False``) for the
-   ablation;
-3. the query-object check: an event that affects the player its payload
-   names (``pId="*"``) declares a required ``target`` string in
-   ``PAYLOADS``, which ``Contract.invoke`` checks;
-4. the replay verifier — the per-transaction nonce is checked against
-   previously observed nonces by the contract runtime that wraps every
-   invocation (``repro.blockchain.contracts.execute_transaction``).
-
-Asset updates are applied through the spec's power modes, with bound
-checks (Table 1's ``value ∈ R≥0`` plus optional min/max) — so the
-generated contract already rejects, e.g., shooting with an empty
-magazine.  Game-specific logic beyond the constraint language ("any
-additional logic must be added by the developer himself") is not
-generated: ``repro.core.doom_contract`` is a separate, hand-written
-contract that shares only the contract runtime with the generated one.
+generator emits Go via Jennifer) for a subclass holding the spec's
+tables, one handler per specified event, ``HANDLERS`` and ``PAYLOADS``
+(an event that affects the player its payload names, ``pId="*"``,
+requires a ``target`` string); :func:`compile_contract_source` loads
+it.  Logic beyond the constraint language ("any additional logic must
+be added by the developer himself") subclasses :class:`SpecContract`
+by hand, as ``repro.core.doom_contract`` does.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Type
+from typing import Any, Dict, Optional, Type
 
-from ..blockchain.contracts import Contract
+from ..blockchain.contracts import Contract, ContractError, InvocationContext
+from ..game.assets import asset_key
 from .spec import ANY, GameSpec, SpecError
 
-__all__ = ["generate_contract_source", "compile_contract_source", "generate_contract"]
+__all__ = ["SpecContract", "generate_contract_source", "compile_contract_source", "generate_contract"]
+
+
+class SpecContract(Contract):
+    """The boilerplate every spec-derived contract shares.
+
+    A subclass supplies the spec's tables and its event handlers, which
+    read and write assets only through :meth:`_read_asset` and
+    :meth:`_write_asset`: the KVS layout lives here alone.
+    """
+
+    #: Per-player per-asset keys (§6 opt. i) when True; one record per
+    #: player, keyed by ``str(aid)``, when False (the ablation).
+    split_kvs = True
+    MAX_PLAYERS = 4
+    #: aid -> starting value, aid -> (low, high) bound, (aid, pwId) ->
+    #: (change, factor): the spec's tables.
+    ASSET_DEFAULTS = {}
+    ASSET_BOUNDS = {}
+    POWERS = {}
+
+    # ------------------------------------------------------------------
+    # KVS layout
+
+    def kvs_key(self, player: str, aid: int) -> str:
+        """The world-state key that holds ``player``'s asset ``aid``."""
+        return asset_key(player, aid) if self.split_kvs else f"player/{player}"
+
+    def _read_asset(self, ctx: InvocationContext, player: str, aid: int) -> Any:
+        value = ctx.view.get(self.kvs_key(player, aid))
+        if value is not None and not self.split_kvs:
+            value = value.get(str(aid))
+        if value is None:
+            raise ContractError(f"player {player} has no asset {aid} (not joined?)")
+        return value
+
+    def _write_asset(self, ctx: InvocationContext, player: str, aid: int, value: Any) -> None:
+        key = self.kvs_key(player, aid)
+        if not self.split_kvs:
+            record = dict(ctx.view.get(key) or {})
+            record[str(aid)] = value
+            value = record
+        ctx.view.put(key, value)
+
+    # ------------------------------------------------------------------
+    # lifecycle APIs
+
+    def starting_assets(self, seat: int) -> Dict[int, Any]:
+        """aid -> value for the player who joins at roster index ``seat``."""
+        return self.ASSET_DEFAULTS
+
+    def add_player(self, ctx: InvocationContext, payload: Dict) -> None:
+        player = ctx.creator
+        roster = list(ctx.view.get("game/roster") or [])
+        if player in roster:
+            raise ContractError(f"player {player} already joined")
+        if len(roster) >= self.MAX_PLAYERS:
+            raise ContractError(f"game room is full ({self.MAX_PLAYERS} players)")
+        roster.append(player)
+        ctx.view.put("game/roster", roster)
+        for aid, value in self.starting_assets(len(roster) - 1).items():
+            self._write_asset(ctx, player, aid, value)
+
+    def start_game(self, ctx: InvocationContext, payload: Dict) -> None:
+        if not ctx.view.get("game/roster"):
+            raise ContractError("no players joined")
+        if ctx.view.get("game/started"):
+            raise ContractError("game already started")
+        ctx.view.put("game/started", True)
+
+    def _require_started(self, ctx: InvocationContext) -> None:
+        if not ctx.view.get("game/started"):
+            raise ContractError("game has not started")
+
+    # ------------------------------------------------------------------
+    # constraint engine
+
+    def _apply_power(self, ctx: InvocationContext, target: str, aid: int, pw_id: int) -> Any:
+        change, factor = self.POWERS[(aid, pw_id)]
+        value = self._read_asset(ctx, target, aid)
+        new = value + factor if change == "+" else value * factor
+        low, high = self.ASSET_BOUNDS[aid]
+        if low is not None and new < low:
+            raise ContractError(f"asset {aid} of {target} would drop below {low}")
+        if high is not None and new > high:
+            raise ContractError(f"asset {aid} of {target} would exceed {high}")
+        self._write_asset(ctx, target, aid, new)
+        return new
+
+    def _resolve(self, ctx: InvocationContext, pid: Any, payload: Dict) -> str:
+        """The player a spec ``pId`` names: ``self``, ``*`` (the payload's
+        ``target``) or a 1-based roster position."""
+        if pid == "self":
+            return ctx.creator
+        if pid == "*":
+            return payload["target"]
+        roster = ctx.view.get("game/roster") or []
+        index = int(pid) - 1
+        if index >= len(roster):
+            raise ContractError(f"no player with pId {pid}")
+        return roster[index]
 
 
 def _identifier(name: str) -> str:
@@ -78,95 +171,16 @@ def generate_contract_source(
         f"{len(spec.events)} events, {len(spec.players)} players).",
         '"""',
         "",
-        "from repro.blockchain.contracts import Contract, ContractError",
+        "from repro.core.codegen import SpecContract",
         "",
         "",
-        f"class {cls}(Contract):",
+        f"class {cls}(SpecContract):",
         f"    name = {spec.name.lower()!r}",
-        f"    SPLIT_KVS = {split_kvs!r}",
+        f"    split_kvs = {split_kvs!r}",
         f"    MAX_PLAYERS = {len(spec.players)}",
         f"    ASSET_DEFAULTS = {defaults!r}",
         f"    ASSET_BOUNDS = {bounds!r}",
         f"    POWERS = {powers!r}",
-        "",
-        "    # ------------------------------------------------------------",
-        "    # KVS layout",
-        "",
-        "    def _read_asset(self, view, player, aid):",
-        "        if self.SPLIT_KVS:",
-        "            value = view.get(f'asset/{player}/{aid}')",
-        "        else:",
-        "            record = view.get(f'player/{player}')",
-        "            value = None if record is None else record.get(str(aid))",
-        "        if value is None:",
-        "            raise ContractError(f'player {player} asset {aid} not initialised')",
-        "        return value",
-        "",
-        "    def _write_asset(self, view, player, aid, value):",
-        "        if self.SPLIT_KVS:",
-        "            view.put(f'asset/{player}/{aid}', value)",
-        "        else:",
-        "            record = dict(view.get(f'player/{player}') or {})",
-        "            record[str(aid)] = value",
-        "            view.put(f'player/{player}', record)",
-        "",
-        "    # ------------------------------------------------------------",
-        "    # constraint engine",
-        "",
-        "    def _apply_power(self, ctx, target, aid, pw_id):",
-        "        change, factor = self.POWERS[(aid, pw_id)]",
-        "        value = self._read_asset(ctx.view, target, aid)",
-        "        new = value + factor if change == '+' else value * factor",
-        "        low, high = self.ASSET_BOUNDS[aid]",
-        "        if low is not None and new < low:",
-        "            raise ContractError(",
-        "                f'asset {aid} of {target} would drop below {low}')",
-        "        if high is not None and new > high:",
-        "            raise ContractError(",
-        "                f'asset {aid} of {target} would exceed {high}')",
-        "        self._write_asset(ctx.view, target, aid, new)",
-        "        return new",
-        "",
-        "    def _resolve(self, ctx, pid, args):",
-        "        if pid == 'self':",
-        "            return ctx.creator",
-        "        if pid == '*':",
-        "            return args['target']",
-        "        roster = ctx.view.get('game/roster') or []",
-        "        index = int(pid) - 1",
-        "        if index >= len(roster):",
-        "            raise ContractError(f'no player with pId {pid}')",
-        "        return roster[index]",
-        "",
-        "    def _require_started(self, ctx):",
-        "        if not ctx.view.get('game/started'):",
-        "            raise ContractError('game has not started')",
-        "",
-        "    # ------------------------------------------------------------",
-        "    # lifecycle APIs",
-        "",
-        "    def add_player(self, ctx, args):",
-        "        player = ctx.creator",
-        "        roster = list(ctx.view.get('game/roster') or [])",
-        "        if player in roster:",
-        "            raise ContractError(f'player {player} already joined')",
-        "        if len(roster) >= self.MAX_PLAYERS:",
-        "            raise ContractError('game room is full')",
-        "        roster.append(player)",
-        "        ctx.view.put('game/roster', roster)",
-        "        if self.SPLIT_KVS:",
-        "            for aid, default in self.ASSET_DEFAULTS.items():",
-        "                ctx.view.put(f'asset/{player}/{aid}', default)",
-        "        else:",
-        "            record = {str(aid): d for aid, d in self.ASSET_DEFAULTS.items()}",
-        "            ctx.view.put(f'player/{player}', record)",
-        "",
-        "    def start_game(self, ctx, args):",
-        "        if not ctx.view.get('game/roster'):",
-        "            raise ContractError('no players joined')",
-        "        if ctx.view.get('game/started'):",
-        "            raise ContractError('game already started')",
-        "        ctx.view.put('game/started', True)",
         "",
         "    # ------------------------------------------------------------",
         "    # event APIs (one per specified event)",
@@ -198,8 +212,8 @@ def generate_contract_source(
         "    # dispatch",
         "",
         "    HANDLERS = {",
-        "        'addPlayer': add_player,",
-        "        'startGame': start_game,",
+        "        'addPlayer': SpecContract.add_player,",
+        "        'startGame': SpecContract.start_game,",
     ]
     for event_name, handler in handler_names.items():
         lines.append(f"        {event_name!r}: {handler},")
@@ -211,7 +225,7 @@ def generate_contract_source(
 
 
 def compile_contract_source(source: str, strict: Optional[bool] = True) -> Type[Contract]:
-    """Compile generated source and return the contract class.
+    """Compile generated source and return the last contract class it binds.
 
     Before the source is executed it is gated through the determinism
     linter (:mod:`repro.staticcheck`): every peer must reach the same
@@ -248,7 +262,8 @@ def compile_contract_source(source: str, strict: Optional[bool] = True) -> Type[
         record_waived_findings(len(lint_source(source)), mode="gate-skipped")
     namespace: Dict[str, object] = {}
     exec(compile(source, "<generated-contract>", "exec"), namespace)
-    for value in namespace.values():
+    # The last one: the source imports its base class before defining it.
+    for value in reversed(list(namespace.values())):
         if (
             isinstance(value, type)
             and issubclass(value, Contract)

@@ -1,12 +1,20 @@
 """The Doom smart contract: generated boilerplate + developer logic.
 
-This is the contract the evaluation deploys.  It keeps the generated
-boilerplate's shape — ``addPlayer``, ``startGame``, one public API per
-event, per-player per-asset KVS — and adds the game-specific validation
-the constraint language cannot express ("any additional logic must be
-added by the developer himself", §4.1.2): movement-speed geometry,
-item-pickup locality/respawn, per-weapon ammunition costs, armour
-absorption and power-up timers.
+This is the contract the evaluation deploys.  It subclasses the
+generated boilerplate, :class:`~repro.core.codegen.SpecContract`, which
+owns the per-player per-asset KVS layout (§6 i), ``addPlayer`` with its
+roster rules, ``startGame`` and the started-game check.  What it adds is
+the game-specific validation the constraint language cannot express
+("any additional logic must be added by the developer himself",
+§4.1.2): movement-speed geometry, item-pickup locality/respawn,
+per-weapon ammunition costs, armour absorption and power-up timers.
+
+It does not subclass the contract generated from ``doom_spec()``: the
+spec stores one number per asset, while Doom's assets are structured
+(health carries ``invuln_until``, the weapon its ``owned`` list, the
+position ``t``).  So a new player's starting assets come from
+``game/doom.py``'s ``initial_assets(spawn)``, through
+:meth:`DoomContract.starting_assets`, not from the spec's ``value=``.
 
 A rejected invocation is a prevented cheat: the peers will not reach
 consensus on the offending asset update, and the shim reports failure
@@ -15,12 +23,13 @@ to the game client (§7.2.2).
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Any, Dict, Optional
 
-from ..blockchain.contracts import Contract, ContractError, InvocationContext
-from ..game.assets import AssetId, asset_key
+from ..blockchain.contracts import ContractError, InvocationContext
+from ..game.assets import AssetId
 from ..game.doom import DoomMap, DoomRules, RuleViolation, WEAPONS, initial_assets
 from ..game.events import EventType
+from .codegen import SpecContract
 
 __all__ = ["DoomContract", "item_key"]
 
@@ -35,7 +44,7 @@ _NUMBER = (int, float)  # the accepted types of a numeric payload field
 _PICKUP = {"item_id": ((str,), False), "t": (_NUMBER, False)}
 
 
-class DoomContract(Contract):
+class DoomContract(SpecContract):
     """Server-side Doom logic as a smart contract.
 
     Args:
@@ -49,7 +58,6 @@ class DoomContract(Contract):
     """
 
     name = "doom"
-    MAX_PLAYERS = 4
 
     def __init__(
         self,
@@ -61,53 +69,10 @@ class DoomContract(Contract):
         self.split_kvs = split_kvs
         self.strict_pickups = strict_pickups
 
-    # ------------------------------------------------------------------
-    # KVS layout (optimisation §6 i)
-
-    def _get(self, ctx: InvocationContext, player: str, aid: int):
-        if self.split_kvs:
-            value = ctx.view.get(asset_key(player, aid))
-        else:
-            record = ctx.view.get(f"player/{player}")
-            value = None if record is None else record.get(str(aid))
-        if value is None:
-            raise ContractError(f"player {player} has no asset {aid} (not joined?)")
-        return value
-
-    def _put(self, ctx: InvocationContext, player: str, aid: int, value) -> None:
-        if self.split_kvs:
-            ctx.view.put(asset_key(player, aid), value)
-        else:
-            record = dict(ctx.view.get(f"player/{player}") or {})
-            record[str(aid)] = value
-            ctx.view.put(f"player/{player}", record)
-
-    # ------------------------------------------------------------------
-    # lifecycle
-
-    def add_player(self, ctx: InvocationContext, payload: Dict) -> None:
-        player = ctx.creator
-        roster = list(ctx.view.get("game/roster") or [])
-        if player in roster:
-            raise ContractError(f"player {player} already joined")
-        if len(roster) >= self.MAX_PLAYERS:
-            raise ContractError("Doom supports at most four players")
-        roster.append(player)
-        ctx.view.put("game/roster", roster)
-        spawn = self.map.spawn_points[(len(roster) - 1) % len(self.map.spawn_points)]
-        for aid, value in initial_assets(spawn).items():
-            self._put(ctx, player, aid, value)
-
-    def start_game(self, ctx: InvocationContext, payload: Dict) -> None:
-        if not ctx.view.get("game/roster"):
-            raise ContractError("no players joined")
-        if ctx.view.get("game/started"):
-            raise ContractError("game already started")
-        ctx.view.put("game/started", True)
-
-    def _require_started(self, ctx: InvocationContext) -> None:
-        if not ctx.view.get("game/started"):
-            raise ContractError("game has not started")
+    def starting_assets(self, seat: int) -> Dict[int, Any]:
+        """Doom's structured starting assets at the seat's spawn point."""
+        spawn = self.map.spawn_points[seat % len(self.map.spawn_points)]
+        return initial_assets(spawn)
 
     # ------------------------------------------------------------------
     # event APIs
@@ -115,24 +80,24 @@ class DoomContract(Contract):
     def on_location(self, ctx: InvocationContext, payload: Dict) -> None:
         self._require_started(ctx)
         player = ctx.creator
-        old = self._get(ctx, player, AssetId.POSITION)
+        old = self._read_asset(ctx, player, AssetId.POSITION)
         t = payload.get("t", ctx.timestamp)
         new = DoomRules.validate_move(old, payload["x"], payload["y"], t, self.map)
-        self._put(ctx, player, AssetId.POSITION, new)
+        self._write_asset(ctx, player, AssetId.POSITION, new)
 
     def on_shoot(self, ctx: InvocationContext, payload: Dict) -> None:
         self._require_started(ctx)
         player = ctx.creator
-        weapon = self._get(ctx, player, AssetId.WEAPON)
-        ammo = self._get(ctx, player, AssetId.AMMUNITION)
+        weapon = self._read_asset(ctx, player, AssetId.WEAPON)
+        ammo = self._read_asset(ctx, player, AssetId.AMMUNITION)
         remaining = DoomRules.validate_shoot(weapon, ammo, payload.get("count", 1))
-        self._put(ctx, player, AssetId.AMMUNITION, remaining)
+        self._write_asset(ctx, player, AssetId.AMMUNITION, remaining)
 
     def on_weapon_change(self, ctx: InvocationContext, payload: Dict) -> None:
         self._require_started(ctx)
         player = ctx.creator
-        weapon = self._get(ctx, player, AssetId.WEAPON)
-        self._put(
+        weapon = self._read_asset(ctx, player, AssetId.WEAPON)
+        self._write_asset(
             ctx, player, AssetId.WEAPON,
             DoomRules.validate_weapon_change(weapon, payload["wid"]),
         )
@@ -145,12 +110,12 @@ class DoomContract(Contract):
             raise ContractError(f"damage target {target!r} not in this game")
         t = payload.get("t", ctx.timestamp)
         amount = payload["amount"]
-        health = self._get(ctx, target, AssetId.HEALTH)
-        armor = self._get(ctx, target, AssetId.ARMOR)
+        health = self._read_asset(ctx, target, AssetId.HEALTH)
+        armor = self._read_asset(ctx, target, AssetId.ARMOR)
         new_health, new_armor, _ = DoomRules.apply_damage(health, armor, amount, t)
-        self._put(ctx, target, AssetId.HEALTH, new_health)
+        self._write_asset(ctx, target, AssetId.HEALTH, new_health)
         if new_armor != armor:
-            self._put(ctx, target, AssetId.ARMOR, new_armor)
+            self._write_asset(ctx, target, AssetId.ARMOR, new_armor)
 
     # ------------------------------------------------------------------
     # pickups
@@ -167,7 +132,7 @@ class DoomContract(Contract):
         item = self.map.item(item_id)
         t = payload.get("t", ctx.timestamp)
         taken = ctx.view.get(item_key(item_id))
-        pos = self._get(ctx, ctx.creator, AssetId.POSITION)
+        pos = self._read_asset(ctx, ctx.creator, AssetId.POSITION)
         DoomRules.validate_pickup(item, taken, pos, t)
         if expected_kind is not None and item.kind != expected_kind:
             raise ContractError(
@@ -183,15 +148,15 @@ class DoomContract(Contract):
         if wid not in WEAPONS:
             raise ContractError(f"no such weapon {wid}")
         self._validate_item(ctx, payload, f"weapon:{wid}")
-        weapon = dict(self._get(ctx, player, AssetId.WEAPON))
+        weapon = dict(self._read_asset(ctx, player, AssetId.WEAPON))
         owned = list(weapon.get("owned", []))
         if wid not in owned:
             owned.append(wid)
         weapon["owned"] = owned
         weapon["current"] = wid
-        self._put(ctx, player, AssetId.WEAPON, weapon)
-        ammo = self._get(ctx, player, AssetId.AMMUNITION)
-        self._put(
+        self._write_asset(ctx, player, AssetId.WEAPON, weapon)
+        ammo = self._read_asset(ctx, player, AssetId.AMMUNITION)
+        self._write_asset(
             ctx, player, AssetId.AMMUNITION,
             DoomRules.add_ammo(ammo, DoomRules.WEAPON_PICKUP_AMMO),
         )
@@ -200,8 +165,8 @@ class DoomContract(Contract):
         self._require_started(ctx)
         self._validate_item(ctx, payload, "clip")
         player = ctx.creator
-        ammo = self._get(ctx, player, AssetId.AMMUNITION)
-        self._put(
+        ammo = self._read_asset(ctx, player, AssetId.AMMUNITION)
+        self._write_asset(
             ctx, player, AssetId.AMMUNITION,
             DoomRules.add_ammo(ammo, DoomRules.CLIP_AMMO),
         )
@@ -210,8 +175,8 @@ class DoomContract(Contract):
         self._require_started(ctx)
         self._validate_item(ctx, payload, "medkit")
         player = ctx.creator
-        health = self._get(ctx, player, AssetId.HEALTH)
-        self._put(
+        health = self._read_asset(ctx, player, AssetId.HEALTH)
+        self._write_asset(
             ctx, player, AssetId.HEALTH,
             DoomRules.heal(health, DoomRules.MEDKIT_HEAL),
         )
@@ -223,7 +188,7 @@ class DoomContract(Contract):
         self._validate_item(ctx, payload, kind)
         t = payload.get("t", ctx.timestamp)
         expiry = t + DoomRules.POWERUP_DURATION_MS
-        self._put(ctx, ctx.creator, aid, expiry)
+        self._write_asset(ctx, ctx.creator, aid, expiry)
         return expiry
 
     def on_pickup_radsuit(self, ctx: InvocationContext, payload: Dict) -> None:
@@ -237,22 +202,22 @@ class DoomContract(Contract):
         self._validate_item(ctx, payload, "invuln")
         player = ctx.creator
         t = payload.get("t", ctx.timestamp)
-        health = dict(self._get(ctx, player, AssetId.HEALTH))
+        health = dict(self._read_asset(ctx, player, AssetId.HEALTH))
         health["invuln_until"] = t + DoomRules.POWERUP_DURATION_MS
-        self._put(ctx, player, AssetId.HEALTH, health)
+        self._write_asset(ctx, player, AssetId.HEALTH, health)
 
     def on_pickup_berserk(self, ctx: InvocationContext, payload: Dict) -> None:
         self._require_started(ctx)
         self._validate_item(ctx, payload, "berserk")
         player = ctx.creator
         t = payload.get("t", ctx.timestamp)
-        self._put(ctx, player, AssetId.BERSERK, t + DoomRules.POWERUP_DURATION_MS)
-        health = self._get(ctx, player, AssetId.HEALTH)
-        self._put(ctx, player, AssetId.HEALTH, DoomRules.heal(health, 100))
+        self._write_asset(ctx, player, AssetId.BERSERK, t + DoomRules.POWERUP_DURATION_MS)
+        health = self._read_asset(ctx, player, AssetId.HEALTH)
+        self._write_asset(ctx, player, AssetId.HEALTH, DoomRules.heal(health, 100))
 
     HANDLERS = {
-        "addPlayer": add_player,
-        "startGame": start_game,
+        "addPlayer": SpecContract.add_player,
+        "startGame": SpecContract.start_game,
         EventType.LOCATION: on_location,
         EventType.SHOOT: on_shoot,
         EventType.WEAPON_CHANGE: on_weapon_change,

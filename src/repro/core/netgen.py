@@ -17,12 +17,12 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
 from ..blockchain.config import FabricConfig
-from ..blockchain.contracts import Contract
 from ..blockchain.network import BlockchainNetwork
 from ..blockchain.policy import MAJORITY
 from ..game.doom import DoomMap
 from ..simnet.latency import INTERNET_US, LatencyProfile
 from .anonymity import AnonymityDirectory, build_directory
+from .codegen import SpecContract
 from .doom_contract import DoomContract
 from .shim import Shim, ShimConfig
 
@@ -61,7 +61,7 @@ def build_game_network(
     shim_config: Optional[ShimConfig] = None,
     policy: str = MAJORITY,
     game_map: Optional[DoomMap] = None,
-    contract_factory: Optional[Callable[[], Contract]] = None,
+    contract_factory: Optional[Callable[[], SpecContract]] = None,
     player_names: Optional[Sequence[str]] = None,
     seed: int = 0,
 ) -> GameNetwork:
@@ -69,7 +69,8 @@ def build_game_network(
 
     ``n_peers`` blockchain peers are created (the consensus electorate —
     the paper scales this to 64); ``n_players`` shims (≤ 4 for Doom)
-    attach to distinct anchor peers.
+    attach to distinct anchor peers.  The shims share one more contract
+    instance, for its KVS layout and payload shapes.
     """
     if n_players is None:
         n_players = min(n_peers, 4)
@@ -90,6 +91,7 @@ def build_game_network(
         seed=seed,
     )
     chain.install_contract(contract_factory)
+    contract = contract_factory()
 
     if player_names is None:
         player_names = [f"p{i + 1}" for i in range(n_players)]
@@ -106,6 +108,7 @@ def build_game_network(
             identity=identity,
             orderer=chain.orderer,
             anchor_peer=anchor,
+            contract=contract,
             fabric_config=chain.config,
             shim_config=shim_config,
         )

@@ -37,9 +37,9 @@ from ..blockchain.identity import Identity
 from ..blockchain.ordering import OrderingService
 from ..blockchain.peer import Peer
 from ..blockchain.transaction import TxResult, TxValidationCode
-from ..game.assets import asset_key
 from ..game.events import EventType, GameEvent, affected_assets
-from .doom_contract import DoomContract, item_key
+from .codegen import SpecContract
+from .doom_contract import item_key
 
 __all__ = [
     "ShimConfig", "ShimStats", "Batch", "Dispatcher", "Shim", "ShardRouter",
@@ -56,7 +56,6 @@ class ShimConfig:
 
     multithreaded: bool = True
     batching: bool = True
-    split_kvs: bool = True
     poll_interval_ms: float = 1000.0 / 35.0
     max_batch: int = 64
 
@@ -218,6 +217,8 @@ AckCallback = Callable[[GameEvent, bool, str, float], None]
 class Shim(BlockchainClient):
     """The per-player shim.
 
+    ``contract`` is the contract the game deployed: the shim takes its
+    payload shapes and its KVS key function from it.
     ``on_ack(event, accepted, code, latency_ms)`` is invoked for every
     game event once consensus has been reached on its batch — the
     feedback the game client uses for server reconciliation.
@@ -230,9 +231,9 @@ class Shim(BlockchainClient):
         identity: Identity,
         orderer: OrderingService,
         anchor_peer: Peer,
+        contract: SpecContract,
         fabric_config: Optional[FabricConfig] = None,
         shim_config: Optional[ShimConfig] = None,
-        contract_name: str = "doom",
         on_ack: Optional[AckCallback] = None,
     ):
         shim_config = shim_config if shim_config is not None else ShimConfig()
@@ -246,7 +247,8 @@ class Shim(BlockchainClient):
             poll_interval_ms=shim_config.poll_interval_ms,
         )
         self.shim_config = shim_config
-        self.contract_name = contract_name
+        self.contract = contract
+        self.contract_name = contract.name
         self.on_ack = on_ack
         self.stats = ShimStats()
         self._dispatcher = Dispatcher(shim_config, self.stats)
@@ -269,7 +271,7 @@ class Shim(BlockchainClient):
         if self.stats.first_event_at is None:
             self.stats.first_event_at = now
         try:
-            check_payload(DoomContract.PAYLOADS.get(event.etype, {}), event.payload)
+            check_payload(self.contract.PAYLOADS.get(event.etype, {}), event.payload)
         except ContractError:
             # Every peer would reject it: refuse it before it is batched.
             self.stats.events_received += 1
@@ -309,17 +311,14 @@ class Shim(BlockchainClient):
         orderer's mutually-exclusive block cutting, §6 opt. ii)."""
         player = payload.get("target", self.player)
         item_bound = payload.get("item_id") is not None
-        if self.shim_config.split_kvs:
-            aids = list(affected_assets(etype))
-            reads = list(self._READ_DEPENDENCIES.get(etype, ()))
-            if item_bound and etype.startswith("pickup_"):
-                reads.extend(self._BOUND_PICKUP_READS)
-            for aid in reads:
-                if aid not in aids:
-                    aids.append(aid)
-            keys = [asset_key(player, aid) for aid in aids]
-        else:
-            keys = [f"player/{player}"]
+        aids = affected_assets(etype) + self._READ_DEPENDENCIES.get(etype, ())
+        if item_bound and etype.startswith("pickup_"):
+            aids += self._BOUND_PICKUP_READS
+        keys: List[str] = []
+        for aid in aids:
+            key = self.contract.kvs_key(player, aid)
+            if key not in keys:
+                keys.append(key)
         if item_bound:
             keys.append(item_key(payload["item_id"]))
         return tuple(keys)

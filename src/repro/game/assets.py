@@ -43,15 +43,14 @@ class AssetId:
 class AssetDef:
     """Static description of a tracked asset.
 
-    ``default`` is the value a player starts a session with; ``minimum``
-    and ``maximum`` bound legal values (the contract rejects transitions
-    outside them).  Position and keys/weapon assets carry structured
-    values, for which the bounds are None.
+    ``minimum`` and ``maximum`` bound legal values (the contract rejects
+    transitions outside them); they are None for the structured weapon,
+    keys and position assets.  The values a player starts with are
+    ``repro.game.doom.initial_assets``.
     """
 
     aid: int
     name: str
-    default: object
     minimum: Optional[float] = None
     maximum: Optional[float] = None
 
@@ -63,20 +62,19 @@ class AssetDef:
         return True
 
 
-#: Doom 1993 constants: start with 100% health, a pistol with 50 bullets,
-#: no armor, no keys, at the level start position.  Health caps at 200
-#:  (soulsphere), armor at 200 (megaarmor), ammo at 400 (backpack doubles
-#: the 200 bullet limit).
+#: Doom 1993 limits: health caps at 200 (soulsphere), armor at 200
+#: (megaarmor), ammo at 400 (backpack doubles the 200 bullet limit).
+#: The same bounds as ``doom_spec()``'s.
 ASSETS: Dict[int, AssetDef] = {
-    AssetId.HEALTH: AssetDef(AssetId.HEALTH, "Health", 100, 0, 200),
-    AssetId.AMMUNITION: AssetDef(AssetId.AMMUNITION, "Ammunition", 50, 0, 400),
-    AssetId.WEAPON: AssetDef(AssetId.WEAPON, "Weapon", None),
-    AssetId.ARMOR: AssetDef(AssetId.ARMOR, "Armor", 0, 0, 200),
-    AssetId.KEYS: AssetDef(AssetId.KEYS, "Keys", None),
-    AssetId.POSITION: AssetDef(AssetId.POSITION, "Position", None),
-    AssetId.INVISIBILITY: AssetDef(AssetId.INVISIBILITY, "Invisibility", 0, 0, None),
-    AssetId.RADIATION_SUIT: AssetDef(AssetId.RADIATION_SUIT, "RadiationSuit", 0, 0, None),
-    AssetId.BERSERK: AssetDef(AssetId.BERSERK, "Berserk", 0, 0, None),
+    AssetId.HEALTH: AssetDef(AssetId.HEALTH, "Health", 0, 200),
+    AssetId.AMMUNITION: AssetDef(AssetId.AMMUNITION, "Ammunition", 0, 400),
+    AssetId.WEAPON: AssetDef(AssetId.WEAPON, "Weapon"),
+    AssetId.ARMOR: AssetDef(AssetId.ARMOR, "Armor", 0, 200),
+    AssetId.KEYS: AssetDef(AssetId.KEYS, "Keys"),
+    AssetId.POSITION: AssetDef(AssetId.POSITION, "Position"),
+    AssetId.INVISIBILITY: AssetDef(AssetId.INVISIBILITY, "Invisibility", 0),
+    AssetId.RADIATION_SUIT: AssetDef(AssetId.RADIATION_SUIT, "RadiationSuit", 0),
+    AssetId.BERSERK: AssetDef(AssetId.BERSERK, "Berserk", 0),
 }
 
 #: The five most frequently updated assets (§6: block size is tuned to

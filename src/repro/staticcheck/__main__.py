@@ -19,7 +19,8 @@ inferred footprints cover 100% of the runtime RWSet keys.
 
 Exit status 0 when every contract passes its gate (strict mode fails on
 warnings too) and every fuzz case is sound, 1 on findings or soundness
-violations, 2 on usage errors.
+violations, 2 on usage errors, among them a target in which handler
+discovery finds no handler.
 """
 
 from __future__ import annotations
@@ -148,6 +149,8 @@ def main(argv=None) -> int:
     for target in args.target:
         cls = _load(target)
         report = analyze_contract(cls, strict=not args.no_strict)
+        if not report.footprints:
+            raise _usage_error(f"found no handler in {target!r} (no HANDLERS, no on_* methods)")
         reports.append(report)
         sarif_groups.append(
             {

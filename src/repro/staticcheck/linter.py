@@ -9,6 +9,9 @@ Two entry points:
   recovering its class source with :mod:`inspect`; the defining
   module's namespace is used to see through import aliases.
 
+Both lint the bases the class inherits code from too
+(:func:`~repro.staticcheck.rwset.class_chain`).
+
 ``strict`` semantics (shared with the CLI and the codegen gate): errors
 always fail; in strict mode warnings fail too.
 """
@@ -16,12 +19,11 @@ always fail; in strict mode warnings fail too.
 from __future__ import annotations
 
 import ast
-import inspect
-import sys
 import textwrap
 from typing import List, Optional, Type
 
 from .rules import Diagnostic, SEVERITY_ERROR, run_rules
+from .rwset import class_chain
 
 __all__ = ["StaticCheckError", "lint_source", "lint_contract", "gate"]
 
@@ -45,15 +47,19 @@ def lint_source(
 ) -> List[Diagnostic]:
     """Lint contract source text; returns all diagnostics found."""
     tree = ast.parse(textwrap.dedent(source), filename=filename)
-    return run_rules(tree, env=env)
+    diagnostics = run_rules(tree, env=env)
+    if any(isinstance(node, ast.ClassDef) for node in tree.body):
+        for node, base_env in class_chain(source)[1:]:
+            diagnostics += run_rules(node, env=base_env)
+    return diagnostics
 
 
 def lint_contract(cls: Type) -> List[Diagnostic]:
     """Lint a live contract class from its recovered source."""
-    source = inspect.getsource(cls)
-    module = sys.modules.get(cls.__module__)
-    env = dict(getattr(module, "__dict__", {})) if module else None
-    return lint_source(source, env=env, filename=f"<{cls.__name__}>")
+    diagnostics: List[Diagnostic] = []
+    for node, env in class_chain(cls):
+        diagnostics += run_rules(node, env=env)
+    return diagnostics
 
 
 def gate(diagnostics: List[Diagnostic], strict: bool = True) -> List[Diagnostic]:

@@ -13,8 +13,9 @@ bodies:
   expression is partially evaluated (constants fold, f-strings become
   patterns, ``ctx.creator``/``payload[...]`` become tagged symbols).
 * ``self._helper(...)`` calls are inlined with their arguments bound,
-  so ``self._put(ctx, player, AssetId.HEALTH, v)`` resolves through the
-  helper's f-string to ``asset/{creator}/1``.
+  inherited helpers included, so ``self._write_asset(ctx, player,
+  AssetId.HEALTH, v)`` resolves through the base's key function to
+  ``asset/{creator}/1``.
 * Module-level key helpers (``asset_key``, ``item_key``, ...) resolved
   through the contract module's namespace are inlined the same way.
 * Both arms of unresolvable conditionals are explored and unioned, so
@@ -30,6 +31,7 @@ every invocation.
 from __future__ import annotations
 
 import ast
+import importlib
 import inspect
 import sys
 import textwrap
@@ -131,15 +133,8 @@ class _ObjV:
 
 @dataclass(frozen=True)
 class _MethodV:
-    """A reference to a method of the analyzed class (for inlining)."""
-
-    node: ast.FunctionDef
-    env: Optional[dict]
-
-
-@dataclass(frozen=True)
-class _FuncV:
-    """A module-level function we may inline."""
+    """A method of the analyzed class and the namespace of the module
+    that defines it (for inlining)."""
 
     node: ast.FunctionDef
     env: Optional[dict]
@@ -173,10 +168,16 @@ def _wrap_object(obj: Any) -> Any:
 
 @dataclass
 class _ClassInfo:
+    """A class merged with its :func:`class_chain`; the subclass wins."""
+
     name: str
-    node: ast.ClassDef
-    methods: Dict[str, ast.FunctionDef]
-    consts: Dict[str, Any]  # class attrs + __init__ parameter defaults
+    methods: Dict[str, _MethodV]
+    consts: Dict[str, Any]  # literal class attributes
+    #: API name -> the method its ``HANDLERS`` entry binds, as Python
+    #: binds it in the class body that declares the entry.
+    handlers: Dict[str, _MethodV]
+    #: API name -> its ``PAYLOADS`` entry and that entry's namespace.
+    payloads: Dict[str, Tuple[ast.expr, Optional[dict]]]
     env: Optional[dict]
 
 
@@ -187,52 +188,87 @@ def _literal(node: ast.AST) -> Tuple[bool, Any]:
         return False, None
 
 
-def _build_class_info(node: ast.ClassDef, env: Optional[dict]) -> _ClassInfo:
-    methods: Dict[str, ast.FunctionDef] = {}
+def _live_class(cls: type, class_name: Optional[str] = None) -> Tuple[ast.ClassDef, Optional[dict]]:
+    tree = ast.parse(textwrap.dedent(inspect.getsource(cls)))
+    module = sys.modules.get(cls.__module__)
+    env = dict(getattr(module, "__dict__", {})) if module else None
+    return _find_class(tree, class_name or cls.__name__), env
+
+
+def _imported_base(tree: ast.Module, node: ast.ClassDef) -> Optional[type]:
+    names = {base.id for base in node.bases if isinstance(base, ast.Name)}
+    for stmt in tree.body:
+        if isinstance(stmt, ast.ImportFrom) and (stmt.module or "").split(".")[0] == "repro":
+            for alias in stmt.names:
+                if (alias.asname or alias.name) in names:
+                    try:
+                        return getattr(importlib.import_module(stmt.module), alias.name)
+                    except (ImportError, AttributeError):
+                        return None
+    return None
+
+
+def class_chain(
+    target: Union[str, type], class_name: Optional[str] = None
+) -> List[Tuple[ast.ClassDef, Optional[dict]]]:
+    """The class and the ``Contract`` subclasses it inherits from, up
+    to ``Contract``: (definition, its module's namespace), nearest first.
+    Source text has no namespace and reaches its base through its own
+    ``from repro… import`` line."""
+    from ..blockchain.contracts import Contract
+
+    chain: List[Tuple[ast.ClassDef, Optional[dict]]]
+    if isinstance(target, str):
+        tree = ast.parse(textwrap.dedent(target))
+        node = _find_class(tree, class_name)
+        chain = [(node, None)]
+        base = _imported_base(tree, node)
+        bases = base.__mro__ if isinstance(base, type) else ()
+    else:
+        chain = [_live_class(target, class_name)]
+        bases = target.__mro__[1:]
+    for base in bases:
+        if base is Contract:
+            break
+        if issubclass(base, Contract):
+            chain.append(_live_class(base))
+    return chain
+
+
+def _build_class_info(chain: List[Tuple[ast.ClassDef, Optional[dict]]]) -> _ClassInfo:
+    methods: Dict[str, _MethodV] = {}
     consts: Dict[str, Any] = {}
-    for stmt in node.body:
-        if isinstance(stmt, ast.FunctionDef):
-            methods[stmt.name] = stmt
-        elif isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
-            target = stmt.targets[0]
-            if isinstance(target, ast.Name):
-                ok, value = _literal(stmt.value)
-                if ok:
-                    consts[target.id] = value
-    # Instance attributes assigned verbatim from __init__ parameters take
-    # the parameter's default (e.g. ``split_kvs=True``): the analyzer
-    # assumes the default deployment configuration.
-    init = methods.get("__init__")
-    if init is not None:
-        defaults: Dict[str, Any] = {}
-        args = init.args
-        positional = args.args[1:]  # drop self
-        for arg, default in zip(
-            positional[len(positional) - len(args.defaults):], args.defaults
-        ):
-            ok, value = _literal(default)
-            if ok:
-                defaults[arg.arg] = value
-        for kwarg, default in zip(args.kwonlyargs, args.kw_defaults):
-            if default is not None:
-                ok, value = _literal(default)
-                if ok:
-                    defaults[kwarg.arg] = value
-        for stmt in init.body:
-            if (
+    handlers: Dict[str, _MethodV] = {}
+    payloads: Dict[str, Tuple[ast.expr, Optional[dict]]] = {}
+    for node, env in reversed(chain):  # the base first: the subclass wins
+        for stmt in node.body:
+            if isinstance(stmt, ast.FunctionDef):
+                methods[stmt.name] = _MethodV(stmt, env)
+            elif (
                 isinstance(stmt, ast.Assign)
                 and len(stmt.targets) == 1
-                and isinstance(stmt.targets[0], ast.Attribute)
-                and isinstance(stmt.targets[0].value, ast.Name)
-                and stmt.targets[0].value.id == "self"
+                and isinstance(stmt.targets[0], ast.Name)
             ):
-                attr = stmt.targets[0].attr
+                name = stmt.targets[0].id
                 ok, value = _literal(stmt.value)
                 if ok:
-                    consts.setdefault(attr, value)
-                elif isinstance(stmt.value, ast.Name) and stmt.value.id in defaults:
-                    consts.setdefault(attr, defaults[stmt.value.id])
-    return _ClassInfo(name=node.name, node=node, methods=methods, consts=consts, env=env)
+                    consts[name] = value
+                if name not in ("HANDLERS", "PAYLOADS") or not isinstance(stmt.value, ast.Dict):
+                    continue
+                # A ``**`` splat has no key: its entries come from a base.
+                for key_node, value_node in zip(stmt.value.keys, stmt.value.values):
+                    ok, key = _const_eval(key_node, env) if key_node else (False, None)
+                    if not ok or not isinstance(key, str):
+                        continue
+                    if name == "PAYLOADS":
+                        payloads[key] = (value_node, env)
+                        continue
+                    # ``on_x`` or ``Base.on_x``: the method defined so far.
+                    bound = getattr(value_node, "id", getattr(value_node, "attr", None))
+                    if bound in methods:
+                        handlers[key] = methods[bound]
+    node, env = chain[0]
+    return _ClassInfo(node.name, methods, consts, handlers, payloads, env)
 
 
 # ----------------------------------------------------------------------
@@ -247,16 +283,16 @@ class _Analyzer:
 
     # -- entry ----------------------------------------------------------
 
-    def run_handler(self, method: ast.FunctionDef) -> None:
+    def run_handler(self, method: _MethodV) -> None:
         bind: Dict[str, Any] = {}
-        params = [a.arg for a in method.args.args]
+        params = [a.arg for a in method.node.args.args]
         roles = [_SELF, _CTX, _PAYLOAD]
         for name, role in zip(params, roles):
             bind[name] = role
         for name in params[len(roles):]:
             bind[name] = _SymV(Sym(f"param:{name}", SymKind.ARG))
         collector: List[Any] = []
-        self._exec_block(method.body, bind, self.info.env, collector)
+        self._exec_block(method.node.body, bind, method.env, collector)
 
     def footprint(self, handler: str) -> Footprint:
         reads = dict(self.reads)
@@ -672,7 +708,7 @@ class _Analyzer:
             return _UNKNOWN
         if base is _SELF:
             if attr in self.info.methods:
-                return _MethodV(self.info.methods[attr], env)
+                return self.info.methods[attr]
             if attr in self.info.consts:
                 return _wrap_object(self.info.consts[attr])
             return _UNKNOWN
@@ -696,29 +732,30 @@ class _Analyzer:
                 return self._eval_payload_call(func.attr, node, bind, env)
             if receiver is _SELF:
                 if func.attr in self.info.methods:
+                    method = self.info.methods[func.attr]
                     return self._inline(
-                        self.info.methods[func.attr], node, bind, env, skip_self=True
+                        method.node, node, bind, env, method.env, skip_self=True
                     )
                 self._eval_args(node, bind, env)
                 return _UNKNOWN
             if isinstance(receiver, (_Lit, _ObjV)):
                 return self._eval_resolved_call(receiver, func.attr, node, bind, env)
             if isinstance(receiver, _MethodV):  # bound method object?  rare
-                return self._inline(receiver.node, node, bind, receiver.env, skip_self=True)
+                return self._inline(
+                    receiver.node, node, bind, env, receiver.env, skip_self=True
+                )
             # unknown receiver: evaluate arguments for their side effects
             self._eval_args(node, bind, env)
             return _UNKNOWN
 
         callee = self._eval(func, bind, env)
         if isinstance(callee, _MethodV):
-            return self._inline(callee.node, node, bind, callee.env, skip_self=True)
-        if isinstance(callee, _FuncV):
-            return self._inline(callee.node, node, bind, callee.env, skip_self=False)
+            return self._inline(callee.node, node, bind, env, callee.env, skip_self=True)
         if isinstance(callee, _ObjV) and inspect.isfunction(callee.obj):
             inlined = self._function_ast(callee.obj)
             if inlined is not None:
                 return self._inline(
-                    inlined, node, bind, getattr(callee.obj, "__globals__", None),
+                    inlined, node, bind, env, getattr(callee.obj, "__globals__", None),
                     skip_self=False,
                 )
         if isinstance(func, ast.Name):
@@ -781,7 +818,7 @@ class _Analyzer:
                 inlined = self._function_ast(raw)
                 if inlined is not None:
                     return self._inline(
-                        inlined, node, bind, getattr(raw, "__globals__", None),
+                        inlined, node, bind, env, getattr(raw, "__globals__", None),
                         skip_self=inspect.ismethod(target),
                         prebound=args,
                     )
@@ -843,20 +880,21 @@ class _Analyzer:
         funcdef: ast.FunctionDef,
         call: ast.Call,
         caller_bind: Dict[str, Any],
+        caller_env: Optional[dict],
         callee_env: Optional[dict],
         skip_self: bool,
         prebound: Optional[List[Any]] = None,
     ) -> Any:
         if self._depth >= _MAX_INLINE_DEPTH:
-            self._eval_args(call, caller_bind, callee_env)
+            self._eval_args(call, caller_bind, caller_env)
             return _UNKNOWN
         args = (
             prebound
             if prebound is not None
-            else [self._eval(a, caller_bind, callee_env) for a in call.args]
+            else [self._eval(a, caller_bind, caller_env) for a in call.args]
         )
         kwargs = {
-            kw.arg: self._eval(kw.value, caller_bind, callee_env)
+            kw.arg: self._eval(kw.value, caller_bind, caller_env)
             for kw in call.keywords
             if kw.arg is not None
         }
@@ -959,85 +997,36 @@ def _const_eval(node: ast.AST, env: Optional[dict]) -> Tuple[bool, Any]:
     return False, None
 
 
-def _class_table(info: _ClassInfo, name: str) -> Optional[ast.Dict]:
-    """The dict display assigned to ``name`` in the class body, if any."""
-    for stmt in info.node.body:
-        if (
-            isinstance(stmt, ast.Assign)
-            and len(stmt.targets) == 1
-            and isinstance(stmt.targets[0], ast.Name)
-            and stmt.targets[0].id == name
-            and isinstance(stmt.value, ast.Dict)
-        ):
-            return stmt.value
-    return None
-
-
-def _discover_handlers(info: _ClassInfo) -> Dict[str, str]:
-    """Map public function name → method name for every handler."""
-    handlers = _class_table(info, "HANDLERS")
-    if handlers is not None:
-        table: Dict[str, str] = {}
-        for key_node, value_node in zip(handlers.keys, handlers.values):
-            if key_node is None:
-                continue
-            ok, key = _const_eval(key_node, info.env)
-            if not ok or not isinstance(key, str):
-                continue
-            if isinstance(value_node, ast.Name) and value_node.id in info.methods:
-                table[key] = value_node.id
-            elif (
-                isinstance(value_node, ast.Attribute)
-                and value_node.attr in info.methods
-            ):
-                table[key] = value_node.attr
-        if table:
-            return table
+def _discover_handlers(info: _ClassInfo) -> Dict[str, _MethodV]:
+    """Map public function name → handler method."""
+    if info.handlers:
+        return info.handlers
     # Fallback: lifecycle + on_* naming convention.
-    table = {}
-    if "add_player" in info.methods:
-        table["addPlayer"] = "add_player"
-    if "start_game" in info.methods:
-        table["startGame"] = "start_game"
-    for name in info.methods:
+    table = {
+        api: info.methods[name]
+        for api, name in (("addPlayer", "add_player"), ("startGame", "start_game"))
+        if name in info.methods
+    }
+    for name, method in info.methods.items():
         if name.startswith("on_"):
-            table[name[3:]] = name
+            table[name[3:]] = method
     return table
 
 
 def infer_footprints(
-    target: Union[str, type],
-    class_name: Optional[str] = None,
-    include_runtime: bool = True,
+    target: Union[str, type], class_name: Optional[str] = None
 ) -> Dict[str, Footprint]:
     """Infer per-handler footprints for a contract.
 
     ``target`` is either a live :class:`Contract` subclass or contract
-    source text (e.g. generated by ``generate_contract_source``).
-    Returns ``{public function name: Footprint}``.
+    source text (e.g. generated by ``generate_contract_source``); what
+    it inherits is analysed too (:func:`class_chain`).  Returns
+    ``{public function name: Footprint}``.
     """
-    if isinstance(target, str):
-        tree = ast.parse(textwrap.dedent(target))
-        node = _find_class(tree, class_name)
-        env: Optional[dict] = None
-    else:
-        source = textwrap.dedent(inspect.getsource(target))
-        tree = ast.parse(source)
-        node = _find_class(tree, class_name or target.__name__)
-        module = sys.modules.get(target.__module__)
-        env = dict(getattr(module, "__dict__", {})) if module else None
-
-    info = _build_class_info(node, env)
+    info = _build_class_info(class_chain(target, class_name))
     footprints: Dict[str, Footprint] = {}
-    for public_name, method_name in sorted(_discover_handlers(info).items()):
+    for public_name, method in sorted(_discover_handlers(info).items()):
         analyzer = _Analyzer(info)
-        analyzer.run_handler(info.methods[method_name])
-        if not include_runtime:
-            footprints[public_name] = Footprint(
-                handler=public_name,
-                reads=tuple(analyzer.reads.values()),
-                writes=tuple(analyzer.writes.values()),
-            )
-        else:
-            footprints[public_name] = analyzer.footprint(public_name)
+        analyzer.run_handler(method)
+        footprints[public_name] = analyzer.footprint(public_name)
     return footprints

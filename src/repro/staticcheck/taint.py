@@ -58,8 +58,6 @@ findings are reported separately, never silently dropped.
 from __future__ import annotations
 
 import ast
-import inspect
-import textwrap
 from dataclasses import dataclass, field
 from typing import Any, Dict, FrozenSet, List, Optional, Set, Tuple
 
@@ -73,10 +71,9 @@ from .rwset import (
     _UNKNOWN,
     _UnionV,
     _build_class_info,
-    _class_table,
     _const_eval,
     _discover_handlers,
-    _find_class,
+    class_chain,
     make_pattern,
 )
 from .symbols import KeyPattern, Sym, SymKind
@@ -280,7 +277,7 @@ class _TaintAnalyzer(_Analyzer):
 
     def _eval_payload_call(self, attr: str, node: ast.Call, bind, env) -> Any:
         if attr == "get" and node.args:
-            ok, name = _const_eval(node.args[0], self.info.env)
+            ok, name = _const_eval(node.args[0], env)
             if ok and isinstance(name, str):
                 self.fields_read.setdefault(name, node.lineno)
         return super()._eval_payload_call(attr, node, bind, env)
@@ -582,16 +579,12 @@ def _declared_fields(info) -> Optional[Dict[str, Optional[Set[str]]]]:
     (empty when it has no entry; None when an entry is unresolvable).
     None for a class with no ``HANDLERS`` table: CHT005 concerns the
     dispatch of :meth:`Contract.invoke` only."""
-    if _class_table(info, "HANDLERS") is None:
+    if not info.handlers:
         return None
-    declared: Dict[str, Optional[Set[str]]] = {}
-    table = _class_table(info, "PAYLOADS")
-    if table is not None:
-        for key_node, value_node in zip(table.keys, table.values):
-            ok, handler = _const_eval(key_node, info.env) if key_node else (False, None)
-            if ok and isinstance(handler, str):
-                declared[handler] = _field_names(value_node, info.env)
-    return declared
+    return {
+        handler: _field_names(value_node, env)
+        for handler, (value_node, env) in info.payloads.items()
+    }
 
 
 def _undeclared_field_diags(
@@ -651,9 +644,9 @@ def _taint_class(info) -> TaintReport:
     )
     report = TaintReport(contract=info.name, waivers=waivers)
     declared = _declared_fields(info)
-    for public_name, method_name in sorted(_discover_handlers(info).items()):
+    for public_name, method in sorted(_discover_handlers(info).items()):
         analyzer = _TaintAnalyzer(info)
-        analyzer.run_handler(info.methods[method_name])
+        analyzer.run_handler(method)
         diags = _emit_handler_diags(public_name, analyzer)
         if declared is not None:
             diags += _undeclared_field_diags(
@@ -671,18 +664,9 @@ def _taint_class(info) -> TaintReport:
 
 def taint_source(source: str, class_name: Optional[str] = None) -> TaintReport:
     """Run the CHT rules over contract source text."""
-    tree = ast.parse(textwrap.dedent(source))
-    node = _find_class(tree, class_name)
-    return _taint_class(_build_class_info(node, env=None))
+    return _taint_class(_build_class_info(class_chain(source, class_name)))
 
 
 def taint_contract(cls: type, class_name: Optional[str] = None) -> TaintReport:
     """Run the CHT rules over a live contract class."""
-    import sys
-
-    source = textwrap.dedent(inspect.getsource(cls))
-    tree = ast.parse(source)
-    node = _find_class(tree, class_name or cls.__name__)
-    module = sys.modules.get(cls.__module__)
-    env = dict(getattr(module, "__dict__", {})) if module else None
-    return _taint_class(_build_class_info(node, env))
+    return _taint_class(_build_class_info(class_chain(cls, class_name)))

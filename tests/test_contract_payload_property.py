@@ -9,6 +9,11 @@ nested values.  ``execute_transaction`` must answer ``VALID`` or
 ``CONTRACT_REJECTED``, and ``apply_invocation`` may raise only
 ``ContractError``: ``Contract.invoke`` checks the payload against the
 handler's ``PAYLOADS`` shape before the handler reads any state.
+
+The two positional-args contracts, ``ShardAssetContract`` and
+``ChaosCounterContract``, get argument tuples of every length drawn
+from the same values, and answer the same way: each checks the call
+against its ``SIGNATURES`` entry with ``check_args`` first.
 """
 
 from __future__ import annotations
@@ -24,11 +29,14 @@ from repro.blockchain import CertificateAuthority, WorldState
 from repro.blockchain.contracts import (
     ContractError,
     apply_invocation,
+    check_args,
     check_payload,
     execute_transaction,
     nonce_key,
 )
+from repro.blockchain.swaps import ShardAssetContract
 from repro.blockchain.transaction import Proposal, Transaction, TxValidationCode
+from repro.chaos.workload import ChaosCounterContract
 from repro.core import DoomContract, MonopolyContract, doom_spec, generate_contract, parse_spec
 
 PLAYERS = ("p1", "p2")
@@ -126,6 +134,62 @@ def test_any_payload_is_a_verdict_or_a_contract_error(name, certificate):
         try:
             apply_invocation(contract, _started_state(contract), creator, function,
                              (payload,), t)
+        except ContractError:
+            pass
+
+    check()
+
+
+#: Each positional-args contract, with the calls that set up its state:
+#: an asset locked by a swap, a counter above zero.
+POSITIONAL = {
+    "shardasset": (
+        ShardAssetContract, [("mint", ("a", "o", 5)), ("swap_prepare_out", ("s", "a"))],
+    ),
+    "chaoscounter": (ChaosCounterContract, [("init", ("c",)), ("add", ("c", 3))]),
+}
+positional_arg = (
+    st.sampled_from(["a", "b", "c", "o", "s"]) | st.integers(min_value=-3, max_value=10) | values
+)
+positional_args = st.lists(positional_arg, max_size=5).map(tuple) | values
+
+
+def _setup_state(contract, calls):
+    state = WorldState()
+    for function, args in calls:
+        apply_invocation(contract, state, PLAYERS[0], function, args, 0.0)
+    return state
+
+
+@pytest.mark.parametrize("name", sorted(POSITIONAL))
+def test_any_positional_args_are_a_verdict_or_a_contract_error(name, certificate):
+    make, calls = POSITIONAL[name]
+    contract = make()
+
+    @given(
+        function=st.sampled_from(sorted(contract.functions())),
+        args=positional_args,
+        t=st.floats(min_value=0.0, max_value=1e6),
+    )
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def check(function, args, t):
+        proposal = Proposal(
+            tx_id="prop", contract=contract.name, function=function, args=args,
+            nonce="n", creator=PLAYERS[0], timestamp=t,
+        )
+        tx = Transaction(proposal=proposal, certificate=certificate, signature=0)
+        execution = execute_transaction(contract, tx, _setup_state(contract, calls))
+        assert execution.code in (
+            TxValidationCode.VALID, TxValidationCode.CONTRACT_REJECTED
+        )
+        try:
+            check_args(contract.SIGNATURES[function], args)
+        except ContractError:
+            # Refused before the function read any state.
+            assert execution.rwset.reads == [(nonce_key(PLAYERS[0], "n"), None)]
+        try:
+            apply_invocation(contract, _setup_state(contract, calls), PLAYERS[0],
+                             function, args, t)
         except ContractError:
             pass
 

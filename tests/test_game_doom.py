@@ -34,6 +34,16 @@ class TestAssets:
         assert not health.in_bounds(-1)
         assert not health.in_bounds(201)
 
+    def test_bounds_match_the_spec(self):
+        from repro.core import doom_spec
+
+        spec = doom_spec().assets
+        bounded = [aid for aid, asset in ASSETS.items() if asset.minimum is not None]
+        assert len(bounded) == 6
+        for aid in bounded:
+            asset = ASSETS[aid]
+            assert (asset.minimum, asset.maximum) == (spec[aid].minimum, spec[aid].maximum)
+
     def test_initial_assets_complete(self):
         init = initial_assets()
         assert set(init) == set(AssetId.ALL)

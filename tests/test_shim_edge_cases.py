@@ -27,7 +27,6 @@ class TestMonolithicShim:
         game_map = DoomMap.default_map()
         session = GameSession(
             n_peers=4, profile=LAN_1GBPS, n_players=1,
-            shim_config=ShimConfig(split_kvs=False),
             game_map=game_map,
             contract_factory=lambda: DoomContract(game_map=game_map,
                                                   split_kvs=False),

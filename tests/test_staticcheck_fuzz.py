@@ -123,6 +123,14 @@ class TestCli:
             assert location["artifactLocation"]["uri"].startswith("fixtures/")
         assert all(r["ruleId"].startswith("CHT") for r in results)
 
+    def test_target_without_handlers_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            staticcheck_main(["repro.blockchain.swaps:ShardAssetContract"])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert "found no handler" in captured.err
+        assert "Verdict" not in captured.out
+
     def test_fuzz_rejects_targets(self):
         with pytest.raises(SystemExit) as excinfo:
             staticcheck_main([
