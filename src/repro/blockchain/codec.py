@@ -441,7 +441,6 @@ def _encode_vote(out: bytearray, msg: VoteMsg) -> None:
     if len(msg.votes) & 7:
         packed.append(bits)
     out += packed
-    _write_zigzag(out, msg.signature)
     out.append(_attestation_flags(msg))
 
 
@@ -451,11 +450,10 @@ def _decode_vote(r: _Reader) -> VoteMsg:
     n_votes = r.varint()
     packed = r.take((n_votes + 7) // 8)
     votes = tuple(bool(packed[i >> 3] & (1 << (i & 7))) for i in range(n_votes))
-    signature = r.zigzag()
     is_reply, is_retry = _read_attestation_flags(r)
     return VoteMsg(
         block_number=block_number, voter=voter, votes=votes,
-        signature=signature, is_reply=is_reply, is_retry=is_retry,
+        is_reply=is_reply, is_retry=is_retry,
     )
 
 

@@ -145,13 +145,27 @@ class Contract:
     state and turns the game rules' ``RULE_ERRORS`` into
     :class:`ContractError`: no other exception leaves it.  A contract
     whose functions take positional args overrides :meth:`invoke` and
-    checks each call with :func:`check_args`.
+    checks each call with :func:`check_args`.  A subclass that overrides
+    a handler must rebind ``HANDLERS``; defining one that does not raises
+    :class:`TypeError`.
     """
 
     name: str = "contract"
     HANDLERS: Dict[str, Callable[..., Any]] = {}
     PAYLOADS: Dict[str, PayloadShape] = {}
     RULE_ERRORS: Tuple[Type[Exception], ...] = ()
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        # invoke dispatches through the function objects in HANDLERS, so
+        # an override that HANDLERS does not rebind would never run.
+        super().__init_subclass__(**kwargs)
+        for handler in cls.HANDLERS.values():
+            name = getattr(handler, "__name__", repr(handler))
+            if getattr(cls, name, None) is not handler:
+                raise TypeError(
+                    f"{cls.__name__}.HANDLERS dispatches to a {name} that is "
+                    f"not {cls.__name__}.{name}: rebind HANDLERS after overriding it"
+                )
 
     def invoke(self, ctx: InvocationContext, function: str, args: Tuple[Any, ...]) -> Any:
         handler = self.HANDLERS.get(function)

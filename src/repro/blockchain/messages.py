@@ -48,7 +48,6 @@ class VoteMsg:
     block_number: int
     voter: str
     votes: Tuple[bool, ...]
-    signature: int = 0
     #: True on the anti-entropy *answer* to a re-broadcast vote; a reply
     #: must never be answered in turn or two peers ping-pong forever.
     is_reply: bool = False

@@ -16,6 +16,10 @@ Event validation therefore has two stages (§6, Optimizations):
    transaction's status only becomes observable to clients once a
    majority of peers report the same state hash.
 
+Both stages are one mechanism, :class:`_Stage`, used twice: every peer
+collects one attestation per elector per block, counts them and
+decides at a quorum.
+
 Each peer serialises its CPU work (signature checks, contract
 execution, vote and sync-hash processing) on a single simulated core.
 Because every peer must process one vote and one sync hash from every
@@ -25,13 +29,14 @@ other peer per block, per-block CPU grows linearly with the peer count
 That CPU time is charged for every attestation on arrival, but only an
 attestation that can *decide* something gets a scheduler event of its
 own; the rest wait in a per-peer inbox and are absorbed by the next
-reader of the tallies (DESIGN.md §16 states the invariants).
+reader of the counts (DESIGN.md §16 states the invariants).
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Dict, FrozenSet, List, Optional, Set, Tuple, Union
+from operator import attrgetter
+from typing import Any, Callable, Deque, Dict, FrozenSet, List, Optional, Set, Tuple, Union
 
 from ..simnet.topology import Host
 from .block import Block
@@ -57,6 +62,73 @@ __all__ = ["Peer"]
 Attestation = Union[VoteMsg, SyncHashMsg]
 
 
+class _Stage:
+    """One attestation stage: stage 1's per-transaction ballots or stage
+    2's post-commit state hashes.
+
+    ``height`` is the last block the stage has finished (committed, or
+    synchronised); an attestation at or below it is stale.  ``decided``
+    holds the blocks above it whose outcome is already fixed (a commit
+    in flight).  For each undecided block the stage keeps each elector's
+    latest attestation, a count for each distinct value, and the
+    arrivals the arming rule counts; for each block this peer executed
+    (votes) or committed (hashes), its own attestation, kept to answer
+    retries.
+    """
+
+    __slots__ = (
+        "msg_type", "fields", "cost_ms", "size_bytes", "decide", "arm_at",
+        "height", "decided", "by_sender", "counts", "seen", "own",
+    )
+
+    def __init__(
+        self,
+        msg_type: Callable[..., Attestation],
+        sender: str,
+        value: str,
+        cost_ms: float,
+        size_bytes: int,
+        decide: Callable[[int, Optional[Attestation]], None],
+    ):
+        #: Builds an attestation from the positional shape both message
+        #: types share, ``(block_number, sender, value, is_reply,
+        #: is_retry)``; :attr:`fields` reads it back.
+        self.msg_type = msg_type
+        self.fields = attrgetter("block_number", sender, value, "is_reply", "is_retry")
+        self.cost_ms = cost_ms
+        self.size_bytes = size_bytes
+        #: The peer's reader of the counts, ``_try_commit`` / ``_try_sync``;
+        #: an armed attestation's event calls it with the block and itself.
+        self.decide = decide
+        #: Arrivals from other peers at which one attestation could decide
+        #: its block (see ``Peer._set_electorate``).
+        self.arm_at = 0
+        self.height = 0
+        self.decided: Set[int] = set()
+        self.by_sender: Dict[int, Dict[str, Any]] = {}
+        self.counts: Dict[int, Dict[Any, int]] = {}
+        self.seen: Dict[int, int] = {}
+        self.own: Dict[int, Any] = {}
+
+    def finish(self, number: int) -> None:
+        """Block ``number`` is done: move past it, drop what it collected."""
+        self.height = number
+        self.decided.discard(number)
+        self.by_sender.pop(number, None)
+        self.counts.pop(number, None)
+        self.seen.pop(number, None)
+
+    def reset(self, durable: int) -> None:
+        """A crash: every open block's attestations die with the process.
+        Own attestations for blocks in the durable ledger are derived
+        from it and survive."""
+        self.decided.clear()
+        self.by_sender.clear()
+        self.counts.clear()
+        self.seen.clear()
+        self.own = {n: v for n, v in self.own.items() if n <= durable}
+
+
 class Peer(Host):
     """One blockchain peer (a player's network entity, §4.2)."""
 
@@ -80,39 +152,39 @@ class Peer(Host):
         #: Block validation; see :mod:`repro.blockchain.execution`.
         self.executor = ValidationExecutor()
 
+        config = self.config
+        #: Stage 1; its height is the committed height.
+        self._vote_stage = _Stage(
+            VoteMsg, "voter", "votes",
+            config.vote_verify_ms, config.vote_msg_bytes, self._try_commit,
+        )
+        #: Stage 2; its height is the synchronised height.
+        self._sync_stage = _Stage(
+            SyncHashMsg, "sender", "state_hash",
+            config.sync_verify_ms, config.sync_msg_bytes, self._try_sync,
+        )
+        self._stages = (self._vote_stage, self._sync_stage)
+        self._stage_of = {VoteMsg: self._vote_stage, SyncHashMsg: self._sync_stage}
+
         self._peers: List[Host] = []
         self._set_electorate([name])
         self.orderer: Optional[Host] = None  # for gap-recovery requests
 
         self._pending_blocks: Dict[int, Block] = {}
         self._executions: Dict[int, List[TxExecution]] = {}
-        self._votes: Dict[int, Dict[str, Tuple[bool, ...]]] = {}
-        #: Incremental per-block tally: one ``[yes, cast]`` pair per tx
-        #: index, maintained by _record_vote so _try_commit's majority
-        #: fast path is O(txs) per call instead of O(txs × votes).
-        self._vote_tally: Dict[int, List[List[int]]] = {}
-        self._sync_hashes: Dict[int, Dict[str, str]] = {}
-        #: Incremental per-block count of recorded sync hashes by value,
-        #: mirroring _sync_hashes for O(1) quorum checks in _try_sync.
-        self._sync_match: Dict[int, Dict[str, int]] = {}
+        #: Own state hash per committed block announced and not yet
+        #: synchronised.
         self._own_hash: Dict[int, str] = {}
         #: Attestation inbox: votes and sync hashes whose CPU time is
-        #: charged but which the tallies above have not absorbed yet, as
-        #: ``(done, src, msg)`` in arrival order (``done`` never falls:
-        #: the CPU is serial).  See handle_message and _drain_inbox.
-        self._inbox: Deque[Tuple[float, Host, Attestation]] = deque()
-        #: Attestations received per undecided block, the arming
-        #: predicates' upper bound on what the tallies can hold.
-        self._votes_seen: Dict[int, int] = {}
-        self._hashes_seen: Dict[int, int] = {}
+        #: charged but which the counts have not absorbed yet, as
+        #: ``(done, src, stage, msg)`` in arrival order (``done`` never
+        #: falls: the CPU is serial).  See handle_message and _drain_inbox.
+        self._inbox: Deque[Tuple[float, Host, _Stage, Attestation]] = deque()
         #: Attestations that got a scheduler event of their own.
         self.attestations_armed = 0
 
         self._executed_height = 0
-        self._committed_height = 0
-        self._synced_height = 0
         self._executing = False
-        self._commit_scheduled: Set[int] = set()
         self._cpu_free_at = 0.0
         self._sync_free_at = 0.0
         # Process generation: bumped on crash so that callbacks scheduled
@@ -128,18 +200,10 @@ class Peer(Host):
         # local (deterministic) execution without a fresh vote round.
         self._catch_up_below = 0
         self._backfill_requested_to = 0
-        # Own per-block attestations, kept after commit so a lagging
-        # peer's vote / sync-hash retries can be answered (the return
-        # half of anti-entropy: re-broadcasting alone cannot rebuild a
-        # quorum whose other attestations were dropped).
-        self._vote_history: Dict[int, Tuple[bool, ...]] = {}
-        self._state_hash_history: Dict[int, str] = {}
 
         #: Set when consensus contradicted this peer's own execution —
         #: either the peer is faulty or it is being equivocated against.
         self.diverged = False
-        #: sim-time each block became synchronised (for latency metrics).
-        self.block_synced_at: Dict[int, float] = {}
         self.on_block_synced: Optional[Callable[[int, Block], None]] = None
         #: Optional :class:`repro.telemetry.Telemetry`; every hook site
         #: guards on ``is not None``, keeping disabled runs cost-free.
@@ -172,16 +236,16 @@ class Peer(Host):
         total = len(names)
         config = self.config
         counts_decide = self.policy.is_simple_majority and config.vote_verify_ms > 0
-        self._vote_arm_at = (total + 1) // 2 - 1 if counts_decide else 0
-        self._hash_arm_at = total // 2 if config.sync_verify_ms > 0 else 0
+        self._vote_stage.arm_at = (total + 1) // 2 - 1 if counts_decide else 0
+        self._sync_stage.arm_at = total // 2 if config.sync_verify_ms > 0 else 0
 
     @property
     def synced_height(self) -> int:
-        return self._synced_height
+        return self._sync_stage.height
 
     @property
     def committed_height(self) -> int:
-        return self._committed_height
+        return self._vote_stage.height
 
     # ------------------------------------------------------------------
     # crash / restart (chaos churn)
@@ -194,15 +258,11 @@ class Peer(Host):
         self._generation += 1  # orphan every scheduled callback
         self._pending_blocks.clear()
         self._executions.clear()
-        self._votes.clear()
-        self._vote_tally.clear()
-        self._sync_hashes.clear()
-        self._sync_match.clear()
         self._own_hash.clear()
         self._inbox.clear()
-        self._votes_seen.clear()
-        self._hashes_seen.clear()
-        self._commit_scheduled.clear()
+        durable = self.ledger.height - 1
+        for stage in self._stages:
+            stage.reset(durable)
         self._executing = False
         self._cpu_free_at = 0.0
         self._sync_free_at = 0.0
@@ -210,12 +270,6 @@ class Peer(Host):
         self._backfill_requested_to = 0
         self._retry_timer = None
         self._retry_attempts = 0
-        # Attestations for committed blocks are derived from the durable
-        # ledger and survive; anything above it died with the process.
-        durable = self.ledger.height - 1
-        self._vote_history = {
-            n: v for n, v in self._vote_history.items() if n <= durable
-        }
         if self.network is not None:
             self.network.condition(self.name).down = True
 
@@ -225,12 +279,12 @@ class Peer(Host):
         rest of the network finalised while we were down are recovered by
         gap detection on the next delivery."""
         committed = self.ledger.height - 1
-        self._committed_height = committed
+        self._vote_stage.height = committed
         self._executed_height = committed
         # Sync attestations for committed-but-unsynced blocks died with
         # the process; the durable ledger is authoritative for them, the
         # same trust catch-up extends to blocks finalised network-wide.
-        self._synced_height = committed
+        self._sync_stage.height = committed
         if self.network is not None:
             self.network.condition(self.name).down = False
 
@@ -257,36 +311,29 @@ class Peer(Host):
     # message handling
 
     def handle_message(self, src: Host, payload) -> None:
-        # Exact-type dispatch ordered by frequency: at N peers the vote
-        # and sync-hash gossip is O(N²) per block while deliveries are
-        # O(N) — the two hot arms go first.
+        # The O(N²)-per-block attestation gossip goes first; deliveries
+        # are O(N).
         kind = type(payload)
-        if kind is VoteMsg or kind is SyncHashMsg:
+        stage = self._stage_of.get(kind)
+        if stage is not None:
             # Every attestation pays its verification on the serial CPU
-            # and joins the inbox; only one that is a retry or could
-            # complete a quorum also gets an event at ``done``.  The
-            # others change nothing anyone can see before the next
-            # reader of the tallies drains them.
-            if kind is VoteMsg:
-                cost = self.config.vote_verify_ms
-                fn = self._on_vote
-                armed = self._vote_arms(payload)
-            else:
-                cost = self.config.sync_verify_ms
-                fn = self._on_sync_hash
-                armed = self._sync_hash_arms(payload)
-            if armed:
-                self.attestations_armed += 1
-                self._compute(cost, fn, src, payload)
+            # (_compute's arithmetic) and joins the inbox; only one that
+            # is a retry or could complete a quorum also gets an event at
+            # ``done``.  The others change nothing anyone can see before
+            # the next reader of the counts drains them.
+            sched = self.network.scheduler
+            done = sched.now
+            if self._cpu_free_at > done:
                 done = self._cpu_free_at
-            else:
-                # _compute's CPU arithmetic without its event.
-                done = self.network.scheduler.now
-                if self._cpu_free_at > done:
-                    done = self._cpu_free_at
-                done += cost
-                self._cpu_free_at = done
-            self._inbox.append((done, src, payload))
+            done += stage.cost_ms
+            self._cpu_free_at = done
+            if self._arms(stage, payload):
+                self.attestations_armed += 1
+                sched.call_at_anon(
+                    done, self._run_if_alive, self._generation,
+                    stage.decide, payload.block_number, payload,
+                )
+            self._inbox.append((done, src, stage, payload))
         elif kind is DeliverBlock:
             self._on_block(payload.block)
         elif kind is QueryTxStatus:
@@ -295,34 +342,26 @@ class Peer(Host):
             raise TypeError(f"peer cannot handle {type(payload).__name__}")
 
     # ------------------------------------------------------------------
-    # attestation inbox
+    # attestations: arming, the inbox, recording
 
-    def _vote_arms(self, msg: VoteMsg) -> bool:
+    def _arms(self, stage: _Stage, msg: Attestation) -> bool:
         """Whether ``msg`` needs a scheduler event of its own: it is a
         retry (the reply is due exactly when the CPU is done with it), or
         recording it could decide its block.  Conservative: it may say
-        yes for a vote that decides nothing, never no for one that does.
+        yes for an attestation that decides nothing, never no for one
+        that does.
         """
         number = msg.block_number
-        if number <= self._committed_height or number in self._commit_scheduled:
-            return msg.is_retry  # decided: nothing is left for a vote to do
-        seen = self._votes_seen.get(number, 0) + 1
-        self._votes_seen[number] = seen
-        return seen >= self._vote_arm_at or msg.is_retry
-
-    def _sync_hash_arms(self, msg: SyncHashMsg) -> bool:
-        """:meth:`_vote_arms` for the ledger-synchronisation stage."""
-        number = msg.block_number
-        if number <= self._synced_height:
-            return msg.is_retry
-        seen = self._hashes_seen.get(number, 0) + 1
-        self._hashes_seen[number] = seen
-        return seen >= self._hash_arm_at or msg.is_retry
+        if number <= stage.height or number in stage.decided:
+            return msg.is_retry  # decided: nothing is left for it to do
+        seen = stage.seen.get(number, 0) + 1
+        stage.seen[number] = seen
+        return seen >= stage.arm_at or msg.is_retry
 
     def _drain_inbox(self, through: Optional[Attestation] = None) -> None:
         """Absorb every queued attestation the CPU finished before now.
 
-        Each reader of the tallies calls this first, so it sees what the
+        Each reader of the counts calls this first, so it sees what the
         one-event-per-attestation schedule would have recorded by now.
         An attestation finished *at* this instant belongs to an event
         that may be ordered after the caller's, so it stays queued —
@@ -331,30 +370,65 @@ class Peer(Host):
         """
         inbox = self._inbox
         now = self.network.scheduler.now
+        record = self._record
         while inbox:
             done = inbox[0][0]
             if done > now or (done == now and through is None):
                 return
-            _, src, msg = inbox.popleft()
+            _, src, stage, msg = inbox.popleft()
             if msg is through:
                 through = None
-            # A stale attestation is recorded nowhere; if it is a retry
-            # its sender is waiting for our half of the exchange.
-            if type(msg) is VoteMsg:
-                if msg.block_number > self._committed_height:
-                    self._record_vote(msg)
-                elif msg.is_retry:
-                    self._answer_vote_retry(src, msg)
-            elif msg.block_number > self._synced_height:
-                self._record_sync_hash(msg)
-            elif msg.is_retry:
-                self._answer_sync_retry(src, msg)
+            # A stale attestation that is not a retry asks nothing of us.
+            if msg.block_number > stage.height or msg.is_retry:
+                record(stage, src, msg)
+
+    def _record(self, stage: _Stage, src: Host, msg: Attestation) -> None:
+        """Count ``msg`` towards its block's quorum in ``stage``.
+
+        A stale attestation is counted nowhere.  If it is a retry, its
+        sender is behind: it re-broadcast because the quorum it waits
+        for was lost in transit, so answer with our own attestation for
+        that block and the quorum can re-form.  A first broadcast that
+        arrives after our quorum was merely late and solicits nothing,
+        and a reply is never answered, or two peers ping-pong forever.
+        """
+        number, sender, value, is_reply, is_retry = stage.fields(msg)
+        if number <= stage.height:
+            if is_retry and not is_reply and sender != self.name:
+                own = stage.own.get(number)
+                if own is not None:
+                    reply = stage.msg_type(number, self.name, own, True)
+                    self.send(src, reply, size_bytes=stage.size_bytes)
+            return
+        if sender not in self._electors:
+            return  # not part of this game session
+        by_sender = stage.by_sender.get(number)
+        if by_sender is None:
+            by_sender = stage.by_sender[number] = {}
+            counts = stage.counts[number] = {}
+        else:
+            counts = stage.counts[number]
+        old = by_sender.get(sender)
+        if old == value:
+            return  # duplicate (anti-entropy re-broadcast): counts unchanged
+        # Overwrite-aware: a sender attesting differently first backs out
+        # its old value.
+        by_sender[sender] = value
+        if old is not None:
+            counts[old] -= 1
+        counts[value] = counts.get(value, 0) + 1
+
+    def _attest(self, stage: _Stage, number: int, value: Any) -> None:
+        """Record and broadcast this peer's own attestation."""
+        msg = stage.msg_type(number, self.name, value)
+        self._record(stage, self, msg)
+        self.send_many(self._peers, msg, size_bytes=stage.size_bytes)
 
     # ------------------------------------------------------------------
     # stage 1: execute + vote
 
     def _on_block(self, block: Block) -> None:
-        if block.number <= self._committed_height:
+        if block.number <= self._vote_stage.height:
             return  # duplicate delivery
         if self.telemetry is not None and block.number not in self._pending_blocks:
             self.telemetry.block_delivered(self.name, block)
@@ -365,13 +439,13 @@ class Peer(Host):
         # A delivery can unblock the commit of an *older* executed block:
         # _detect_gap may have just raised _catch_up_below past it, turning
         # a vote quorum that will never arrive into a catch-up commit.
-        self._try_commit(self._committed_height + 1)
+        self._try_commit(self._vote_stage.height + 1)
         # Likewise the *sync* of an older committed block: once it lies
         # below _catch_up_below its hash quorum is no longer needed.
         # Trying here means every state change that can finish a sync
         # (own announce, a recorded hash, this one) tries it at once,
         # rather than leaving it to whichever hash happens to arrive next.
-        self._try_sync(self._synced_height + 1)
+        self._try_sync(self._sync_stage.height + 1)
         self._ensure_anti_entropy()
 
     def _detect_gap(self, delivered: int) -> None:
@@ -383,40 +457,44 @@ class Peer(Host):
         executing or collecting votes — is NOT a gap: those blocks are
         buffered in ``_pending_blocks`` and commit normally.
         """
-        nxt = self._committed_height + 1
+        if self._request_missing(delivered, again=False):
+            self._catch_up_below = max(self._catch_up_below, delivered)
+
+    def _request_missing(self, below: int, again: bool) -> bool:
+        """Ask the ordering service for every block under ``below`` that
+        this peer neither holds nor has executed; say whether any is.
+        A range already asked for is asked ``again`` only by an
+        anti-entropy round."""
         missing = [
             n
-            for n in range(nxt, delivered)
+            for n in range(self._vote_stage.height + 1, below)
             if n not in self._pending_blocks and n > self._executed_height
         ]
-        if not missing:
-            return
-        self._catch_up_below = max(self._catch_up_below, delivered)
-        if self.orderer is None:
-            return
-        if max(missing) <= self._backfill_requested_to:
-            return  # already asked
-        self._backfill_requested_to = max(missing)
-        self.send(
-            self.orderer,
-            RequestBlocks(from_number=min(missing), to_number=max(missing)),
-            size_bytes=self.config.query_msg_bytes,
-        )
+        if missing and self.orderer is not None and (
+            again or missing[-1] > self._backfill_requested_to
+        ):
+            self._backfill_requested_to = max(self._backfill_requested_to, missing[-1])
+            self.send(
+                self.orderer,
+                RequestBlocks(from_number=missing[0], to_number=missing[-1]),
+                size_bytes=self.config.query_msg_bytes,
+            )
+        return bool(missing)
 
     def _maybe_execute(self) -> None:
         nxt = self._executed_height + 1
         if self._executing or nxt not in self._pending_blocks:
             return
-        if self._committed_height < nxt - 1:
+        if self._vote_stage.height < nxt - 1:
             return  # contract state basis for block n is block n-1's commit
         block = self._pending_blocks[nxt]
         self._executing = True
         cost = len(block.transactions) * (
             self.config.exec_ms_per_tx + self.config.sig_verify_ms
         )
-        self._compute(cost, self._finish_execute, block)
+        self._compute(cost, self._finish_execute, block, cost)
 
-    def _finish_execute(self, block: Block) -> None:
+    def _finish_execute(self, block: Block, cost: float) -> None:
         # The in-order loop over one speculative overlay, or another
         # peer's identical results for the same block on the same basis
         # state — see :mod:`repro.blockchain.execution`.
@@ -425,18 +503,12 @@ class Peer(Host):
         self._executed_height = block.number
         self._executing = False
         if self.telemetry is not None:
-            # Execution ends exactly now; its serialised CPU cost is the
-            # same figure _maybe_execute scheduled us with.
-            cost = len(block.transactions) * (
-                self.config.exec_ms_per_tx + self.config.sig_verify_ms
-            )
+            # Execution ends exactly now, after ``cost`` of serial CPU.
             self.telemetry.block_executed(self.name, block, cost)
 
         votes = tuple(e.code == TxValidationCode.VALID for e in executions)
-        self._vote_history[block.number] = votes
-        msg = VoteMsg(block_number=block.number, voter=self.name, votes=votes)
-        self._record_vote(msg)
-        self.send_many(self._peers, msg, size_bytes=self.config.vote_msg_bytes)
+        self._vote_stage.own[block.number] = votes
+        self._attest(self._vote_stage, block.number, votes)
         self._try_commit(block.number)
         self._ensure_anti_entropy()
 
@@ -475,112 +547,55 @@ class Peer(Host):
     _baseline_execute_one = _execute_one
 
     # ------------------------------------------------------------------
-    # stage 1b: vote collection + commit
+    # stage 1b: vote decision + commit
 
-    def _on_vote(self, src: Host, msg: VoteMsg) -> None:
-        """The event of an armed vote, at the instant the CPU is done
-        with it."""
-        self._drain_inbox(through=msg)
-        self._try_commit(msg.block_number)
-
-    def _answer_vote_retry(self, src: Host, msg: VoteMsg) -> None:
-        """A retry for a block we have committed: the sender is behind,
-        it re-broadcast its vote because the quorum it is waiting for was
-        lost in transit.  Answer with our recorded vote for that block so
-        the quorum can re-form.  (A first broadcast that arrives after
-        our quorum was merely late and solicits nothing.)"""
-        own = self._vote_history.get(msg.block_number)
-        if own is not None and not msg.is_reply and msg.voter != self.name:
-            self.send(
-                src,
-                VoteMsg(
-                    block_number=msg.block_number, voter=self.name,
-                    votes=own, is_reply=True,
-                ),
-                size_bytes=self.config.vote_msg_bytes,
-            )
-
-    def _record_vote(self, msg: VoteMsg) -> None:
-        if msg.voter not in self._electors:
-            return  # not part of this game session
-        if msg.block_number <= self._committed_height:
-            return  # already committed; late vote
-        by_peer = self._votes.get(msg.block_number)
-        if by_peer is None:
-            by_peer = self._votes[msg.block_number] = {}
-        votes = msg.votes
-        old = by_peer.get(msg.voter)
-        if old == votes:
-            return  # duplicate (anti-entropy re-broadcast): tally unchanged
-        by_peer[msg.voter] = votes
-        # Maintain the running per-tx [yes, cast] tally (overwrite-aware:
-        # a voter re-voting differently first backs out its old ballot).
-        tally = self._vote_tally.get(msg.block_number)
-        if tally is None:
-            tally = self._vote_tally[msg.block_number] = []
-        while len(tally) < len(votes):
-            tally.append([0, 0])
-        if old is not None:
-            for i, vote in enumerate(old):
-                pair = tally[i]
-                pair[1] -= 1
-                if vote:
-                    pair[0] -= 1
-        for i, vote in enumerate(votes):
-            pair = tally[i]
-            pair[1] += 1
-            if vote:
-                pair[0] += 1
-
-    def _try_commit(self, block_number: int) -> None:
+    def _try_commit(self, block_number: int, through: Optional[Attestation] = None) -> None:
         if self._inbox:
-            self._drain_inbox()
-        nxt = self._committed_height + 1
+            self._drain_inbox(through)
+        stage = self._vote_stage
+        nxt = stage.height + 1
         if block_number != nxt or self._executed_height < nxt:
             return
-        if nxt in self._commit_scheduled:
+        if nxt in stage.decided:
             return
         block = self._pending_blocks.get(nxt)
         executions = self._executions.get(nxt)
         if block is None or executions is None:
             return
 
+        n_txs = len(block.transactions)
         if nxt < self._catch_up_below:
             # Catch-up: the network finalised this block without us.
             # Deterministic re-execution yields the consensus outcome.
             decisions: List[Optional[bool]] = [
                 e.code == TxValidationCode.VALID for e in executions
             ]
-        else:
+        elif self.policy.is_simple_majority:
+            # Per-tx [yes, cast] from the counts of distinct ballots —
+            # honest peers cast one ballot per block, so this is O(txs).
+            # Voters were filtered to the electorate on record.
+            yes = [0] * n_txs
+            cast = [0] * n_txs
+            for ballot, count in stage.counts.get(nxt, {}).items():
+                for i, vote in enumerate(ballot[:n_txs]):
+                    cast[i] += count
+                    if vote:
+                        yes[i] += count
             total = len(self._electorate)
-            votes_by_peer = self._votes.get(nxt, {})
-            decisions = []
-            if self.policy.is_simple_majority:
-                # Count-based fast path over the incremental tally kept by
-                # _record_vote: voters are already filtered to the
-                # electorate there, so the running [yes, cast] pairs equal
-                # the per-tx counts a full re-tally would produce — and
-                # this runs once per vote received per pending block.
-                tally = self._vote_tally.get(nxt, [])
-                n_tally = len(tally)
-                for i in range(len(block.transactions)):
-                    if i < n_tally:
-                        yes, cast = tally[i]
-                    else:
-                        yes = cast = 0
-                    decisions.append(self.policy.decided_counts(yes, cast, total))
-            else:
-                for i in range(len(block.transactions)):
-                    per_tx = {
-                        voter: votes[i]
-                        for voter, votes in votes_by_peer.items()
-                        if i < len(votes)
-                    }
-                    decisions.append(
-                        self.policy.decided(per_tx, total, all_voters=self._electorate)
-                    )
-            if any(d is None for d in decisions):
-                return  # consensus still open for some transaction
+            decide = self.policy.decided_counts
+            decisions = [decide(y, c, total) for y, c in zip(yes, cast)]
+        else:
+            ballots = stage.by_sender.get(nxt, {})
+            decisions = [
+                self.policy.decided(
+                    {voter: votes[i] for voter, votes in ballots.items() if i < len(votes)},
+                    len(self._electorate),
+                    all_voters=self._electorate,
+                )
+                for i in range(n_txs)
+            ]
+        if None in decisions:
+            return  # consensus still open for some transaction
 
         for execution, decision in zip(executions, decisions):
             locally_valid = execution.code == TxValidationCode.VALID
@@ -591,23 +606,19 @@ class Peer(Host):
 
         if self.telemetry is not None:
             self.telemetry.block_decided(self.name, block)
-        self._commit_scheduled.add(block.number)
-        cost = self.config.commit_ms_per_tx * len(block.transactions)
+        stage.decided.add(nxt)
+        cost = self.config.commit_ms_per_tx * n_txs
         self._compute(cost, self._finish_commit, block, executions)
 
     def _finish_commit(self, block: Block, executions: List[TxExecution]) -> None:
-        if block.number != self._committed_height + 1:
+        if block.number != self._vote_stage.height + 1:
             return  # stale double-commit attempt
         codes = self.ledger.append(block, executions)
-        self._committed_height = block.number
+        self._vote_stage.finish(block.number)
         if self.telemetry is not None:
             self.telemetry.block_committed(self.name, block, codes)
         self._pending_blocks.pop(block.number, None)
         self._executions.pop(block.number, None)
-        self._votes.pop(block.number, None)
-        self._vote_tally.pop(block.number, None)
-        self._votes_seen.pop(block.number, None)
-        self._commit_scheduled.discard(block.number)
 
         # stage 2: ledger synchronisation.  State transfer runs on the
         # gossip plane, separate from the CPU, but transfers one block at
@@ -616,7 +627,7 @@ class Peer(Host):
         # transactions in a block" (§6): five single-tx blocks queue for
         # five transfers, one five-tx block pays for one.
         state_hash = self.ledger.state_hash()
-        self._state_hash_history[block.number] = state_hash
+        self._sync_stage.own[block.number] = state_hash
         transfer = (
             self.config.sync_base_ms
             + self.config.sync_per_peer_ms * len(self._electorate)
@@ -633,85 +644,37 @@ class Peer(Host):
         # Execution of the next block can now proceed.
         self._maybe_execute()
 
-    def _announce_sync(self, block_number: int, state_hash: str) -> None:
-        self._own_hash[block_number] = state_hash
-        msg = SyncHashMsg(
-            block_number=block_number, sender=self.name, state_hash=state_hash
-        )
-        self._record_sync_hash(msg)
-        self.send_many(self._peers, msg, size_bytes=self.config.sync_msg_bytes)
-        self._try_sync(block_number)
-        self._ensure_anti_entropy()
-
     # ------------------------------------------------------------------
     # stage 2: ledger synchronisation
 
-    def _on_sync_hash(self, src: Host, msg: SyncHashMsg) -> None:
-        """The event of an armed sync hash."""
-        self._drain_inbox(through=msg)
-        if msg.block_number > self._synced_height:
-            self._try_sync(msg.block_number)
+    def _announce_sync(self, block_number: int, state_hash: str) -> None:
+        self._own_hash[block_number] = state_hash
+        self._attest(self._sync_stage, block_number, state_hash)
+        self._try_sync(block_number)
+        self._ensure_anti_entropy()
 
-    def _answer_sync_retry(self, src: Host, msg: SyncHashMsg) -> None:
-        """Same return half as for votes: a sender that had to retry
-        needs our attestation for a height we already left behind."""
-        own = self._state_hash_history.get(msg.block_number)
-        if own is not None and not msg.is_reply and msg.sender != self.name:
-            self.send(
-                src,
-                SyncHashMsg(
-                    block_number=msg.block_number, sender=self.name,
-                    state_hash=own, is_reply=True,
-                ),
-                size_bytes=self.config.sync_msg_bytes,
-            )
-
-    def _record_sync_hash(self, msg: SyncHashMsg) -> None:
-        if msg.sender not in self._electors:
-            return
-        if msg.block_number <= self._synced_height:
-            return  # already synchronised; late hash
-        by_sender = self._sync_hashes.get(msg.block_number)
-        if by_sender is None:
-            by_sender = self._sync_hashes[msg.block_number] = {}
-        old = by_sender.get(msg.sender)
-        if old == msg.state_hash:
-            return  # duplicate (anti-entropy re-broadcast): counts unchanged
-        by_sender[msg.sender] = msg.state_hash
-        # Running count of attestations by hash value (overwrite-aware),
-        # so _try_sync's quorum check is one dict get, not a scan.
-        counts = self._sync_match.get(msg.block_number)
-        if counts is None:
-            counts = self._sync_match[msg.block_number] = {}
-        if old is not None:
-            counts[old] -= 1
-        counts[msg.state_hash] = counts.get(msg.state_hash, 0) + 1
-
-    def _try_sync(self, block_number: int) -> None:
+    def _try_sync(self, block_number: int, through: Optional[Attestation] = None) -> None:
         if self._inbox:
-            self._drain_inbox()
-        nxt = self._synced_height + 1
+            self._drain_inbox(through)
+        stage = self._sync_stage
+        nxt = stage.height + 1
         while True:
-            if nxt > self._committed_height or nxt not in self._own_hash:
+            if nxt > self._vote_stage.height or nxt not in self._own_hash:
                 return
             own = self._own_hash[nxt]
-            counts = self._sync_match.get(nxt)
+            counts = stage.counts.get(nxt)
             matching = counts.get(own, 0) if counts is not None else 0
             if matching * 2 <= len(self._electorate) and nxt >= self._catch_up_below:
                 return  # (catch-up blocks were synchronised network-wide
                 #          already; no fresh quorum will form for them)
-            self._synced_height = nxt
-            self.block_synced_at[nxt] = self.network.scheduler.now
+            stage.finish(nxt)
+            del self._own_hash[nxt]
             if self.telemetry is not None:
                 self.telemetry.block_synced(self.name, nxt)
-            self._sync_hashes.pop(nxt, None)
-            self._sync_match.pop(nxt, None)
-            self._hashes_seen.pop(nxt, None)
-            self._own_hash.pop(nxt, None)
             synced_block = self.ledger.block(nxt)
             if self.on_block_synced is not None:
                 self.on_block_synced(nxt, synced_block)
-            nxt = self._synced_height + 1
+            nxt = stage.height + 1
 
     # ------------------------------------------------------------------
     # anti-entropy retransmission
@@ -722,7 +685,7 @@ class Peer(Host):
         return bool(
             self._pending_blocks
             or self._own_hash
-            or self._committed_height + 1 < self._catch_up_below
+            or self._vote_stage.height + 1 < self._catch_up_below
         )
 
     def _ensure_anti_entropy(self) -> None:
@@ -749,7 +712,9 @@ class Peer(Host):
         if not self._outstanding_work():
             self._retry_attempts = 0
             return
-        marker = (self._committed_height, self._synced_height, self._executed_height)
+        marker = (
+            self._vote_stage.height, self._sync_stage.height, self._executed_height
+        )
         if marker != self._retry_marker:
             self._retry_marker = marker
             self._retry_attempts = 0
@@ -761,33 +726,16 @@ class Peer(Host):
         # stalled (e.g. the commit path switched to catch-up after the
         # last _try_commit ran), needing no network round-trip at all.
         self._maybe_execute()
-        self._try_commit(self._committed_height + 1)
+        self._try_commit(self._vote_stage.height + 1)
 
-        nxt = self._committed_height + 1
-        own_votes = self._votes.get(nxt, {}).get(self.name)
-        if own_votes is not None:
-            msg = VoteMsg(
-                block_number=nxt, voter=self.name, votes=own_votes, is_retry=True
-            )
-            self.send_many(self._peers, msg, size_bytes=self.config.vote_msg_bytes)
-        to_sync = self._synced_height + 1
-        if to_sync <= self._committed_height and to_sync in self._own_hash:
-            msg = SyncHashMsg(
-                block_number=to_sync, sender=self.name,
-                state_hash=self._own_hash[to_sync], is_retry=True,
-            )
-            self.send_many(self._peers, msg, size_bytes=self.config.sync_msg_bytes)
-        missing = [
-            n
-            for n in range(nxt, self._catch_up_below)
-            if n not in self._pending_blocks and n > self._executed_height
-        ]
-        if missing and self.orderer is not None:
-            self.send(
-                self.orderer,
-                RequestBlocks(from_number=min(missing), to_number=max(missing)),
-                size_bytes=self.config.query_msg_bytes,
-            )
+        # The own attestation each stage still waits on a quorum for.
+        for stage in self._stages:
+            number = stage.height + 1
+            own = stage.by_sender.get(number, {}).get(self.name)
+            if own is not None:
+                retry = stage.msg_type(number, self.name, own, False, True)
+                self.send_many(self._peers, retry, size_bytes=stage.size_bytes)
+        self._request_missing(self._catch_up_below, again=True)
         self._ensure_anti_entropy()
 
     # ------------------------------------------------------------------
@@ -795,7 +743,7 @@ class Peer(Host):
 
     def _on_query(self, src: Host, query: QueryTxStatus) -> None:
         code, block = self.ledger.tx_status(query.tx_id)
-        if block is not None and block > self._synced_height:
+        if block is not None and block > self._sync_stage.height:
             code, block = TxValidationCode.PENDING, None
         reply = TxStatusReply(tx_id=query.tx_id, code=code, block=block)
         self.send(src, reply, size_bytes=self.config.query_msg_bytes)

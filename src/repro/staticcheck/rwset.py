@@ -158,7 +158,7 @@ def _union(members: Sequence[Any]) -> Any:
 
 
 def _wrap_object(obj: Any) -> Any:
-    if obj is None or isinstance(obj, (str, int, float, bool, tuple, frozenset)):
+    if obj is None or isinstance(obj, (str, int, float, bool, tuple, frozenset, dict)):
         return _Lit(obj)
     return _ObjV(obj)
 

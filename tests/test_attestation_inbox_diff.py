@@ -41,8 +41,7 @@ Fault = Tuple[float, str, Any]
 
 def arm_every_attestation(peer) -> None:
     """Turn ``peer`` into the reference: every attestation is armed."""
-    peer._vote_arms = lambda msg: True
-    peer._sync_hash_arms = lambda msg: True
+    peer._arms = lambda stage, msg: True
 
 
 class Session:
@@ -286,9 +285,9 @@ def test_uncountable_quorums_arm_every_attestation(kwargs):
     )
     peer = product.chain.peers[0]
     if "sync_verify_ms" in kwargs:
-        assert peer._hash_arm_at == 0 and peer._vote_arm_at > 0
+        assert peer._sync_stage.arm_at == 0 and peer._vote_stage.arm_at > 0
     else:
-        assert peer._vote_arm_at == 0 and peer._hash_arm_at > 0
+        assert peer._vote_stage.arm_at == 0 and peer._sync_stage.arm_at > 0
     assert 0 < armed(product) <= armed(reference)
 
 

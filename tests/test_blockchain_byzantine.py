@@ -122,8 +122,9 @@ class TestProtocolEdges:
         chain = make_chain(n_peers=3)
         client = chain.create_client("c0")
         peer = chain.peers[0]
-        peer._record_vote(VoteMsg(block_number=1, voter="mallory", votes=(True,)))
-        assert "mallory" not in peer._votes.get(1, {})
+        stage = peer._vote_stage
+        peer._record(stage, peer, VoteMsg(block_number=1, voter="mallory", votes=(True,)))
+        assert "mallory" not in stage.by_sender.get(1, {})
         assert submit(chain, client, "init", ("m",)).code == TxValidationCode.VALID
 
     def test_client_poll_stops_when_idle(self):

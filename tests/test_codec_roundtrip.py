@@ -307,15 +307,14 @@ def test_deliver_block_roundtrip():
     st.integers(min_value=0, max_value=10**6),
     short_text,
     st.lists(st.booleans(), max_size=40).map(tuple),
-    st.integers(min_value=0, max_value=2**512),
     st.booleans(),
     st.booleans(),
 )
 @settings(max_examples=200)
-def test_vote_msg_bitpacking_roundtrip(number, voter, votes, sig, is_reply, is_retry):
+def test_vote_msg_bitpacking_roundtrip(number, voter, votes, is_reply, is_retry):
     msg = VoteMsg(
         block_number=number, voter=voter, votes=votes,
-        signature=sig, is_reply=is_reply, is_retry=is_retry,
+        is_reply=is_reply, is_retry=is_retry,
     )
     assert roundtrip(msg) == msg
 
@@ -575,9 +574,7 @@ def test_anything_but_a_two_name_envelope_is_a_codec_error(bad):
 
 
 _BROADCASTS = {
-    "vote": lambda: VoteMsg(
-        block_number=4, voter="p1", votes=(True, False, True), signature=2**511 + 3,
-    ),
+    "vote": lambda: VoteMsg(block_number=4, voter="p1", votes=(True, False, True)),
     "sync-hash": lambda: SyncHashMsg(block_number=4, sender="p1", state_hash="ab" * 32),
     "block": lambda: DeliverBlock(block=_sample_block(2)),
 }

@@ -66,7 +66,7 @@ class TestCrashRecovery:
         chain.run(until=chain.now + 1.0)
         target.crash()
         assert target._pending_blocks == {}
-        assert target._votes == {}
+        assert target._vote_stage.by_sender == {}
         assert target.ledger.height == 2  # genesis + init survived on disk
         chain.run_until_idle()
         assert target.committed_height == 1  # nothing applied while down
@@ -113,6 +113,49 @@ class TestCrashRecovery:
         assert all(p.synced_height == p.committed_height for p in chain.peers)
 
 
+class TestRetainedAttestations:
+    """What each attestation stage keeps per block: counts only while the
+    block is open, and the peer's own attestation for retry answers."""
+
+    def test_idle_chain_keeps_only_own_attestations(self):
+        chain = make_chain()
+        client = chain.create_client("c0")
+        submit_and_wait(chain, client, "init", ("main",))
+        for delta in (1, 2, 3):
+            submit_and_wait(chain, client, "add", ("main", delta))
+        for peer in chain.peers:
+            height = peer.synced_height
+            assert height == peer.committed_height == 4
+            for stage in peer._stages:
+                assert not (stage.by_sender or stage.counts or stage.seen)
+                assert not stage.decided
+                assert sorted(stage.own) == list(range(1, height + 1))
+
+    def test_crash_keeps_nothing_above_the_durable_height(self):
+        chain = make_chain()
+        client = chain.create_client("c0")
+        submit_and_wait(chain, client, "init", ("main",))
+        start = chain.now
+        # Timed so that block 2's sync hashes and block 3's votes are in
+        # flight together at the crash.
+        client.invoke("counter", "add", ("main", 5), touched_keys=("ctr/main",))
+        chain.run(until=start + 8.5)
+        client.invoke("counter", "add", ("main", 1), touched_keys=("ctr/main",))
+        chain.run(until=start + 12.25)
+        target = chain.peers[2]
+        votes, hashes = target._vote_stage, target._sync_stage
+        assert 3 in votes.by_sender and 3 in votes.own
+        assert 2 in hashes.by_sender and target._inbox
+        target.crash()
+        durable = target.ledger.height - 1
+        assert durable == 2
+        assert not target._inbox
+        for stage in target._stages:
+            assert not (stage.by_sender or stage.counts or stage.seen)
+            assert not stage.decided
+            assert all(n <= durable for n in stage.own)
+
+
 class TestStaleGossip:
     def test_duplicate_block_delivery_is_ignored(self):
         chain = make_chain()
@@ -142,7 +185,7 @@ class TestStaleGossip:
         )
         chain.run_until_idle()
         assert receiver.committed_height == committed
-        assert 1 not in receiver._votes
+        assert 1 not in receiver._vote_stage.by_sender
 
     def test_vote_reply_is_never_answered(self):
         """Reply ping-pong would flood the network forever; is_reply
@@ -170,7 +213,7 @@ class TestStaleGossip:
         client = chain.create_client("c0")
         submit_and_wait(chain, client, "init", ("main",))
         a, b = chain.peers[0], chain.peers[1]
-        state_hash = a._state_hash_history[1]
+        state_hash = a._sync_stage.own[1]
         replies = []
         chain.net.fault_injector = lambda msg, at: (
             replies.append(msg) or [at]

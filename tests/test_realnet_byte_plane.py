@@ -219,7 +219,7 @@ _payloads = st.one_of(
     _values,
     st.builds(
         VoteMsg, block_number=st.integers(0, 10**6), voter=_text,
-        votes=st.lists(st.booleans(), max_size=12).map(tuple), signature=_big,
+        votes=st.lists(st.booleans(), max_size=12).map(tuple),
         is_reply=st.booleans(), is_retry=st.booleans(),
     ),
     st.builds(
@@ -366,7 +366,7 @@ def test_receivers_of_one_broadcast_share_attestations_and_blocks(net):
         signature=2**500 + 9,
     )
     shared = [
-        VoteMsg(block_number=1, voter="a", votes=(True,), signature=2**511 + 3),
+        VoteMsg(block_number=1, voter="a", votes=(True,)),
         SyncHashMsg(block_number=1, sender="a", state_hash="ab" * 32),
         DeliverBlock(block=Block(BlockHeader(1, "p" * 64, "d" * 64, 2.5), [tx])),
     ]

@@ -7,6 +7,8 @@ handler and helper, and a hazard in an inherited helper is reported.
 
 import time
 
+import pytest
+
 from repro.blockchain.contracts import Contract
 from repro.core import DoomContract, doom_spec, generate_contract_source
 from repro.game import EventType
@@ -22,14 +24,6 @@ class CountingShots(DoomContract):
         ctx.view.put(f"shots/{ctx.creator}", shots + 1)
 
     HANDLERS = {**DoomContract.HANDLERS, EventType.SHOOT: on_shoot}
-
-
-class UnboundOverride(DoomContract):
-    """Overrides ``on_shoot`` without rebinding ``HANDLERS``: Doom's
-    table still dispatches ``shoot`` to ``DoomContract.on_shoot``."""
-
-    def on_shoot(self, ctx, payload):
-        ctx.view.put("never", 1)
 
 
 class _ClockHelpers(Contract):
@@ -61,9 +55,15 @@ def test_override_keeps_every_inherited_handler():
     assert set(doom[EventType.SHOOT]["writes"]) < set(shoot["writes"])
 
 
-def test_unbound_override_is_not_analysed():
-    doom = _as_json(infer_footprints(DoomContract))
-    assert _as_json(infer_footprints(UnboundOverride)) == doom
+def test_unbound_override_is_refused():
+    """An override of ``on_shoot`` that ``HANDLERS`` does not rebind would
+    never run: Doom's table still dispatches ``shoot`` to
+    ``DoomContract.on_shoot``.  Defining such a class fails."""
+    with pytest.raises(TypeError, match=r"UnboundOverride\.on_shoot"):
+
+        class UnboundOverride(DoomContract):
+            def on_shoot(self, ctx, payload):
+                ctx.view.put("never", 1)
 
 
 def test_override_stays_taint_clean():
@@ -82,6 +82,9 @@ def test_generated_source_reaches_its_base_through_its_import():
     assert len(footprints) == 13
     add_player = footprints["addPlayer"]["writes"]
     assert "game/roster" in add_player
-    assert any(key.startswith("asset/{creator}/") for key in add_player)
+    # The starting-asset loop over the base's literal ASSET_DEFAULTS is
+    # unrolled: one key per asset, not a wildcard over the creator's keys.
+    assets = sorted(key for key in add_player if key.startswith("asset/"))
+    assert assets == [f"asset/{{creator}}/{aid}" for aid in range(1, 10)]
     assert "game/started" in footprints["startGame"]["writes"]
     assert "game/started" in footprints["Shoot"]["reads"]
