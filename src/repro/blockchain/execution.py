@@ -16,7 +16,10 @@ executions is pure host-side waste.  A bounded
 process-wide cache lets the first executing peer share its results; every
 other peer gets fresh per-peer :class:`TxExecution` wrappers (codes are
 mutated downstream by consensus downgrades) over the shared immutable
-RWSets.  The key is *content*: the block's header digest, the Merkle
+RWSets.  An entry is spent, and leaves the cache, once every other
+elector of the executing peer's chain has taken it; the size bound is
+the backstop for entries a diverged or patched peer never takes.  The
+key is *content*: the block's header digest, the Merkle
 root over the transactions it actually carries, their signatures and
 certificates (``Block.credentials()`` — no digest covers those), and the
 basis ``state_hash()``.  Both digests are ones ``Ledger.append`` needs at
@@ -34,7 +37,7 @@ a simulated result.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Sequence, Set
+from typing import TYPE_CHECKING, Any, Dict, List, Sequence, Set
 
 from .ledger import TxExecution
 from .transaction import Transaction, TxValidationCode
@@ -48,6 +51,7 @@ __all__ = [
     "execution_stats",
     "reset_execution_stats",
     "clear_execution_cache",
+    "shared_value",
 ]
 
 
@@ -77,16 +81,38 @@ def execution_stats() -> Dict[str, int]:
 # cross-peer block-execution cache
 
 #: key ``(block digest, data digest, credentials, basis state hash)`` →
-#: ``(msp, contract names, contract classes, [(rwset, code)...])``.
+#: ``[msp, contract names, contract classes, [(rwset, code)...], left]``.
 #: The MSP and the contract classes are not content-addressable, so the
-#: entry retains them and every hit re-checks their identity.
-_EXEC_CACHE: Dict[tuple, tuple] = {}
+#: entry retains them and every hit re-checks their identity.  ``left``
+#: counts the hits still due: one per other elector.
+_EXEC_CACHE: Dict[tuple, list] = {}
 _EXEC_CACHE_MAX = 4096
+
+#: Equal own attestation values (state roots, ballots) → one object.
+_SHARED: Dict[Any, Any] = {}
+_SHARED_MAX = 4096
 
 
 def clear_execution_cache() -> None:
-    """Drop all shared execution results (tests and benchmarks)."""
+    """Drop all shared execution results and attestation values (tests
+    and benchmarks)."""
     _EXEC_CACHE.clear()
+    _SHARED.clear()
+
+
+def shared_value(value: Any) -> Any:
+    """The process's one object equal to the immutable ``value``.
+
+    Every honest peer computes its own copy of the same state root and
+    the same ballot per block and keeps it to answer retries; handing
+    them all the first copy keeps one per process.  Not ``sys.intern``:
+    interned strings are immortal on CPython 3.12."""
+    got = _SHARED.get(value)
+    if got is None:
+        if len(_SHARED) >= _SHARED_MAX:
+            _SHARED.clear()
+        got = _SHARED[value] = value
+    return got
 
 
 def _is_patched(peer: "Peer") -> bool:
@@ -128,17 +154,23 @@ class ValidationExecutor:
             and entry[2] == classes
         ):
             _STATS["cache_hits"] += 1
+            entry[4] -= 1
+            if entry[4] <= 0:
+                del _EXEC_CACHE[key]  # spent: every other elector took it
             return [TxExecution(rwset=rwset, code=code) for rwset, code in entry[3]]
         _STATS["cache_misses"] += 1
         executions = self._execute(peer, block.transactions)
-        if len(_EXEC_CACHE) >= _EXEC_CACHE_MAX:
-            _EXEC_CACHE.clear()
-        _EXEC_CACHE[key] = (
-            peer.msp,
-            names,
-            classes,
-            [(e.rwset, e.code) for e in executions],
-        )
+        takers = len(peer._electorate) - 1
+        if takers > 0:
+            if len(_EXEC_CACHE) >= _EXEC_CACHE_MAX:
+                _EXEC_CACHE.clear()
+            _EXEC_CACHE[key] = [
+                peer.msp,
+                names,
+                classes,
+                [(e.rwset, e.code) for e in executions],
+                takers,
+            ]
         return executions
 
     def _execute(

@@ -42,7 +42,7 @@ from ..simnet.topology import Host
 from .block import Block
 from .config import FabricConfig
 from .contracts import Contract, execute_transaction
-from .execution import ValidationExecutor
+from .execution import ValidationExecutor, shared_value
 from .identity import Identity, MembershipProvider
 from .ledger import Ledger, TxExecution
 from .messages import (
@@ -385,6 +385,11 @@ class Peer(Host):
     def _record(self, stage: _Stage, src: Host, msg: Attestation) -> None:
         """Count ``msg`` towards its block's quorum in ``stage``.
 
+        An attestation counts only for the host it came from (on real
+        sockets, the one the frame's envelope names): one claiming
+        another voter or sender is dropped, or one elector could cast
+        ballots under its peers' names.
+
         A stale attestation is counted nowhere.  If it is a retry, its
         sender is behind: it re-broadcast because the quorum it waits
         for was lost in transit, so answer with our own attestation for
@@ -393,6 +398,8 @@ class Peer(Host):
         and a reply is never answered, or two peers ping-pong forever.
         """
         number, sender, value, is_reply, is_retry = stage.fields(msg)
+        if sender != src.name:
+            return
         if number <= stage.height:
             if is_retry and not is_reply and sender != self.name:
                 own = stage.own.get(number)
@@ -506,7 +513,7 @@ class Peer(Host):
             # Execution ends exactly now, after ``cost`` of serial CPU.
             self.telemetry.block_executed(self.name, block, cost)
 
-        votes = tuple(e.code == TxValidationCode.VALID for e in executions)
+        votes = shared_value(tuple(e.code == TxValidationCode.VALID for e in executions))
         self._vote_stage.own[block.number] = votes
         self._attest(self._vote_stage, block.number, votes)
         self._try_commit(block.number)
@@ -626,7 +633,7 @@ class Peer(Host):
         # "amortizes the cost of ledger synchronization across the
         # transactions in a block" (§6): five single-tx blocks queue for
         # five transfers, one five-tx block pays for one.
-        state_hash = self.ledger.state_hash()
+        state_hash = shared_value(self.ledger.state_hash())
         self._sync_stage.own[block.number] = state_hash
         transfer = (
             self.config.sync_base_ms

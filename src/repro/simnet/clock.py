@@ -28,6 +28,7 @@ public surface is the clock contract the rest of the code is written to.
 from __future__ import annotations
 
 import heapq
+import math
 from typing import Any, Callable, List, Optional, Tuple, Union
 
 __all__ = ["ClockCore", "Scheduler", "Timer", "SimulationError"]
@@ -234,25 +235,7 @@ class Scheduler(ClockCore):
 
     def step(self) -> bool:
         """Fire the next pending event.  Returns False if the queue is empty."""
-        queue = self._queue
-        while queue:
-            entry = heapq.heappop(queue)
-            if len(entry) == 4:  # anonymous (never-cancelled) entry
-                self._live -= 1
-                self._now = entry[0]
-                entry[2](*entry[3])
-                self._events_processed += 1
-                return True
-            when, _seq, timer = entry
-            if timer._cancelled:
-                self._cancelled_in_queue -= 1
-                continue
-            self._live -= 1
-            self._now = when
-            timer._fire()
-            self._events_processed += 1
-            return True
-        return False
+        return self._fire(math.inf, 1)[0] > 0
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
         """Run events until the queue drains, ``until`` is reached, or
@@ -261,46 +244,49 @@ class Scheduler(ClockCore):
         When ``until`` is given, the clock is advanced to exactly ``until``
         even if the queue drains earlier, so ``now`` is predictable.
         """
-        fired = 0
-        while self._queue:
-            nxt_when = self.next_when()
-            if nxt_when is None:
-                break
-            if until is not None and nxt_when > until:
-                break
-            if max_events is not None and fired >= max_events:
-                return
-            self.step()
-            fired += 1
-        if until is not None and self._now < until:
+        _, capped = self._fire(
+            math.inf if until is None else until,
+            math.inf if max_events is None else max_events,
+        )
+        if not capped and until is not None and self._now < until:
             self._now = until
 
     def run_until_idle(self, max_events: int = 10_000_000) -> None:
-        """Drain the queue completely (bounded by ``max_events`` as a backstop).
+        """Drain the queue completely (bounded by ``max_events`` as a backstop)."""
+        fired, _ = self._fire(math.inf, max_events)
+        if fired >= max_events:
+            raise SimulationError(f"simulation did not quiesce within {max_events} events")
 
-        This is the workhorse of every simulation run, so the
-        :meth:`step` logic is inlined: one Python call per event saved
-        is seconds over a multi-million-event replay.  Semantics are
-        identical to ``while self.step(): ...``.
+    def _fire(self, until: float, max_events: float) -> Tuple[int, bool]:
+        """Fire live events in ``(when, seq)`` order while the next is due
+        at or before ``until``, at most ``max_events`` of them.  Returns
+        how many fired and whether the cap stopped it with one still due.
+
+        The one firing loop, behind :meth:`step`, :meth:`run` and
+        :meth:`run_until_idle`: it makes no Python call per event but
+        the callback's, since one call per event is seconds over a
+        multi-million-event replay.
         """
         fired = 0
         queue = self._queue  # compaction rebuilds this list in place
         pop = heapq.heappop
         while queue:
-            entry = pop(queue)
+            entry = queue[0]
+            if len(entry) == 3 and entry[2]._cancelled:
+                pop(queue)
+                self._cancelled_in_queue -= 1
+                continue
+            if entry[0] > until:
+                break
+            if fired >= max_events:
+                return fired, True
+            pop(queue)
+            self._live -= 1
+            self._now = entry[0]
             if len(entry) == 4:  # anonymous (never-cancelled) entry
-                self._live -= 1
-                self._now = entry[0]
                 entry[2](*entry[3])
             else:
-                timer = entry[2]
-                if timer._cancelled:
-                    self._cancelled_in_queue -= 1
-                    continue
-                self._live -= 1
-                self._now = entry[0]
-                timer._fire()
+                entry[2]._fire()
             self._events_processed += 1
             fired += 1
-            if fired >= max_events:
-                raise SimulationError(f"simulation did not quiesce within {max_events} events")
+        return fired, False

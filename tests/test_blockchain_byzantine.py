@@ -10,6 +10,7 @@ from repro.blockchain import (
     VoteMsg,
 )
 from repro.simnet import LAN_1GBPS
+from repro.simnet.topology import Host
 
 from conftest import CounterContract
 
@@ -97,6 +98,26 @@ class TestLyingVoters:
         assert chain.peers[0].diverged
 
 
+class TestImpersonation:
+    def test_votes_under_other_electors_names_are_dropped(self):
+        """One elector casting ballots under its peers' names: counted
+        under the claimed names, three false ballots would reject block
+        2 at peer0 before the real ones arrive, and peer0 would never
+        sync with the others."""
+        chain = make_chain(n_peers=4)
+        client = chain.create_client("c0")
+        assert submit(chain, client, "init", ("m",)).code == TxValidationCode.VALID
+        impostor, target = chain.peers[3], chain.peers[0]
+        for name in ("peer1", "peer2", "peer3"):
+            impostor.send(target, VoteMsg(block_number=2, voter=name, votes=(False,)))
+        res = submit(chain, client, "add", ("m", 5))
+        assert res.code == TxValidationCode.VALID
+        for peer in chain.peers:
+            assert peer.ledger.validation_codes(2) == [TxValidationCode.VALID]
+            assert peer.ledger.state.get("ctr/m") == 5
+            assert peer.synced_height == 2
+
+
 class TestProtocolEdges:
     def test_duplicate_block_delivery_is_idempotent(self):
         chain = make_chain(n_peers=3)
@@ -123,7 +144,8 @@ class TestProtocolEdges:
         client = chain.create_client("c0")
         peer = chain.peers[0]
         stage = peer._vote_stage
-        peer._record(stage, peer, VoteMsg(block_number=1, voter="mallory", votes=(True,)))
+        stranger = Host("mallory")
+        peer._record(stage, stranger, VoteMsg(block_number=1, voter="mallory", votes=(True,)))
         assert "mallory" not in stage.by_sender.get(1, {})
         assert submit(chain, client, "init", ("m",)).code == TxValidationCode.VALID
 
